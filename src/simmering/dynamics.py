@@ -1,12 +1,12 @@
 """Thermostat-chain dynamics over flat parameter vectors.
 
-The network parameters are treated as unit-mass particles with positions
-``x`` and velocities ``v`` moving in the loss landscape; a chain of
-thermostat variables (positions ``s_k``, velocities ``v_s_k``, masses
-``Q_k``) couples the particle kinetic energy to a heat bath at the target
-temperature.  Chain link 1 reads the particle kinetic energy, every later
-link reads the kinetic energy of the link below it, and the last link sees a
-zero-velocity boundary.
+The network parameters are treated as particles of one shared scalar mass
+with positions ``x`` and velocities ``v`` moving in the loss landscape; a
+chain of thermostat variables (positions ``s_k``, velocities ``v_s_k``,
+masses ``Q_k``) couples the particle kinetic energy to a heat bath at the
+target temperature.  Chain link 1 reads the particle kinetic energy, every
+later link reads the kinetic energy of the link below it, and the last link
+sees a zero-velocity boundary.
 
 One step advances the coupled system with a symmetric three-stage splitting
 of the phase space into a position-like half (particle positions,
@@ -23,6 +23,13 @@ Chain velocity updates use exponential friction factors
 ``v' = v * exp(-c*dt*w) + c*dt*a * exp(-c*dt*w/2)`` where ``w`` is the
 velocity of the next link up (zero past the end of the chain).
 
+:func:`run_trajectory` is the one integrator loop.  It records one row per
+step when given a train-loss function and nothing otherwise;
+:func:`nhc_step` (one step at an explicit temperature) and :func:`run_nhc`
+are wrappers over it that do not record.  A non-finite quantity aborts the
+loop with a :class:`~simmering.net.NonFiniteError` naming the quantity and
+the step index.
+
 All state is float64.  Steps are deterministic; the only randomness in the
 module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
 """
@@ -30,7 +37,7 @@ module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,11 +84,11 @@ class ThermostatChain:
 
 @dataclass
 class PhaseState:
-    """Particle positions/velocities plus the attached thermostat chain."""
+    """Particle positions/velocities, one scalar particle mass, and the chain."""
 
     positions: np.ndarray
     velocities: np.ndarray
-    masses: np.ndarray | float
+    masses: float
     chain: ThermostatChain
     step_index: int = 0
 
@@ -90,27 +97,21 @@ class PhaseState:
         self.velocities = np.asarray(self.velocities, dtype=np.float64)
         if self.positions.ndim != 1 or self.velocities.shape != self.positions.shape:
             raise ValueError("positions and velocities must be matching 1-D arrays")
-        if isinstance(self.masses, np.ndarray):
-            self.masses = np.asarray(self.masses, dtype=np.float64)
-            if self.masses.shape != self.positions.shape:
-                raise ValueError("per-particle masses must match positions")
-            if np.any(self.masses <= 0.0):
-                raise ValueError("masses must be positive")
-        else:
-            self.masses = float(self.masses)
-            if self.masses <= 0.0:
-                raise ValueError("masses must be positive")
+        if np.ndim(self.masses) != 0:
+            raise ValueError("the particle mass must be one scalar shared by all particles")
+        self.masses = float(self.masses)
+        if self.masses <= 0.0:
+            raise ValueError("masses must be positive")
 
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
 
     def copy(self) -> "PhaseState":
-        masses = self.masses.copy() if isinstance(self.masses, np.ndarray) else self.masses
         return PhaseState(
             self.positions.copy(),
             self.velocities.copy(),
-            masses,
+            self.masses,
             self.chain.copy(),
             self.step_index,
         )
@@ -184,11 +185,9 @@ def initial_velocities(n: int, temperature: float, seed) -> np.ndarray:
 
 
 def kinetic_temperature(state: PhaseState) -> float:
-    """Instantaneous (1/N) * sum(m_i v_i^2)."""
+    """Instantaneous (1/N) * sum(m v_i^2)."""
     v = state.velocities
-    if isinstance(state.masses, float):
-        return state.masses * float(v @ v) / v.shape[0]
-    return float((state.masses * v) @ v) / v.shape[0]
+    return state.masses * float(v @ v) / v.shape[0]
 
 
 def extended_energy(state: PhaseState, loss_value: float, temperature: float) -> float:
@@ -199,10 +198,7 @@ def extended_energy(state: PhaseState, loss_value: float, temperature: float) ->
     constant.
     """
     v = state.velocities
-    if isinstance(state.masses, float):
-        kin = 0.5 * state.masses * float(v @ v)
-    else:
-        kin = 0.5 * float((state.masses * v) @ v)
+    kin = 0.5 * state.masses * float(v @ v)
     chain = state.chain
     chain_kin = 0.5 * float((chain.masses * chain.velocities) @ chain.velocities)
     n = state.n_particles
@@ -215,12 +211,13 @@ def extended_energy(state: PhaseState, loss_value: float, temperature: float) ->
 # the step
 
 
-def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index):
+def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index, sum_mv2):
     """One integration step, in place.
 
-    ``x``/``v`` are float64 arrays, ``m`` a float or array, ``s``/``vs``/``q``
-    plain Python lists (the chain is short; scalar math keeps the hot loop
-    cheap).  Returns nothing.
+    ``x``/``v`` are float64 arrays, ``m`` the scalar particle mass,
+    ``s``/``vs``/``q`` plain Python lists (the chain is short; scalar math
+    keeps the hot loop cheap) and ``sum_mv2`` is ``m * (v @ v)`` on entry.
+    Returns ``m * (v @ v)`` on exit.
     """
     n = x.shape[0]
     n_c = len(s)
@@ -228,10 +225,6 @@ def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index):
     quarter = 0.25 * dt
     exp = math.exp
 
-    if isinstance(m, float):
-        sum_mv2 = m * float(v @ v)
-    else:
-        sum_mv2 = float((m * v) @ v)
     if not math.isfinite(sum_mv2):
         raise NonFiniteError(f"non-finite velocities entering step {step_index}")
 
@@ -249,15 +242,12 @@ def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index):
 
     # stage 2: velocity-like half over dt; the only gradient evaluation,
     # taken at the half-step positions
-    g = grad_fn(x)
+    g = _named(grad_fn, x, "gradient", step_index)
     w0 = vs[0]
     decay = exp(-dt * w0)
     kick = dt * exp(-half * w0)
     v *= decay
-    if isinstance(m, float):
-        v -= (kick / m) * g
-    else:
-        v -= kick * (g / m)
+    v -= (kick / m) * g
     for p in range(0, n_c, 2):
         s[p] += dt * vs[p]
     for p in range(1, n_c, 2):
@@ -269,10 +259,7 @@ def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index):
     x += half * v
     for p in range(1, n_c, 2):
         s[p] += half * vs[p]
-    if isinstance(m, float):
-        sum_mv2 = m * float(v @ v)
-    else:
-        sum_mv2 = float((m * v) @ v)
+    sum_mv2 = m * float(v @ v)
     for p in range(0, n_c, 2):
         if p == 0:
             a = (sum_mv2 - n * t_target) / q[0]
@@ -280,6 +267,15 @@ def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index):
             a = (q[p - 1] * vs[p - 1] * vs[p - 1] - t_target) / q[p]
         w = vs[p + 1] if p + 1 < n_c else 0.0
         vs[p] = vs[p] * exp(-half * w) + half * a * exp(-quarter * w)
+    return sum_mv2
+
+
+def _named(fn, x, quantity: str, step_index: int):
+    """``fn(x)``, with a non-finite error naming the quantity and the step."""
+    try:
+        return fn(x)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"non-finite {quantity} in step {step_index}: {exc}") from exc
 
 
 def nhc_step(
@@ -290,28 +286,8 @@ def nhc_step(
     ``grad_fn(x)`` must return the loss gradient at positions ``x``; it is
     called exactly once per step.
     """
-    if t_current < 0.0:
-        raise ValueError("temperature must be >= 0")
-    out = state.copy()
-    s = out.chain.positions.tolist()
-    vs = out.chain.velocities.tolist()
-    q = out.chain.masses.tolist()
-    _advance(
-        out.positions,
-        out.velocities,
-        out.masses,
-        s,
-        vs,
-        q,
-        config.dt,
-        t_current,
-        grad_fn,
-        state.step_index,
-    )
-    out.chain.positions[...] = s
-    out.chain.velocities[...] = vs
-    out.step_index = state.step_index + 1
-    return out
+    fixed = replace(config, schedule=TemperatureSchedule.constant(t_current))
+    return run_trajectory(state, grad_fn, fixed, 1)[0]
 
 
 def run_nhc(
@@ -322,25 +298,10 @@ def run_nhc(
 ) -> PhaseState:
     """Advance ``n_steps`` without recording; pure.
 
-    The target temperature follows ``config.schedule`` evaluated at the
-    state's running step index, so a ramp continues correctly across calls.
-    Equivalent to ``n_steps`` chained calls of :func:`nhc_step`.
+    Equivalent to ``n_steps`` chained calls of :func:`nhc_step` at the
+    schedule's temperatures.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    out = state.copy()
-    s = out.chain.positions.tolist()
-    vs = out.chain.velocities.tolist()
-    q = out.chain.masses.tolist()
-    schedule = config.schedule
-    x, v, m = out.positions, out.velocities, out.masses
-    for i in range(n_steps):
-        idx = out.step_index + i
-        _advance(x, v, m, s, vs, q, config.dt, schedule.at(idx), grad_fn, idx)
-    out.chain.positions[...] = s
-    out.chain.velocities[...] = vs
-    out.step_index = state.step_index + n_steps
-    return out
+    return run_trajectory(state, grad_fn, config, n_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +337,29 @@ def run_trajectory(
     grad_fn,
     config: IntegratorConfig,
     n_steps: int,
-    loss_train_fn,
+    loss_train_fn=None,
     loss_test_fn=None,
     snapshot_start: int = 0,
     snapshot_stride: int = 1,
-) -> tuple[PhaseState, Trajectory]:
-    """Advance ``n_steps`` recording one row per step.
+) -> tuple[PhaseState, Trajectory | None]:
+    """Advance ``n_steps``; the one integrator loop; pure.
 
-    ``loss_train_fn(x)`` supplies the potential entering the extended energy;
-    ``loss_test_fn`` is optional (NaN recorded when absent).  Parameter
-    snapshots are kept for record positions ``snapshot_start``,
-    ``snapshot_start + snapshot_stride``, ...; pass ``snapshot_start=n_steps``
-    to keep none.  Positions are relative to this call.
+    The target temperature follows ``config.schedule`` evaluated at the
+    state's running step index, so a ramp continues correctly across calls.
+
+    Without ``loss_train_fn`` nothing is recorded and the trajectory is
+    ``None``.  With it, one row per step is recorded: ``loss_train_fn(x)``
+    supplies the potential entering the extended energy; ``loss_test_fn``
+    is optional (NaN recorded when absent).  Parameter snapshots are kept
+    for record positions ``snapshot_start``, ``snapshot_start +
+    snapshot_stride``, ...; pass ``snapshot_start=n_steps`` to keep none.
+    Positions are relative to this call.
+
+    A :class:`NonFiniteError` names the quantity (velocities, gradient,
+    train loss, test loss or extended energy) and the step index.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     if snapshot_start < 0 or snapshot_stride < 1:
         raise ValueError("snapshot_start must be >= 0 and snapshot_stride >= 1")
 
@@ -401,44 +370,45 @@ def run_trajectory(
     x, v, m = out.positions, out.velocities, out.masses
     schedule = config.schedule
     n = x.shape[0]
-    scalar_mass = isinstance(m, float)
-
-    iterations = np.arange(1, n_steps + 1, dtype=np.int64)
-    temperature = np.empty(n_steps)
-    t_kin = np.empty(n_steps)
-    loss_train = np.empty(n_steps)
-    loss_test = np.full(n_steps, np.nan)
-    energy = np.empty(n_steps)
-    n_snaps = 0
-    if snapshot_start < n_steps:
-        n_snaps = 1 + (n_steps - 1 - snapshot_start) // snapshot_stride
-    snap_positions = np.empty(n_snaps, dtype=np.int64)
-    snaps = np.empty((n_snaps, n))
-    snap_at = snapshot_start
-    snap_row = 0
-
     n_c = len(s)
+    record = loss_train_fn is not None
+
+    if record:
+        temperature = np.empty(n_steps)
+        t_kin = np.empty(n_steps)
+        loss_train = np.empty(n_steps)
+        loss_test = np.full(n_steps, np.nan)
+        energy = np.empty(n_steps)
+        n_snaps = 0
+        if snapshot_start < n_steps:
+            n_snaps = 1 + (n_steps - 1 - snapshot_start) // snapshot_stride
+        snap_positions = np.empty(n_snaps, dtype=np.int64)
+        snaps = np.empty((n_snaps, n))
+        snap_at = snapshot_start
+        snap_row = 0
+
+    sum_mv2 = m * float(v @ v)
     for i in range(n_steps):
         idx = out.step_index + i
         t_now = schedule.at(idx)
-        _advance(x, v, m, s, vs, q, config.dt, t_now, grad_fn, idx)
+        sum_mv2 = _advance(x, v, m, s, vs, q, config.dt, t_now, grad_fn, idx, sum_mv2)
+        if not record:
+            continue
 
-        if scalar_mass:
-            sum_mv2 = m * float(v @ v)
-        else:
-            sum_mv2 = float((m * v) @ v)
-        ltrain = float(loss_train_fn(x))
+        ltrain = float(_named(loss_train_fn, x, "train loss", idx))
+        if not math.isfinite(ltrain):
+            raise NonFiniteError(f"non-finite train loss in step {idx}")
         chain_kin = 0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c))
         bath = n * t_now * s[0] + t_now * sum(s[1:])
         e_now = 0.5 * sum_mv2 + ltrain + chain_kin + bath
+        if not math.isfinite(e_now):
+            raise NonFiniteError(f"non-finite extended energy in step {idx}")
         temperature[i] = t_now
         t_kin[i] = sum_mv2 / n
         loss_train[i] = ltrain
         energy[i] = e_now
         if loss_test_fn is not None:
-            loss_test[i] = float(loss_test_fn(x))
-        if not math.isfinite(ltrain) or not math.isfinite(e_now):
-            raise NonFiniteError(f"non-finite loss or energy after step {idx}")
+            loss_test[i] = float(_named(loss_test_fn, x, "test loss", idx))
         if i == snap_at:
             snap_positions[snap_row] = i
             snaps[snap_row] = x
@@ -448,8 +418,10 @@ def run_trajectory(
     out.chain.positions[...] = s
     out.chain.velocities[...] = vs
     out.step_index = state.step_index + n_steps
+    if not record:
+        return out, None
     traj = Trajectory(
-        iterations=iterations,
+        iterations=np.arange(1, n_steps + 1, dtype=np.int64),
         temperature=temperature,
         kinetic_temperature=t_kin,
         loss_train=loss_train,

@@ -17,6 +17,14 @@ Losses, conventions:
 - ``binary_cross_entropy_from_logits`` consumes a single logit column with
   {0,1} targets, computed in the standard overflow-safe form, averaged over
   samples.
+
+The module functions (:func:`forward`, :func:`loss`,
+:func:`loss_and_gradient`) validate their arguments on every call.  Loops
+that evaluate one data set many times (the integrator, Adam) use an
+:class:`Evaluator` instead: it validates the data once, keeps the layer
+views of the parameter array it is handed and a gradient buffer, and runs
+the same numpy expressions, so its results equal the module functions'
+bit for bit.
 """
 
 from __future__ import annotations
@@ -194,18 +202,22 @@ def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
 def forward(topology: Topology, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Batched forward pass; rows are independent samples."""
     a = _check_inputs(topology, inputs)
-    for (w, b), act in zip(layer_views(topology, params), topology.activations):
+    return _forward(layer_views(topology, params), topology.activations, a)
+
+
+def _forward(views, activations, a):
+    for (w, b), act in zip(views, activations):
         z = a @ w.T + b
         a = _apply_activation(act, z)
     return a
 
 
-def _forward_cached(topology, params, inputs):
+def _forward_cached(views, activations, inputs):
     """Forward pass keeping pre-activations and activations for backprop."""
     a = inputs
     pre = []
     post = [a]
-    for (w, b), act in zip(layer_views(topology, params), topology.activations):
+    for (w, b), act in zip(views, activations):
         z = a @ w.T + b
         a = _apply_activation(act, z)
         pre.append(z)
@@ -217,25 +229,30 @@ def _forward_cached(topology, params, inputs):
 # losses
 
 
-def _check_pair(topology_out: int | None, outputs, targets, kind):
-    outputs = np.asarray(outputs, dtype=np.float64)
+def _check_targets(kind: str, targets, output_shape: tuple) -> np.ndarray:
+    """Targets checked against the shape of the outputs they are compared with."""
     targets = np.asarray(targets, dtype=np.float64)
-    if outputs.ndim != 2 or targets.ndim != 2:
+    if len(output_shape) != 2 or targets.ndim != 2:
         raise ValueError("outputs and targets must be 2-D (samples, outputs)")
-    if outputs.shape != targets.shape:
-        raise ValueError(f"shape mismatch: outputs {outputs.shape} vs targets {targets.shape}")
-    if outputs.shape[0] < 1:
+    if targets.shape != output_shape:
+        raise ValueError(f"shape mismatch: outputs {output_shape} vs targets {targets.shape}")
+    if output_shape[0] < 1:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(outputs)) or not np.all(np.isfinite(targets)):
-        raise NonFiniteError("non-finite values in outputs or targets")
+    if not np.all(np.isfinite(targets)):
+        raise NonFiniteError("non-finite values in targets")
     if kind == "categorical_cross_entropy":
-        if outputs.shape[1] < 2:
+        if output_shape[1] < 2:
             raise ValueError("categorical cross-entropy needs at least two output classes")
         _check_one_hot(targets)
     elif kind == "binary_cross_entropy_from_logits":
         if not np.all((targets == 0.0) | (targets == 1.0)):
             raise ValueError("binary cross-entropy targets must be 0 or 1")
-    return outputs, targets
+    return targets
+
+
+def _check_outputs(outputs: np.ndarray) -> None:
+    if not np.all(np.isfinite(outputs)):
+        raise NonFiniteError("non-finite network outputs")
 
 
 def _check_one_hot(targets: np.ndarray) -> None:
@@ -246,7 +263,13 @@ def _check_one_hot(targets: np.ndarray) -> None:
 def loss(kind: str, outputs: np.ndarray, targets: np.ndarray) -> float:
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
-    outputs, targets = _check_pair(None, outputs, targets, kind)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    targets = _check_targets(kind, targets, outputs.shape)
+    _check_outputs(outputs)
+    return _loss_value(kind, outputs, targets)
+
+
+def _loss_value(kind: str, outputs: np.ndarray, targets: np.ndarray) -> float:
     n = outputs.shape[0]
     if kind == "sse":
         diff = outputs - targets
@@ -302,6 +325,74 @@ def class_labels_from_outputs(outputs: np.ndarray) -> np.ndarray:
 # gradient
 
 
+class Evaluator:
+    """A network bound to one data set, for many parameter vectors.
+
+    The loss kind, inputs and targets are checked once, here, with the same
+    errors :func:`loss_and_gradient` raises.  Each call then runs the same
+    numpy expressions as :func:`forward`, :func:`loss` and
+    :func:`loss_and_gradient`, so results agree bit for bit, and still
+    raises :class:`NonFiniteError` on non-finite outputs, loss or gradient.
+
+    The layer views of the last parameter array seen are kept, so an
+    integrator that updates one array in place builds them once.  The array
+    :meth:`gradient` returns is a buffer the next call overwrites.
+    """
+
+    def __init__(self, topology: Topology, loss_kind: str, inputs, targets):
+        if loss_kind not in LOSSES:
+            raise ValueError(f"unknown loss {loss_kind!r}")
+        self.topology = topology
+        self.loss_kind = loss_kind
+        self.inputs = _check_inputs(topology, inputs)
+        self.targets = _check_targets(
+            loss_kind, targets, (self.inputs.shape[0], topology.layer_sizes[-1])
+        )
+        self._grad = np.empty(topology.param_count, dtype=np.float64)
+        self._grad_views = layer_views(topology, self._grad)
+        self._params = None
+        self._views = None
+
+    def _views_of(self, params):
+        if params is not self._params:
+            self._views = layer_views(self.topology, params)
+            self._params = params
+        return self._views
+
+    def loss(self, params: np.ndarray) -> float:
+        """``loss(kind, forward(topology, params, inputs), targets)``."""
+        outputs = _forward(self._views_of(params), self.topology.activations, self.inputs)
+        _check_outputs(outputs)
+        return _loss_value(self.loss_kind, outputs, self.targets)
+
+    def loss_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """Full-batch loss and exact reverse-mode gradient d(loss)/d(params)."""
+        topology, kind, targets = self.topology, self.loss_kind, self.targets
+        weight_views = self._views_of(params)
+        pre, post = _forward_cached(weight_views, topology.activations, self.inputs)
+        outputs = post[-1]
+        _check_outputs(outputs)
+        value = _loss_value(kind, outputs, targets)
+
+        grad = self._grad
+        delta = _loss_output_grad(kind, outputs, targets)
+        for layer in range(topology.n_layers - 1, -1, -1):
+            act = topology.activations[layer]
+            dz = delta * _activation_slope(act, pre[layer], post[layer + 1])
+            gw, gb = self._grad_views[layer]
+            gw[...] = dz.T @ post[layer]
+            gb[...] = dz.sum(axis=0)
+            if layer > 0:
+                delta = dz @ weight_views[layer][0]
+
+        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise NonFiniteError("non-finite loss or gradient")
+        return value, grad
+
+    def gradient(self, params: np.ndarray) -> np.ndarray:
+        return self.loss_and_gradient(params)[1]
+
+
 def loss_and_gradient(
     topology: Topology,
     params: np.ndarray,
@@ -310,30 +401,7 @@ def loss_and_gradient(
     loss_kind: str,
 ) -> tuple[float, np.ndarray]:
     """Full-batch loss and exact reverse-mode gradient d(loss)/d(params)."""
-    if loss_kind not in LOSSES:
-        raise ValueError(f"unknown loss {loss_kind!r}")
-    inputs = _check_inputs(topology, inputs)
-    pre, post = _forward_cached(topology, params, inputs)
-    outputs, targets = _check_pair(None, post[-1], targets, loss_kind)
-    value = loss(loss_kind, outputs, targets)
-
-    grad = np.empty(topology.param_count, dtype=np.float64)
-    grad_views = layer_views(topology, grad)
-    weight_views = layer_views(topology, params)
-
-    delta = _loss_output_grad(loss_kind, outputs, targets)
-    for layer in range(topology.n_layers - 1, -1, -1):
-        act = topology.activations[layer]
-        dz = delta * _activation_slope(act, pre[layer], post[layer + 1])
-        gw, gb = grad_views[layer]
-        gw[...] = dz.T @ post[layer]
-        gb[...] = dz.sum(axis=0)
-        if layer > 0:
-            delta = dz @ weight_views[layer][0]
-
-    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise NonFiniteError("non-finite loss or gradient")
-    return value, grad
+    return Evaluator(topology, loss_kind, inputs, targets).loss_and_gradient(params)
 
 
 def gradient(

@@ -94,16 +94,18 @@ def train_adam(
         raise ValueError(
             f"params0 must have shape ({topology.param_count},), got {params.shape}"
         )
+    train = net.Evaluator(topology, loss_kind, train_inputs, train_targets)
+    test = net.Evaluator(topology, loss_kind, test_inputs, test_targets)
     state = AdamState.fresh(topology.param_count, alpha)
     train_losses = np.empty(epochs)
     test_losses = np.empty(epochs)
     prev = params
     for epoch in range(epochs):
-        _, grad = net.loss_and_gradient(topology, params, train_inputs, train_targets, loss_kind)
+        grad = train.gradient(params)
         prev = params
         params, state = adam_step(params, grad, state)
-        train_losses[epoch] = net.loss(loss_kind, net.forward(topology, params, train_inputs), train_targets)
-        test_losses[epoch] = net.loss(loss_kind, net.forward(topology, params, test_inputs), test_targets)
+        train_losses[epoch] = train.loss(params)
+        test_losses[epoch] = test.loss(params)
         if not math.isfinite(train_losses[epoch]):
             raise NonFiniteError(f"non-finite training loss after epoch {epoch + 1}")
     return AdamReport(

@@ -212,9 +212,10 @@ def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> 
 class _PooledMetric:
     """Streaming pooled-ensemble test metric; bounded memory across replicates.
 
-    Classification pools integer vote counts.  Regression accumulates the
-    member prediction sum in scaled space and applies the affine unscaling
-    once at the end.
+    Classification pools integer vote counts.  Regression unscales each
+    member's predictions and keeps one running sum in storage order, as
+    :func:`ensemble.regression_mean` does over the pooled bundle, so both
+    give the same bits.
     """
 
     def __init__(self, prep: PreparedData, topology: net.Topology):
@@ -233,9 +234,8 @@ class _PooledMetric:
             self._counts = counts if self._counts is None else self._counts + counts
         else:
             for m in range(bundle.n_members):
-                self._pred_sum += net.forward(
-                    self.topology, bundle.members[m], self.prep.test_inputs
-                )
+                outputs = net.forward(self.topology, bundle.members[m], self.prep.test_inputs)
+                self._pred_sum += data.unscale_targets(self.prep.scaler, outputs)
         self.n_members += bundle.n_members
 
     def value(self) -> float:
@@ -244,11 +244,7 @@ class _PooledMetric:
         if self.prep.task == "classification":
             labels = np.argmax(self._counts, axis=1)
             return diagnostics.accuracy(labels, _true_labels(self.prep.raw_test_targets))
-        mean_scaled = self._pred_sum / self.n_members
-        return diagnostics.mse(
-            data.unscale_targets(self.prep.scaler, mean_scaled),
-            self.prep.raw_test_targets,
-        )
+        return diagnostics.mse(self._pred_sum / self.n_members, self.prep.raw_test_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def _layout_sidecar(topology: net.Topology) -> dict:
         "byte_order": "little",
         "layout": (
             "flat parameter vector; for each layer in order: weight matrix "
-            "(n_inputs x n_outputs) flattened row-major, then the bias vector"
+            "(n_outputs x n_inputs) flattened row-major, then the bias vector"
         ),
         "param_count": topology.param_count,
         "layer_sizes": list(topology.layer_sizes),
@@ -458,18 +454,10 @@ def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
 
 
 def _loss_fns(cfg, topology, prep):
-    loss_kind = cfg.model.loss
-
-    def grad_fn(x):
-        return net.gradient(topology, x, prep.train_inputs, prep.train_targets, loss_kind)
-
-    def loss_train_fn(x):
-        return net.loss(loss_kind, net.forward(topology, x, prep.train_inputs), prep.train_targets)
-
-    def loss_test_fn(x):
-        return net.loss(loss_kind, net.forward(topology, x, prep.test_inputs), prep.test_targets)
-
-    return grad_fn, loss_train_fn, loss_test_fn
+    """Gradient, train-loss and test-loss functions, with the data checked once."""
+    train = net.Evaluator(topology, cfg.model.loss, prep.train_inputs, prep.train_targets)
+    test = net.Evaluator(topology, cfg.model.loss, prep.test_inputs, prep.test_targets)
+    return train.gradient, train.loss, test.loss
 
 
 def _integrator_config(cfg) -> IntegratorConfig:
@@ -495,16 +483,19 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
     grad_fn, loss_train_fn, loss_test_fn = _loss_fns(cfg, topology, prep)
     integ = _integrator_config(cfg)
     samp = cfg.sampling
-    _, traj = run_trajectory(
-        state,
-        grad_fn,
-        integ,
-        cfg.simmer.iterations,
-        loss_train_fn,
-        loss_test_fn,
-        snapshot_start=samp.burn_in,
-        snapshot_stride=samp.stride,
-    )
+    try:
+        _, traj = run_trajectory(
+            state,
+            grad_fn,
+            integ,
+            cfg.simmer.iterations,
+            loss_train_fn,
+            loss_test_fn,
+            snapshot_start=samp.burn_in,
+            snapshot_stride=samp.stride,
+        )
+    except net.NonFiniteError as exc:
+        raise net.NonFiniteError(f"replicate {replicate}: {exc}") from exc
     _write_trajectory_csv(os.path.join(rep_dir, "trajectory.csv"), traj)
     # capture already applied burn_in and stride, so the plan only subsamples
     plan = ensemble.SamplingPlan(

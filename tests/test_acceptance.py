@@ -75,7 +75,9 @@ def _random_case(r, kind):
 
 def _relu_kink_free(top, params, x, margin=1e-3):
     # a relu pre-activation inside the stencil would invalidate the oracle
-    pre, _ = net._forward_cached(top, params, np.asarray(x, dtype=np.float64))
+    pre, _ = net._forward_cached(
+        net.layer_views(top, params), top.activations, np.asarray(x, dtype=np.float64)
+    )
     for z, act in zip(pre, top.activations):
         if act == "relu" and np.any(np.abs(z) < margin):
             return False

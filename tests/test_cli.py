@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from simmering import runner
+from simmering import net, runner
 from simmering.cli import main
 from simmering.config import from_dict
 
@@ -282,6 +283,50 @@ def test_evaluate_regression_curve_and_distribution(tmp_path):
     )
 
 
+def test_member_bytes_follow_the_documented_layout(tmp_path):
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    main(["train-adam", "--config", cfg_path, "--out", a])
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    snapshots = json.load(open(os.path.join(a, "replicate_00", "snapshots.json")))
+    assert "weight matrix (n_outputs x n_inputs) flattened row-major" in snapshots["layout"]
+    rep = os.path.join(r, "replicate_00")
+    sidecar = json.load(open(os.path.join(rep, "ensemble.json")))
+    flat = np.frombuffer(read_bytes(os.path.join(rep, "ensemble_members.bin")), dtype="<f8")
+    members = flat.reshape(sidecar["n_members"], sidecar["param_count"])
+    sizes, acts = sidecar["layer_sizes"], sidecar["activations"]
+    assert acts == ["tanh", "linear"]
+
+    cfg = from_dict(json.load(open(os.path.join(r, "resolved_config.json")))["config"])
+    prep = runner.prepare_data(cfg)
+    topology = runner.build_topology(cfg, prep.dataset)
+    for member in members:
+        # plain numpy, reading the bytes as the sidecar text describes them
+        out, offset = prep.test_inputs, 0
+        for n_in, n_out, act in zip(sizes[:-1], sizes[1:], acts):
+            w = member[offset : offset + n_out * n_in].reshape(n_out, n_in)
+            offset += n_out * n_in
+            b = member[offset : offset + n_out]
+            offset += n_out
+            out = out @ w.T + b
+            out = np.tanh(out) if act == "tanh" else out
+        assert offset == sidecar["param_count"]
+        np.testing.assert_array_equal(out, net.forward(topology, member, prep.test_inputs))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_pooled_regression_metric_matches_evaluate(tmp_path, seed):
+    cfg_path = write_config(tmp_path, seed=seed)
+    a, r, ev = str(tmp_path / "a"), str(tmp_path / "r"), str(tmp_path / "ev")
+    main(["train-adam", "--config", cfg_path, "--out", a])
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    assert main(["evaluate", "--from-run", r, "--out", ev]) == 0
+    run_metric = json.load(open(os.path.join(r, "metrics.json")))["ensemble_test_metric"]
+    evaluation = json.load(open(os.path.join(ev, "evaluation.json")))
+    assert evaluation["n_replicates"] == 2
+    assert run_metric == evaluation["ensemble_test_metric"]
+
+
 def test_spectrum_outputs(tmp_path):
     cfg_path = write_config(tmp_path)
     a = str(tmp_path / "a")
@@ -393,6 +438,24 @@ def test_evaluate_rejects_bad_distribution_point(tmp_path, capsys):
         ["evaluate", "--from-run", r, "--out", str(tmp_path / "o"), "--at", "0.1,0.2"]
     ) == 1
     assert "coordinates" in error_line(capsys)["message"]
+
+
+def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):
+    raw = tiny_config_dict()
+    raw["simmer"]["dt"] = 2.0
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    p = tmp_path / "blows_up.json"
+    p.write_text(json.dumps(raw))
+    with np.errstate(all="ignore"):
+        assert main(["simmer", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "NonFiniteError"
+    assert re.match(
+        r"replicate 0: non-finite "
+        r"(velocities entering|gradient in|train loss in|test loss in|extended energy in) "
+        r"step \d+",
+        payload["message"],
+    )
 
 
 def test_bad_at_flag_text(tmp_path, capsys):

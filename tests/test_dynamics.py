@@ -5,6 +5,7 @@ runs (see test_acceptance.py); they catch gross integrator errors quickly.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from simmering import dynamics as dyn
+from simmering import net, runner
+from simmering.config import load_config
 from simmering.net import NonFiniteError
 
 
@@ -56,6 +59,11 @@ def test_state_shape_and_mass_validation():
         make_state([1.0], [0.0], mass=0.0)
     with pytest.raises(ValueError):
         dyn.PhaseState(np.zeros(2), np.zeros(2), np.array([1.0, -1.0]), dyn.ThermostatChain.rest(2))
+
+
+def test_per_particle_mass_array_rejected():
+    with pytest.raises(ValueError, match="scalar"):
+        dyn.PhaseState(np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), dyn.ThermostatChain.rest(2))
 
 
 def test_integrator_config_validation():
@@ -118,10 +126,8 @@ def test_schedule_monotone(t0, dt_t, hold, i, j):
 def test_kinetic_temperature_simple():
     state = make_state([0.0, 0.0], [1.0, 2.0])
     assert dyn.kinetic_temperature(state) == (1.0 + 4.0) / 2.0
-    heavy = dyn.PhaseState(
-        np.zeros(2), np.array([1.0, 2.0]), np.array([2.0, 1.0]), dyn.ThermostatChain.rest(2)
-    )
-    assert dyn.kinetic_temperature(heavy) == (2.0 + 4.0) / 2.0
+    heavy = make_state([0.0, 0.0], [1.0, 2.0], mass=2.0)
+    assert dyn.kinetic_temperature(heavy) == 2.0 * (1.0 + 4.0) / 2.0
 
 
 def test_extended_energy_terms():
@@ -233,6 +239,22 @@ def test_nonfinite_state_aborts_with_step_index():
         dyn.nhc_step(state, harmonic_grad, cfg, 0.5)
 
 
+def test_nonfinite_errors_name_quantity_and_step():
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5))
+    state = make_state([1.0], [0.5])
+    state.step_index = 7
+
+    def broken(x):
+        raise NonFiniteError("boom")
+
+    with pytest.raises(NonFiniteError, match="non-finite gradient in step 7: boom"):
+        dyn.run_nhc(state, broken, cfg, 3)
+    with pytest.raises(NonFiniteError, match="non-finite train loss in step 7$"):
+        dyn.run_trajectory(state, harmonic_grad, cfg, 3, lambda x: math.inf)
+    with pytest.raises(NonFiniteError, match="non-finite test loss in step 7: boom"):
+        dyn.run_trajectory(state, harmonic_grad, cfg, 3, harmonic_potential, broken)
+
+
 def test_exploding_gradient_caught_during_run():
     cfg = dyn.IntegratorConfig(dt=0.5, schedule=dyn.TemperatureSchedule.constant(0.5))
     state = make_state([2.0], [0.0])
@@ -280,6 +302,46 @@ def test_trajectory_without_snapshots():
         make_state([1.0], [0.0]), harmonic_grad, cfg, 10, harmonic_potential, snapshot_start=10
     )
     assert traj.snapshots.shape[0] == 0 and len(traj) == 10
+
+
+def test_evaluator_trajectory_equals_plain_net_closures():
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(here, "configs", "sine_retrofit.json"))
+    prep = runner.prepare_data(cfg)
+    top = runner.build_topology(cfg, prep.dataset)
+    kind = cfg.model.loss
+
+    def grad_fn(x):
+        return net.gradient(top, x, prep.train_inputs, prep.train_targets, kind)
+
+    def loss_train_fn(x):
+        return net.loss(kind, net.forward(top, x, prep.train_inputs), prep.train_targets)
+
+    def loss_test_fn(x):
+        return net.loss(kind, net.forward(top, x, prep.test_inputs), prep.test_targets)
+
+    params = runner.initial_params(cfg, top, 0)
+    state = dyn.PhaseState(
+        params, dyn.initial_velocities(params.size, 0.05, 4), 1.0, dyn.ThermostatChain.rest(2)
+    )
+    integ = runner._integrator_config(cfg)
+    bound_grad, bound_train, bound_test = runner._loss_fns(cfg, top, prep)
+    bound = dyn.run_trajectory(
+        state, bound_grad, integ, 300, bound_train, bound_test,
+        snapshot_start=100, snapshot_stride=7,
+    )
+    plain = dyn.run_trajectory(
+        state, grad_fn, integ, 300, loss_train_fn, loss_test_fn,
+        snapshot_start=100, snapshot_stride=7,
+    )
+    for got, want in zip(bound, plain):
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+            elif name != "chain":
+                assert getattr(got, name) == value, name
+    np.testing.assert_array_equal(bound[0].chain.positions, plain[0].chain.positions)
+    np.testing.assert_array_equal(bound[0].chain.velocities, plain[0].chain.velocities)
 
 
 # ---------------------------------------------------------------------------

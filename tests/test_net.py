@@ -346,7 +346,9 @@ def relu_safe(top, params, x, margin=1e-3):
     A kink inside the finite-difference stencil would invalidate the oracle,
     not the analytic gradient.
     """
-    pre, _ = net._forward_cached(top, params, np.asarray(x, dtype=np.float64))
+    pre, _ = net._forward_cached(
+        net.layer_views(top, params), top.activations, np.asarray(x, dtype=np.float64)
+    )
     for z, act in zip(pre, top.activations):
         if act == "relu" and np.any(np.abs(z) < margin):
             return False
@@ -398,6 +400,100 @@ def test_gradient_nonfinite_params_flagged():
     params[0] = np.nan
     with pytest.raises(NonFiniteError):
         net.gradient(top, params, np.ones((2, 1)), np.ones((2, 1)), "sse")
+
+
+# ---------------------------------------------------------------------------
+# the bound evaluator
+
+
+def reference_loss_and_gradient(top, params, x, y, kind):
+    """Backprop through the validated module functions, one call at a time."""
+    pre, post = [], [x]
+    for (w, b), act in zip(net.layer_views(top, params), top.activations):
+        pre.append(post[-1] @ w.T + b)
+        post.append(net._apply_activation(act, pre[-1]))
+    value = net.loss(kind, net.forward(top, params, x), y)
+    grad = np.empty(top.param_count)
+    grad_views = net.layer_views(top, grad)
+    weights = net.layer_views(top, params)
+    delta = net._loss_output_grad(kind, post[-1], y)
+    for layer in range(top.n_layers - 1, -1, -1):
+        dz = delta * net._activation_slope(top.activations[layer], pre[layer], post[layer + 1])
+        grad_views[layer][0][...] = dz.T @ post[layer]
+        grad_views[layer][1][...] = dz.sum(axis=0)
+        if layer > 0:
+            delta = dz @ weights[layer][0]
+    return value, grad
+
+
+def bound_case(r, kind, act):
+    if kind == "categorical_cross_entropy":
+        k_out, out_act = 3, "linear"
+        y = np.eye(3)[r.integers(0, 3, size=9)]
+    elif kind == "binary_cross_entropy_from_logits":
+        k_out, out_act = 1, "linear"
+        y = (r.random(size=(9, 1)) > 0.5).astype(float)
+    else:
+        k_out, out_act = 2, act
+        y = r.normal(size=(9, 2))
+    top = Topology((3, 5, 4, k_out), (act, act, out_act))
+    return top, r.normal(size=top.param_count), r.normal(size=(9, 3)), y
+
+
+@pytest.mark.parametrize("act", net.ACTIVATIONS)
+@pytest.mark.parametrize("kind", net.LOSSES)
+def test_evaluator_matches_module_functions_bit_for_bit(kind, act):
+    r = rng(len(kind) * 7 + len(act))
+    top, params, x, y = bound_case(r, kind, act)
+    ev = net.Evaluator(top, kind, x, y)
+    for _ in range(3):
+        want_value, want_grad = reference_loss_and_gradient(top, params, x, y, kind)
+        value, grad = ev.loss_and_gradient(params)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(ev.gradient(params), want_grad)
+        assert ev.loss(params) == net.loss(kind, net.forward(top, params, x), y)
+        # the integrator updates one array in place; the kept views follow it
+        params += 0.01 * r.normal(size=params.shape)
+
+
+def test_evaluator_flags_nonfinite_params():
+    top, params, x, y = bound_case(rng(14), "mse", "linear")
+    params[-1] = np.inf
+    ev = net.Evaluator(top, "mse", x, y)
+    with pytest.raises(NonFiniteError):
+        ev.gradient(params)
+    with pytest.raises(NonFiniteError):
+        ev.loss(params)
+
+
+@pytest.mark.parametrize(
+    "kind,x,y,error,match",
+    [
+        ("huber", np.zeros((2, 2)), np.zeros((2, 1)), ValueError, "unknown loss"),
+        ("sse", np.zeros(2), np.zeros((2, 1)), ValueError, "2-D"),
+        ("sse", np.zeros((2, 3)), np.zeros((2, 1)), ValueError, "features"),
+        ("sse", np.array([[0.0, np.nan]]), np.zeros((1, 1)), NonFiniteError, "inputs"),
+        ("sse", np.zeros((2, 2)), np.zeros(2), ValueError, "2-D"),
+        ("sse", np.zeros((2, 2)), np.zeros((3, 1)), ValueError, "shape mismatch"),
+        ("sse", np.zeros((0, 2)), np.zeros((0, 1)), ValueError, "at least one sample"),
+        ("sse", np.zeros((1, 2)), np.array([[np.inf]]), NonFiniteError, "non-finite"),
+        ("categorical_cross_entropy", np.zeros((2, 2)), np.zeros((2, 1)), ValueError, "two output classes"),
+        ("binary_cross_entropy_from_logits", np.zeros((2, 2)), np.full((2, 1), 0.5), ValueError, "0 or 1"),
+    ],
+)
+def test_evaluator_rejects_bad_data_at_construction(kind, x, y, error, match):
+    top = Topology((2, 1), ("linear",))
+    with pytest.raises(error, match=match):
+        net.Evaluator(top, kind, x, y)
+    with pytest.raises(error, match=match):
+        net.loss_and_gradient(top, np.zeros(top.param_count), x, y, kind)
+
+
+def test_evaluator_rejects_non_one_hot_targets():
+    top = Topology((2, 3), ("linear",))
+    with pytest.raises(ValueError, match="one-hot"):
+        net.Evaluator(top, "categorical_cross_entropy", np.zeros((2, 2)), np.full((2, 3), 0.5))
 
 
 def test_labels_from_outputs():
