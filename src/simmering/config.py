@@ -386,8 +386,3 @@ def load_config(path: str) -> ExperimentConfig:
         )
     return cfg
 
-
-def save_config(config: ExperimentConfig, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(config), fh, indent=2)
-        fh.write("\n")

@@ -314,13 +314,6 @@ def scale_features(scaler: ScalerParams, x: np.ndarray) -> np.ndarray:
     return _to_unit(x, scaler.feature_min, scaler.feature_max)
 
 
-def unscale_features(scaler: ScalerParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != scaler.feature_min.shape[0]:
-        raise ValueError("feature width does not match the fitted scaler")
-    return _from_unit(x, scaler.feature_min, scaler.feature_max)
-
-
 def scale_targets(scaler: ScalerParams, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if not scaler.scales_targets:
@@ -338,13 +331,3 @@ def unscale_targets(scaler: ScalerParams, y: np.ndarray) -> np.ndarray:
         raise ValueError("target width does not match the fitted scaler")
     return _from_unit(y, scaler.target_min, scaler.target_max)
 
-
-def minmax_apply(scaler: ScalerParams, dataset: Dataset) -> Dataset:
-    """Dataset with every row mapped into scaled space."""
-    return Dataset(
-        features=scale_features(scaler, dataset.features),
-        targets=scale_targets(scaler, dataset.targets),
-        feature_names=dataset.feature_names,
-        target_names=dataset.target_names,
-        task=dataset.task,
-    )

@@ -20,29 +20,11 @@ from .net import Topology
 HESSIAN_PARAM_CAP = 200
 
 
-def sse(predictions: np.ndarray, targets: np.ndarray) -> float:
-    predictions, targets = _paired(predictions, targets)
-    diff = predictions - targets
-    return float(np.sum(diff * diff))
-
-
 def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Mean of the squared residuals over every scalar entry."""
     predictions, targets = _paired(predictions, targets)
     diff = predictions - targets
     return float(np.mean(diff * diff))
-
-
-def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """1 - SS_res/SS_tot with SS_tot about the target mean."""
-    predictions, targets = _paired(predictions, targets)
-    if targets.size < 2:
-        raise ValueError("r_squared needs at least two samples")
-    centered = targets - targets.mean()
-    ss_tot = float(np.sum(centered * centered))
-    if ss_tot == 0.0:
-        raise ValueError("r_squared is undefined for zero-variance targets")
-    return 1.0 - sse(predictions, targets) / ss_tot
 
 
 def accuracy(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:

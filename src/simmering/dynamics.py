@@ -270,12 +270,13 @@ def _advance(x, v, m, s, vs, q, dt, t_target, grad_fn, step_index, sum_mv2):
     return sum_mv2
 
 
-def _named(fn, x, quantity: str, step_index: int):
-    """``fn(x)``, with a non-finite error naming the quantity and the step."""
+def _named(fn, x, quantity: str, index: int, unit: str = "step"):
+    """``fn(x)``, with a non-finite error naming the quantity and the step
+    (or, for Adam, the epoch)."""
     try:
         return fn(x)
     except NonFiniteError as exc:
-        raise NonFiniteError(f"non-finite {quantity} in step {step_index}: {exc}") from exc
+        raise NonFiniteError(f"non-finite {quantity} in {unit} {index}: {exc}") from exc
 
 
 def nhc_step(

@@ -1,9 +1,11 @@
 """Ensembles of sampled parameter vectors and their aggregate predictions.
 
 A bundle stores raw parameter snapshots, never predictions; members are
-re-evaluated on demand.  Every reduction (mean, vote tally) walks members
-in storage order with a single running accumulator, so results are
-bit-stable and independent of how the bundle was assembled.
+re-evaluated on demand.  Every prediction takes a sequence of bundles (one
+per replicate, in replicate order) and reduces over one walk of their
+members in storage order with a single running accumulator, so results are
+bit-stable and do not depend on whether the members sit in one bundle or
+several.
 
 Vote proportions are quantized onto a 2**52 grid with largest-remainder
 rounding.  Each fraction is then an exact multiple of 2**-52 and every
@@ -123,37 +125,30 @@ def collect(
     )
 
 
-def _scalers_match(a: ScalerParams, b: ScalerParams) -> bool:
-    if a.scales_targets != b.scales_targets:
-        return False
-    same = np.array_equal(a.feature_min, b.feature_min) and np.array_equal(
-        a.feature_max, b.feature_max
-    )
-    if a.scales_targets:
-        same = same and np.array_equal(a.target_min, b.target_min) and np.array_equal(
-            a.target_max, b.target_max
-        )
-    return same
+def _member_outputs(bundles, inputs):
+    """Yield ``(bundle, net outputs)`` for every member, in storage order.
 
-
-def pool(bundles) -> EnsembleBundle:
-    """Concatenate bundles from replicate runs into one voting population."""
-    bundles = list(bundles)
-    if not bundles:
-        raise ValueError("nothing to pool")
-    first = bundles[0]
-    for b in bundles[1:]:
-        if b.topology != first.topology:
+    The one walk behind every ensemble prediction.  ``bundles`` is taken
+    in order and consumed once, so replicate bundles read lazily never sit
+    in memory together.  They must share one topology and one scaler; the
+    inputs are scaled once, by that scaler.
+    """
+    first = None
+    for bundle in bundles:
+        if first is None:
+            first = bundle
+            scaled = _scaled_inputs(bundle, inputs)
+        elif bundle.topology != first.topology:
             raise ValueError("cannot pool bundles with different topologies")
-        if not _scalers_match(b.scaler, first.scaler):
+        elif not all(
+            np.array_equal(value, getattr(first.scaler, name))
+            for name, value in vars(bundle.scaler).items()
+        ):
             raise ValueError("cannot pool bundles with different scalers")
-    return EnsembleBundle(
-        members=np.concatenate([b.members for b in bundles]),
-        iterations=np.concatenate([b.iterations for b in bundles]),
-        temperatures=np.concatenate([b.temperatures for b in bundles]),
-        topology=first.topology,
-        scaler=first.scaler,
-    )
+        for m in range(bundle.n_members):
+            yield bundle, net.forward(bundle.topology, bundle.members[m], scaled)
+    if first is None:
+        raise ValueError("nothing to pool")
 
 
 def _scaled_inputs(bundle: EnsembleBundle, inputs) -> np.ndarray:
@@ -163,32 +158,24 @@ def _scaled_inputs(bundle: EnsembleBundle, inputs) -> np.ndarray:
     return data.scale_features(bundle.scaler, inputs)
 
 
-def regression_mean(bundle: EnsembleBundle, inputs) -> np.ndarray:
+def member_predictions(bundles, inputs) -> np.ndarray:
+    """(members, samples, outputs) array of every member's predictions.
+
+    Rows are in original target units.  A classifier's targets are not
+    scaled, so its rows are the raw outputs that
+    :func:`net.class_labels_from_outputs` turns into labels.
+    """
+    return np.array(
+        [data.unscale_targets(b.scaler, out) for b, out in _member_outputs(bundles, inputs)]
+    )
+
+
+def regression_mean(bundles, inputs) -> np.ndarray:
     """Pointwise mean of member predictions, in original target units."""
-    scaled = _scaled_inputs(bundle, inputs)
-    total = np.zeros((scaled.shape[0], bundle.topology.layer_sizes[-1]))
-    for m in range(bundle.n_members):
-        outputs = net.forward(bundle.topology, bundle.members[m], scaled)
-        total += data.unscale_targets(bundle.scaler, outputs)
-    return total / bundle.n_members
-
-
-@dataclass(frozen=True)
-class PredictionSpread:
-    """Every member's prediction at one input, for histogramming."""
-
-    members: np.ndarray  # (M, K) in original target units
-    mean: np.ndarray     # (K,), identical to regression_mean at the point
-
-
-def regression_distribution(bundle: EnsembleBundle, input_point) -> PredictionSpread:
-    point = np.asarray(input_point, dtype=np.float64).reshape(1, -1)
-    scaled = _scaled_inputs(bundle, point)
-    rows = np.empty((bundle.n_members, bundle.topology.layer_sizes[-1]))
-    for m in range(bundle.n_members):
-        outputs = net.forward(bundle.topology, bundle.members[m], scaled)
-        rows[m] = data.unscale_targets(bundle.scaler, outputs)[0]
-    return PredictionSpread(members=rows, mean=regression_mean(bundle, point)[0])
+    total = 0.0
+    for n, (bundle, outputs) in enumerate(_member_outputs(bundles, inputs), 1):
+        total = total + data.unscale_targets(bundle.scaler, outputs)
+    return total / n
 
 
 def n_vote_classes(topology: Topology) -> int:
@@ -197,20 +184,18 @@ def n_vote_classes(topology: Topology) -> int:
     return 2 if k == 1 else k
 
 
-def vote_counts(bundle: EnsembleBundle, inputs) -> np.ndarray:
+def vote_counts(bundles, inputs) -> np.ndarray:
     """Integer (samples, classes) tally of member argmax votes."""
-    scaled = _scaled_inputs(bundle, inputs)
-    counts = np.zeros((scaled.shape[0], n_vote_classes(bundle.topology)), dtype=np.int64)
-    rows = np.arange(scaled.shape[0])
-    for m in range(bundle.n_members):
-        outputs = net.forward(bundle.topology, bundle.members[m], scaled)
-        counts[rows, net.class_labels_from_outputs(outputs)] += 1
+    counts = 0
+    for bundle, outputs in _member_outputs(bundles, inputs):
+        one_hot = np.eye(n_vote_classes(bundle.topology), dtype=np.int64)
+        counts = counts + one_hot[net.class_labels_from_outputs(outputs)]
     return counts
 
 
-def majority_vote(bundle: EnsembleBundle, inputs) -> np.ndarray:
+def majority_vote(bundles, inputs) -> np.ndarray:
     """Most-voted class per input; ties go to the lowest class index."""
-    return np.argmax(vote_counts(bundle, inputs), axis=1)
+    return np.argmax(vote_counts(bundles, inputs), axis=1)
 
 
 def _exact_fraction_row(counts_row, total: int) -> list[float]:
@@ -225,20 +210,21 @@ def _exact_fraction_row(counts_row, total: int) -> list[float]:
     return [b / _GRID for b in base]
 
 
-def vote_proportions(bundle: EnsembleBundle, inputs) -> np.ndarray:
+def vote_proportions(bundles, inputs) -> np.ndarray:
     """Per-input class vote fractions; each row sums to exactly 1.0."""
-    counts = vote_counts(bundle, inputs)
-    m = bundle.n_members
-    return np.array([_exact_fraction_row(row, m) for row in counts])
+    counts = vote_counts(bundles, inputs)
+    # every row of the tally sums to the member count
+    return np.array([_exact_fraction_row(row, int(row.sum())) for row in counts])
 
 
-def decision_grid(bundle: EnsembleBundle, bounds, resolution: int):
+def decision_grid(bundles, bounds, resolution: int):
     """Vote proportions on a rectangular grid over a 2-D feature space.
 
     Returns (x_values, y_values, proportions) with proportions indexed as
     [ix, iy, class] at the node (x_values[ix], y_values[iy]).
     """
-    if bundle.topology.layer_sizes[0] != 2:
+    bundles = list(bundles)
+    if any(b.topology.layer_sizes[0] != 2 for b in bundles):
         raise ValueError("decision grids need a 2-feature input space")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -247,5 +233,5 @@ def decision_grid(bundle: EnsembleBundle, bounds, resolution: int):
     y_values = np.linspace(y_lo, y_hi, resolution)
     gx, gy = np.meshgrid(x_values, y_values, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    props = vote_proportions(bundle, points)
+    props = vote_proportions(bundles, points)
     return x_values, y_values, props.reshape(resolution, resolution, -1)

@@ -110,15 +110,6 @@ def layer_views(topology: Topology, params: np.ndarray) -> list[tuple[np.ndarray
     return views
 
 
-def pack_layers(topology: Topology, layers) -> np.ndarray:
-    """Inverse of :func:`layer_views`: flatten (weights, biases) pairs."""
-    out = np.empty(topology.param_count, dtype=np.float64)
-    for view, (w, b) in zip(layer_views(topology, out), layers):
-        view[0][...] = w
-        view[1][...] = b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # initialisers
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .dynamics import PhaseState, ThermostatChain
+from .dynamics import PhaseState, ThermostatChain, _named
 from .net import NonFiniteError, Topology
 
 
@@ -101,13 +101,14 @@ def train_adam(
     test_losses = np.empty(epochs)
     prev = params
     for epoch in range(epochs):
-        grad = train.gradient(params)
+        n = epoch + 1  # 1-based, as in losses.csv
+        grad = _named(train.gradient, params, "gradient", n, "epoch")
         prev = params
         params, state = adam_step(params, grad, state)
-        train_losses[epoch] = train.loss(params)
-        test_losses[epoch] = test.loss(params)
+        train_losses[epoch] = _named(train.loss, params, "train loss", n, "epoch")
+        test_losses[epoch] = _named(test.loss, params, "test loss", n, "epoch")
         if not math.isfinite(train_losses[epoch]):
-            raise NonFiniteError(f"non-finite training loss after epoch {epoch + 1}")
+            raise NonFiniteError(f"non-finite train loss in epoch {n}")
     return AdamReport(
         train_losses=train_losses,
         test_losses=test_losses,

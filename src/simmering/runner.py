@@ -190,13 +190,14 @@ def _params_train_metric(topology, params, prep: PreparedData) -> float:
     )
 
 
-def _bundle_test_metric(bundle: ensemble.EnsembleBundle, prep: PreparedData) -> float:
+def _bundle_test_metric(bundles, prep: PreparedData) -> float:
+    """Test metric of the ensemble pooled from ``bundles``, in raw target units."""
     test_features = prep.dataset.features[prep.split.test_indices]
     if prep.task == "classification":
-        labels = ensemble.majority_vote(bundle, test_features)
+        labels = ensemble.majority_vote(bundles, test_features)
         return diagnostics.accuracy(labels, _true_labels(prep.raw_test_targets))
     return diagnostics.mse(
-        ensemble.regression_mean(bundle, test_features), prep.raw_test_targets
+        ensemble.regression_mean(bundles, test_features), prep.raw_test_targets
     )
 
 
@@ -207,44 +208,6 @@ def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> 
     if metric_kind == "accuracy":
         return ens >= adam
     return ens < adam
-
-
-class _PooledMetric:
-    """Streaming pooled-ensemble test metric; bounded memory across replicates.
-
-    Classification pools integer vote counts.  Regression unscales each
-    member's predictions and keeps one running sum in storage order, as
-    :func:`ensemble.regression_mean` does over the pooled bundle, so both
-    give the same bits.
-    """
-
-    def __init__(self, prep: PreparedData, topology: net.Topology):
-        self.prep = prep
-        self.topology = topology
-        self.n_members = 0
-        self._counts = None
-        self._pred_sum = np.zeros(
-            (prep.test_inputs.shape[0], topology.layer_sizes[-1])
-        )
-
-    def add(self, bundle: ensemble.EnsembleBundle):
-        test_features = self.prep.dataset.features[self.prep.split.test_indices]
-        if self.prep.task == "classification":
-            counts = ensemble.vote_counts(bundle, test_features)
-            self._counts = counts if self._counts is None else self._counts + counts
-        else:
-            for m in range(bundle.n_members):
-                outputs = net.forward(self.topology, bundle.members[m], self.prep.test_inputs)
-                self._pred_sum += data.unscale_targets(self.prep.scaler, outputs)
-        self.n_members += bundle.n_members
-
-    def value(self) -> float:
-        if self.n_members == 0:
-            raise ValueError("no ensemble members pooled")
-        if self.prep.task == "classification":
-            labels = np.argmax(self._counts, axis=1)
-            return diagnostics.accuracy(labels, _true_labels(self.prep.raw_test_targets))
-        return diagnostics.mse(self._pred_sum / self.n_members, self.prep.raw_test_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +307,10 @@ def read_bundle(
             f"bundle topology {sidecar['layer_sizes']} does not match "
             f"the configured model {list(topology.layer_sizes)}"
         )
+    # read, then copy: np.fromfile would hold one buffer instead of two, but
+    # freeing the read buffer is what raises glibc's dynamic mmap threshold,
+    # so the multi-MB temporaries of the forwards that follow come from the
+    # heap; without it the iris decision grid runs about 1.5x slower
     with open(os.path.join(rep_dir, "ensemble_members.bin"), "rb") as fh:
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     members = flat.reshape(sidecar["n_members"], sidecar["param_count"])
@@ -354,6 +321,12 @@ def read_bundle(
         topology=topology,
         scaler=scaler,
     )
+
+
+def _replicate_bundles(run_dir: str, n: int, topology: net.Topology, scaler: data.ScalerParams):
+    """Yield the ensemble bundles of replicates 0..n-1, read one at a time."""
+    for r in range(n):
+        yield read_bundle(_replicate_dir(run_dir, r), topology, scaler)
 
 
 def _write_losses_csv(path: str, report: optimize.AdamReport):
@@ -394,19 +367,27 @@ def _write_trajectory_csv(path: str, traj):
 # subcommand bodies
 
 
-def _train_one_adam(cfg, topology, prep, replicate: int) -> optimize.AdamReport:
+def _train_one_adam(cfg, topology, prep, replicate: int, label=None) -> optimize.AdamReport:
+    """Adam from the replicate's initialization.
+
+    A non-finite error is prefixed with ``label``, ``replicate N`` by default.
+    """
+    label = label or f"replicate {replicate}"
     params0 = initial_params(cfg, topology, replicate)
-    return optimize.train_adam(
-        topology,
-        params0,
-        prep.train_inputs,
-        prep.train_targets,
-        prep.test_inputs,
-        prep.test_targets,
-        cfg.model.loss,
-        cfg.adam.epochs,
-        cfg.adam.alpha,
-    )
+    try:
+        return optimize.train_adam(
+            topology,
+            params0,
+            prep.train_inputs,
+            prep.train_targets,
+            prep.test_inputs,
+            prep.test_targets,
+            cfg.model.loss,
+            cfg.adam.epochs,
+            cfg.adam.alpha,
+        )
+    except net.NonFiniteError as exc:
+        raise net.NonFiniteError(f"{label}: {exc}") from exc
 
 
 def _write_adam_replicate(rep_dir, topology, prep, report) -> diagnostics.MetricReport:
@@ -512,7 +493,7 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
 
 
 def _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test=None, adam_train=None):
-    ens = _bundle_test_metric(bundle, prep)
+    ens = _bundle_test_metric([bundle], prep)
     metrics = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=adam_train,
@@ -544,7 +525,6 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
     _prepare_out_dir(out_dir)
     _write_resolved_config(out_dir, cfg, "simmer")
 
-    pooled = _PooledMetric(prep, topology)
     for r in range(cfg.replicates):
         params0 = initial_params(cfg, topology, r)
         v0 = initial_velocities(
@@ -559,16 +539,18 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
         _write_replicate_ensemble_metrics(rep_dir, prep, bundle)
-        pooled.add(bundle)
 
     adam_train = adam_test = None
     if cfg.adam is not None:
         baseline_dir = os.path.join(out_dir, BASELINE_DIR)
-        report = _train_one_adam(cfg, topology, prep, 0)
+        report = _train_one_adam(cfg, topology, prep, 0, BASELINE_DIR)
         baseline = _write_adam_replicate(baseline_dir, topology, prep, report)
         adam_train, adam_test = baseline.adam_train_metric, baseline.adam_test_metric
 
-    ens = pooled.value()
+    # the bundles just written, read back one at a time as evaluate reads them
+    ens = _bundle_test_metric(
+        _replicate_bundles(out_dir, cfg.replicates, topology, prep.scaler), prep
+    )
     summary = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=adam_train,
@@ -612,7 +594,6 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
     _prepare_out_dir(out_dir)
     _write_resolved_config(out_dir, cfg, "retrofit")
 
-    pooled = _PooledMetric(prep, topology)
     adam_tests, adam_trains = [], []
     for r in range(cfg.replicates):
         adam_rep = _replicate_dir(adam_run, r)
@@ -641,9 +622,11 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test, adam_train)
         adam_tests.append(adam_test)
         adam_trains.append(adam_train)
-        pooled.add(bundle)
 
-    ens = pooled.value()
+    # the bundles just written, read back one at a time as evaluate reads them
+    ens = _bundle_test_metric(
+        _replicate_bundles(out_dir, cfg.replicates, topology, prep.scaler), prep
+    )
     adam_test = sum(adam_tests) / len(adam_tests)
     summary = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
@@ -658,16 +641,6 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluate / spectrum
-
-
-def _load_pooled_bundle(run_dir: str, cfg: ExperimentConfig, prep, topology):
-    bundles = []
-    for r in range(cfg.replicates):
-        rep_dir = _replicate_dir(run_dir, r)
-        if not os.path.exists(os.path.join(rep_dir, "ensemble.json")):
-            raise FileNotFoundError(f"run directory contains no ensemble bundle: {rep_dir}")
-        bundles.append(read_bundle(rep_dir, topology, prep.scaler))
-    return ensemble.pool(bundles)
 
 
 def run_evaluate(
@@ -687,15 +660,22 @@ def run_evaluate(
     cfg, _ = load_run_config(run_dir)
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
-    pooled = _load_pooled_bundle(run_dir, cfg, prep, topology)
-    _prepare_out_dir(out_dir)
-
     feature_names = prep.dataset.feature_names
     n_features = prep.dataset.features.shape[1]
+    points = [np.asarray(point, dtype=np.float64) for point in at_points or ()]
+    for p_idx, point in enumerate(points):
+        if point.shape != (n_features,):
+            raise ValueError(
+                f"distribution point {p_idx} has {point.size} coordinates, "
+                f"the feature space has {n_features}"
+            )
+    bundles = list(_replicate_bundles(run_dir, cfg.replicates, topology, prep.scaler))
+    _prepare_out_dir(out_dir)
+
     summary = {
         "metric_kind": prep.metric_kind,
-        "ensemble_test_metric": _bundle_test_metric(pooled, prep),
-        "n_members": pooled.n_members,
+        "ensemble_test_metric": _bundle_test_metric(bundles, prep),
+        "n_members": sum(bundle.n_members for bundle in bundles),
         "n_replicates": cfg.replicates,
     }
 
@@ -703,7 +683,7 @@ def run_evaluate(
         lo = prep.dataset.features.min(axis=0)
         hi = prep.dataset.features.max(axis=0)
         xs, ys, props = ensemble.decision_grid(
-            pooled, ((lo[0], hi[0]), (lo[1], hi[1])), grid_resolution
+            bundles, ((lo[0], hi[0]), (lo[1], hi[1])), grid_resolution
         )
         grid_path = os.path.join(out_dir, "decision_grid.csv")
         class_names = list(prep.dataset.target_names)
@@ -723,14 +703,14 @@ def run_evaluate(
         lo = float(prep.dataset.features.min())
         hi = float(prep.dataset.features.max())
         grid = np.linspace(lo, hi, 101).reshape(-1, 1)
-        curve = ensemble.regression_mean(pooled, grid)
+        curve = ensemble.regression_mean(bundles, grid)
         with open(os.path.join(out_dir, "prediction_curve.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write(f"{feature_names[0]},ensemble_mean\n")
             for i in range(grid.shape[0]):
                 fh.write(f"{_fmt(grid[i, 0])},{_fmt(curve[i, 0])}\n")
         summary["prediction_curve"] = {"points": 101, "bounds": [lo, hi]}
 
-    if at_points:
+    if points:
         dist_path = os.path.join(out_dir, "prediction_distribution.csv")
         with open(dist_path, "w", encoding="utf-8", newline="") as fh:
             if prep.task == "regression":
@@ -740,25 +720,16 @@ def run_evaluate(
             fh.write(
                 "point_index," + ",".join(feature_names) + f",member_index,{value_header}\n"
             )
-            for p_idx, point in enumerate(at_points):
-                point = np.asarray(point, dtype=np.float64)
-                if point.shape != (n_features,):
-                    raise ValueError(
-                        f"distribution point {p_idx} has {point.size} coordinates, "
-                        f"the feature space has {n_features}"
-                    )
+            for p_idx, point in enumerate(points):
                 coords = ",".join(_fmt(c) for c in point)
+                rows = ensemble.member_predictions(bundles, point.reshape(1, -1))[:, 0]
                 if prep.task == "regression":
-                    spread = ensemble.regression_distribution(pooled, point)
-                    for m in range(pooled.n_members):
-                        fh.write(f"{p_idx},{coords},{m},{_fmt(spread.members[m, 0])}\n")
+                    values = [_fmt(v) for v in rows[:, 0]]
                 else:
-                    scaled = data.scale_features(prep.scaler, point.reshape(1, -1))
-                    for m in range(pooled.n_members):
-                        outputs = net.forward(topology, pooled.members[m], scaled)
-                        label = int(net.class_labels_from_outputs(outputs)[0])
-                        fh.write(f"{p_idx},{coords},{m},{label}\n")
-        summary["prediction_distribution"] = {"points": len(at_points)}
+                    values = [str(label) for label in net.class_labels_from_outputs(rows)]
+                for m, value in enumerate(values):
+                    fh.write(f"{p_idx},{coords},{m},{value}\n")
+        summary["prediction_distribution"] = {"points": len(points)}
 
     _write_json(os.path.join(out_dir, "evaluation.json"), summary)
     return out_dir

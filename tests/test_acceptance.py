@@ -209,10 +209,10 @@ def test_sine_retrofit_improves_on_adam_endpoint():
                                      seed=cfg.seed, replicate=r)
         bundle = ensemble.collect(traj, plan, topo, prep.scaler)
         adam_test = runner._params_test_metric(topo, report.final_params, prep)
-        ens_test = runner._bundle_test_metric(bundle, prep)
+        ens_test = runner._bundle_test_metric([bundle], prep)
         adam_curve = float(np.mean((data.unscale_targets(
             prep.scaler, net.forward(topo, report.final_params, scaled_xs))[:, 0] - truth) ** 2))
-        ens_curve = float(np.mean((ensemble.regression_mean(bundle, xs)[:, 0] - truth) ** 2))
+        ens_curve = float(np.mean((ensemble.regression_mean([bundle], xs)[:, 0] - truth) ** 2))
         test_wins += ens_test < adam_test
         curve_wins += ens_curve < adam_curve
         print(f"    replicate {r}: adam test {adam_test:.5f} ens test {ens_test:.5f}"
@@ -251,7 +251,6 @@ def test_iris_ensemble_matches_adam_and_votes_are_proportions():
     adam_report = runner._train_one_adam(cfg, topo, prep, 0)
     adam_acc = runner._params_test_metric(topo, adam_report.final_params, prep)
 
-    pooled_metric = runner._PooledMetric(prep, topo)
     bundles = []
     for r in range(cfg.replicates):
         sched = cfg.simmer.schedule
@@ -272,13 +271,12 @@ def test_iris_ensemble_matches_adam_and_votes_are_proportions():
                                      seed=cfg.seed, replicate=r)
         bundle = ensemble.collect(traj, plan, topo, prep.scaler)
         bundles.append(bundle)
-        pooled_metric.add(bundle)
-    pooled_acc = pooled_metric.value()
+    pooled_acc = runner._bundle_test_metric(bundles, prep)
 
     features = prep.dataset.features
     bounds = ((features[:, 0].min(), features[:, 0].max()),
               (features[:, 1].min(), features[:, 1].max()))
-    _, _, props = ensemble.decision_grid(ensemble.pool(bundles), bounds, resolution=100)
+    _, _, props = ensemble.decision_grid(bundles, bounds, resolution=100)
     grid_gap = float(np.max(np.abs(props.sum(axis=2) - 1.0)))
 
     _report(5, "iris pooled ensemble matches Adam and grid votes sum to one",

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from simmering import net, runner
+from simmering import data, net, runner
 from simmering.cli import main
 from simmering.config import from_dict
 
@@ -227,8 +227,10 @@ def test_simmer_classification_and_evaluate_grid(tmp_path):
     assert os.path.exists(os.path.join(out, "baseline_adam", "losses.csv"))
 
     eval_out = str(tmp_path / "ev")
+    points = ["3.0,1.2", "2.5,0.3"]
     assert main(
-        ["evaluate", "--from-run", out, "--out", eval_out, "--grid-resolution", "10"]
+        ["evaluate", "--from-run", out, "--out", eval_out, "--grid-resolution", "10",
+         "--at", points[0], "--at", points[1]]
     ) == 0
     with open(os.path.join(eval_out, "decision_grid.csv")) as fh:
         lines = fh.read().splitlines()
@@ -242,6 +244,28 @@ def test_simmer_classification_and_evaluate_grid(tmp_path):
     summary = json.load(open(os.path.join(eval_out, "evaluation.json")))
     assert summary["n_replicates"] == 2
     assert summary["n_members"] == 2 * 50
+    assert m["ensemble_test_metric"] == summary["ensemble_test_metric"]
+
+    # one row per member, replicate by replicate, each in storage order
+    cfg = from_dict(json.load(open(os.path.join(out, "resolved_config.json")))["config"])
+    prep = runner.prepare_data(cfg)
+    topology = runner.build_topology(cfg, prep.dataset)
+    expected = []
+    for p_idx, text in enumerate(points):
+        scaled = data.scale_features(prep.scaler, np.array([[float(c) for c in text.split(",")]]))
+        member_index = 0
+        for r in range(2):
+            rep_dir = os.path.join(out, f"replicate_{r:02d}")
+            bundle = runner.read_bundle(rep_dir, topology, prep.scaler)
+            for member in bundle.members:
+                label = net.class_labels_from_outputs(net.forward(topology, member, scaled))[0]
+                expected.append((p_idx, member_index, int(label)))
+                member_index += 1
+    with open(os.path.join(eval_out, "prediction_distribution.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "point_index,sepal_width,petal_width,member_index,predicted_class"
+    got = [(int(c[0]), int(c[3]), int(c[4])) for c in (row.split(",") for row in rows[1:])]
+    assert got == expected
 
 
 def test_simmer_rejects_temperature_ramp(tmp_path):
@@ -434,10 +458,12 @@ def test_evaluate_rejects_bad_distribution_point(tmp_path, capsys):
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
     main(["train-adam", "--config", cfg_path, "--out", a])
     main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r])
+    out = tmp_path / "o"
     assert main(
-        ["evaluate", "--from-run", r, "--out", str(tmp_path / "o"), "--at", "0.1,0.2"]
+        ["evaluate", "--from-run", r, "--out", str(out), "--at", "0.25", "--at", "0.1,0.2"]
     ) == 1
-    assert "coordinates" in error_line(capsys)["message"]
+    assert "point 1 has 2 coordinates" in error_line(capsys)["message"]
+    assert not out.exists()  # checked before anything is written
 
 
 def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):
@@ -455,6 +481,24 @@ def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):
         r"(velocities entering|gradient in|train loss in|test loss in|extended energy in) "
         r"step \d+",
         payload["message"],
+    )
+
+
+@pytest.mark.parametrize(
+    "command,prefix", [("train-adam", "replicate 0"), ("simmer", "baseline_adam")]
+)
+def test_adam_nonfinite_error_names_epoch_and_quantity(tmp_path, capsys, command, prefix):
+    raw = tiny_config_dict()
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    raw["adam"]["alpha"] = 1e200
+    p = tmp_path / "blows_up.json"
+    p.write_text(json.dumps(raw))
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "NonFiniteError"
+    assert re.match(
+        prefix + r": non-finite (gradient|train loss|test loss) in epoch \d+", payload["message"]
     )
 
 

@@ -14,13 +14,11 @@ from simmering.data import (
     load_builtin,
     load_csv,
     load_schema,
-    minmax_apply,
     minmax_fit,
     scale_features,
     scale_targets,
     schema_from_dict,
     split,
-    unscale_features,
     unscale_targets,
 )
 
@@ -280,6 +278,9 @@ def test_minmax_train_bounds_map_to_unit_interval():
     assert scaled.min() == -1.0 and scaled.max() == 1.0
     # feature a: train range [0, 10], midpoint 5 -> 0
     assert scale_features(scaler, np.array([[5.0, 5.0]]))[0, 0] == 0.0
+    # regression targets: train rows 0 and 1 hold the bounds 1.0 and 3.0
+    targets = scale_targets(scaler, ds.targets)
+    assert targets[0, 0] == -1.0 and targets[1, 0] == 1.0
 
 
 def test_minmax_no_clamping_outside_train_range():
@@ -303,7 +304,6 @@ def test_minmax_fit_uses_train_rows_only():
 def test_minmax_invert_is_inverse(value):
     scaler = ScalerParams(np.array([-3.0]), np.array([17.0]), np.array([0.5]), np.array([9.5]))
     x = np.array([[value]])
-    assert np.allclose(unscale_features(scaler, scale_features(scaler, x)), x, rtol=1e-12, atol=1e-9)
     assert np.allclose(unscale_targets(scaler, scale_targets(scaler, x)), x, rtol=1e-12, atol=1e-9)
 
 
@@ -321,18 +321,9 @@ def test_classification_targets_pass_through_scaling():
     scaler = minmax_fit(ds, sp)
     assert not scaler.scales_targets
     assert np.array_equal(scale_targets(scaler, ds.targets), ds.targets)
-    scaled = minmax_apply(scaler, ds)
-    assert np.array_equal(scaled.targets, ds.targets)
-    train_rows = scaled.features[sp.train_indices]
+    assert np.array_equal(unscale_targets(scaler, ds.targets), ds.targets)
+    train_rows = scale_features(scaler, ds.features[sp.train_indices])
     assert train_rows.min() == -1.0 and train_rows.max() == 1.0
-    assert scaled.task == "classification"
-
-
-def test_minmax_apply_scales_regression_targets():
-    ds, sp = _toy_regression()
-    scaler = minmax_fit(ds, sp)
-    scaled = minmax_apply(scaler, ds)
-    assert scaled.targets[0, 0] == -1.0 and scaled.targets[1, 0] == 1.0
 
 
 def test_scaler_width_mismatch():

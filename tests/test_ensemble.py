@@ -27,8 +27,7 @@ from simmering.ensemble import (
     collect,
     decision_grid,
     majority_vote,
-    pool,
-    regression_distribution,
+    member_predictions,
     regression_mean,
     vote_counts,
     vote_proportions,
@@ -182,28 +181,56 @@ def test_collect_length_mismatch_and_empty_selection():
 # ------------------------------------------------------------ pooling
 
 
-def test_pool_concatenates_and_votes_order_invariantly():
+def test_votes_over_bundles_are_order_invariant():
     a = class_bundle([0, 0, 1])
     b = class_bundle([2, 1])
-    ab = pool([a, b])
-    ba = pool([b, a])
-    assert ab.n_members == 5
     x = np.zeros((3, 1))
-    assert np.array_equal(vote_counts(ab, x), vote_counts(ba, x))
-    assert np.array_equal(vote_proportions(ab, x), vote_proportions(ba, x))
+    assert np.array_equal(vote_counts([a, b], x), [[2, 2, 1]] * 3)
+    assert np.array_equal(vote_counts([a, b], x), vote_counts([b, a], x))
+    assert np.array_equal(vote_proportions([a, b], x), vote_proportions([b, a], x))
+    assert np.array_equal(majority_vote([a, b], x), majority_vote([b, a], x))
+
+
+def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
+    topology = Topology((1, 4, 1), ("tanh", "linear"))
+    rng = seeding.generator(5)
+    scaler = ScalerParams(np.array([-2.0]), np.array([2.0]), np.array([10.0]), np.array([30.0]))
+
+    def bundle(members):
+        n = members.shape[0]
+        return EnsembleBundle(members, np.arange(1, n + 1), np.zeros(n), topology, scaler)
+
+    first = rng.normal(size=(7, topology.param_count))
+    second = rng.normal(size=(5, topology.param_count))
+    both = bundle(np.concatenate([first, second]))
+    x = rng.normal(size=(9, 1))
+    assert np.array_equal(regression_mean([bundle(first), bundle(second)], x),
+                          regression_mean([both], x))
+    # lazily produced bundles (as replicates read from disk) give the same bits
+    lazy = (bundle(m) for m in (first, second))
+    assert np.array_equal(regression_mean(lazy, x), regression_mean([both], x))
+    assert np.array_equal(member_predictions([bundle(first), bundle(second)], x),
+                          member_predictions([both], x))
 
 
 def test_pool_rejects_mismatches():
-    with pytest.raises(ValueError, match="nothing"):
-        pool([])
+    x = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="nothing to pool"):
+        vote_counts([], x)
     a = class_bundle([0])
     b = class_bundle([0], n_classes=4)
-    with pytest.raises(ValueError, match="topolog"):
-        pool([a, b])
+    with pytest.raises(ValueError, match="cannot pool bundles with different topologies"):
+        vote_counts([a, b], x)
     c = class_bundle([0])
     c.scaler = identity_scaler(1)  # now scales targets, unlike a's scaler
-    with pytest.raises(ValueError, match="scaler"):
-        pool([a, c])
+    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
+        vote_counts([a, c], x)
+    d = class_bundle([0])
+    d.scaler = ScalerParams(np.array([-2.0]), np.array([1.0]))  # other feature bounds
+    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
+        regression_mean([a, d], x)
+    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
+        member_predictions([a, class_bundle([1]), c], x)
 
 
 # ------------------------------------------------------------ regression
@@ -211,13 +238,13 @@ def test_pool_rejects_mismatches():
 
 def test_two_member_bundle_averages_to_zero():
     bundle = scalar_bundle([1.0, -1.0])
-    out = regression_mean(bundle, np.array([[0.0], [0.5]]))
+    out = regression_mean([bundle], np.array([[0.0], [0.5]]))
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_identical_members_average_to_themselves():
     bundle = scalar_bundle([0.7, 0.7, 0.7])
-    out = regression_mean(bundle, np.array([[0.3]]))
+    out = regression_mean([bundle], np.array([[0.3]]))
     assert out[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
@@ -238,7 +265,7 @@ def test_regression_mean_matches_naive_loop_oracle():
         data_mod.unscale_targets(scaler, net.forward(topology, p, scaled)) for p in members
     ]
     oracle = sum(preds) / len(preds)
-    got = regression_mean(bundle, inputs)
+    got = regression_mean([bundle], inputs)
     np.testing.assert_allclose(got, oracle, rtol=1e-12)
     assert (got >= np.min(preds, axis=0) - 1e-12).all()
     assert (got <= np.max(preds, axis=0) + 1e-12).all()
@@ -251,25 +278,35 @@ def test_distribution_mean_equals_regression_mean_bitwise():
     bundle = EnsembleBundle(
         members, np.arange(1, 18), np.zeros(17), topology, identity_scaler(1)
     )
-    spread = regression_distribution(bundle, np.array([0.25]))
-    assert spread.members.shape == (17, 1)
-    assert np.array_equal(spread.mean, regression_mean(bundle, np.array([[0.25]]))[0])
+    point = np.array([[0.25]])
+    spread = member_predictions([bundle], point)
+    assert spread.shape == (17, 1, 1)
+    running = np.zeros((1, 1))
+    for row in spread:  # storage order, one running sum
+        running += row
+    assert np.array_equal(running / 17, regression_mean([bundle], point))
+    from simmering import data as data_mod
+
+    for m in range(17):
+        outputs = net.forward(topology, members[m], data_mod.scale_features(bundle.scaler, point))
+        assert np.array_equal(spread[m], data_mod.unscale_targets(bundle.scaler, outputs))
 
 
 def test_single_member_distribution():
     bundle = scalar_bundle([2.5])
-    spread = regression_distribution(bundle, np.array([0.0]))
-    assert spread.members.shape == (1, 1)
-    assert spread.members[0, 0] == spread.mean[0] == pytest.approx(2.5, abs=1e-15)
+    spread = member_predictions([bundle], np.array([[0.0]]))
+    mean = regression_mean([bundle], np.array([[0.0]]))
+    assert spread.shape == (1, 1, 1)
+    assert spread[0, 0, 0] == mean[0, 0] == pytest.approx(2.5, abs=1e-15)
 
 
 # ------------------------------------------------------------ voting
 
 
 def test_majority_vote_and_tie_break():
-    assert majority_vote(class_bundle([0, 0, 1]), np.zeros((1, 1)))[0] == 0
-    assert majority_vote(class_bundle([1, 0]), np.zeros((1, 1)))[0] == 0  # tie -> low
-    assert majority_vote(class_bundle([2, 2, 1]), np.zeros((1, 1)))[0] == 2
+    assert majority_vote([class_bundle([0, 0, 1])], np.zeros((1, 1)))[0] == 0
+    assert majority_vote([class_bundle([1, 0])], np.zeros((1, 1)))[0] == 0  # tie -> low
+    assert majority_vote([class_bundle([2, 2, 1])], np.zeros((1, 1)))[0] == 2
 
 
 def test_vote_counts_match_brute_force_tally():
@@ -285,17 +322,17 @@ def test_vote_counts_match_brute_force_tally():
         outputs = net.forward(topology, p, inputs)  # identity scaler: same coords
         for i, label in enumerate(np.argmax(outputs, axis=1)):
             tally[i, label] += 1
-    assert np.array_equal(vote_counts(bundle, inputs), tally)
-    assert np.array_equal(majority_vote(bundle, inputs), np.argmax(tally, axis=1))
+    assert np.array_equal(vote_counts([bundle], inputs), tally)
+    assert np.array_equal(majority_vote([bundle], inputs), np.argmax(tally, axis=1))
 
 
 def test_unanimous_proportions_are_exactly_one_hot():
-    props = vote_proportions(class_bundle([1, 1, 1, 1]), np.zeros((1, 1)))
+    props = vote_proportions([class_bundle([1, 1, 1, 1])], np.zeros((1, 1)))
     assert np.array_equal(props, [[0.0, 1.0, 0.0]])
 
 
 def test_three_way_split_proportions():
-    props = vote_proportions(class_bundle([0, 1, 2]), np.zeros((1, 1)))
+    props = vote_proportions([class_bundle([0, 1, 2])], np.zeros((1, 1)))
     assert props.sum() == 1.0  # exact, not approximate
     np.testing.assert_allclose(props, [[1 / 3, 1 / 3, 1 / 3]], rtol=1e-15)
 
@@ -304,13 +341,13 @@ def test_three_way_split_proportions():
 @settings(max_examples=60, deadline=None)
 def test_proportions_sum_exactly_to_one(votes):
     bundle = class_bundle(votes, n_classes=5)
-    props = vote_proportions(bundle, np.zeros((2, 1)))
+    props = vote_proportions([bundle], np.zeros((2, 1)))
     for row in props:
         assert row.sum() == 1.0
         assert (row >= 0.0).all() and (row <= 1.0).all()
-    counts = vote_counts(bundle, np.zeros((2, 1)))
+    counts = vote_counts([bundle], np.zeros((2, 1)))
     np.testing.assert_allclose(props, counts / len(votes), rtol=0, atol=1e-12)
-    assert np.array_equal(np.argmax(props, axis=1), majority_vote(bundle, np.zeros((2, 1))))
+    assert np.array_equal(np.argmax(props, axis=1), majority_vote([bundle], np.zeros((2, 1))))
 
 
 def test_binary_logit_votes_use_two_classes():
@@ -320,10 +357,10 @@ def test_binary_logit_votes_use_two_classes():
     bundle = EnsembleBundle(
         members, np.arange(1, 4), np.zeros(3), topology, identity_scaler(1, scale_targets=False)
     )
-    counts = vote_counts(bundle, np.zeros((1, 1)))
+    counts = vote_counts([bundle], np.zeros((1, 1)))
     assert counts.shape == (1, 2)
     assert np.array_equal(counts, [[1, 2]])
-    assert majority_vote(bundle, np.zeros((1, 1)))[0] == 1
+    assert majority_vote([bundle], np.zeros((1, 1)))[0] == 1
 
 
 # ------------------------------------------------------------ decision grid
@@ -336,10 +373,10 @@ def test_decision_grid_matches_direct_calls():
     bundle = EnsembleBundle(
         members, np.arange(1, 10), np.zeros(9), topology, identity_scaler(2, scale_targets=False)
     )
-    xs, ys, grid = decision_grid(bundle, ((-1, 1), (0, 2)), resolution=7)
+    xs, ys, grid = decision_grid([bundle], ((-1, 1), (0, 2)), resolution=7)
     assert xs.shape == (7,) and ys.shape == (7,) and grid.shape == (7, 7, 3)
     for ix, iy in [(0, 0), (3, 5), (6, 6), (2, 1)]:
-        direct = vote_proportions(bundle, np.array([[xs[ix], ys[iy]]]))
+        direct = vote_proportions([bundle], np.array([[xs[ix], ys[iy]]]))
         assert np.array_equal(grid[ix, iy], direct[0])
     sums = grid.sum(axis=2)
     assert (sums == 1.0).all()
@@ -348,7 +385,7 @@ def test_decision_grid_matches_direct_calls():
 def test_decision_grid_resolution_one_and_input_width_guard():
     bundle = class_bundle([0, 1])  # 1-feature topology
     with pytest.raises(ValueError, match="2-feature"):
-        decision_grid(bundle, ((-1, 1), (-1, 1)), 3)
+        decision_grid([bundle], ((-1, 1), (-1, 1)), 3)
     rng = seeding.generator(2)
     topology = Topology((2, 3), ("linear",))
     wide = EnsembleBundle(
@@ -358,7 +395,7 @@ def test_decision_grid_resolution_one_and_input_width_guard():
         topology,
         identity_scaler(2, scale_targets=False),
     )
-    xs, ys, grid = decision_grid(wide, ((0.5, 1.0), (2.0, 3.0)), resolution=1)
+    xs, ys, grid = decision_grid([wide], ((0.5, 1.0), (2.0, 3.0)), resolution=1)
     assert xs[0] == 0.5 and ys[0] == 2.0 and grid.shape == (1, 1, 3)
 
 
@@ -399,8 +436,8 @@ def test_distribution_width_tracks_temperature():
             topology,
             identity_scaler(1),
         )
-        spread = regression_distribution(bundle, np.array([0.0]))
-        spreads[temperature] = spread.members[:, 0].var()
-        assert abs(spread.mean[0] - 3.0) < 0.5
+        spread = member_predictions([bundle], x)
+        spreads[temperature] = spread[:, 0, 0].var()
+        assert abs(regression_mean([bundle], x)[0, 0] - 3.0) < 0.5
 
     assert spreads[0.5] / max(spreads[1e-4], 1e-12) > 50.0

@@ -52,12 +52,21 @@ def test_topology_rejects_bad_shapes(sizes, acts):
         Topology(sizes, acts)
 
 
+def pack_layers(topology, layers):
+    """Inverse of net.layer_views: flatten (weights, biases) pairs."""
+    out = np.empty(topology.param_count, dtype=np.float64)
+    for view, (w, b) in zip(net.layer_views(topology, out), layers):
+        view[0][...] = w
+        view[1][...] = b
+    return out
+
+
 def test_layer_views_round_trip():
     top = Topology((2, 4, 3), ("relu", "linear"))
     params = rng(2).normal(size=top.param_count)
     views = net.layer_views(top, params)
     assert [w.shape for w, _ in views] == [(4, 2), (3, 4)]
-    repacked = net.pack_layers(top, views)
+    repacked = pack_layers(top, views)
     assert np.array_equal(repacked, params)
 
 
