@@ -278,9 +278,6 @@ def test_minmax_train_bounds_map_to_unit_interval():
     assert scaled.min() == -1.0 and scaled.max() == 1.0
     # feature a: train range [0, 10], midpoint 5 -> 0
     assert scale_features(scaler, np.array([[5.0, 5.0]]))[0, 0] == 0.0
-    # regression targets: train rows 0 and 1 hold the bounds 1.0 and 3.0
-    targets = scale_targets(scaler, ds.targets)
-    assert targets[0, 0] == -1.0 and targets[1, 0] == 1.0
 
 
 def test_minmax_no_clamping_outside_train_range():
@@ -324,6 +321,14 @@ def test_classification_targets_pass_through_scaling():
     assert np.array_equal(unscale_targets(scaler, ds.targets), ds.targets)
     train_rows = scale_features(scaler, ds.features[sp.train_indices])
     assert train_rows.min() == -1.0 and train_rows.max() == 1.0
+
+
+def test_minmax_apply_scales_regression_targets():
+    ds, sp = _toy_regression()
+    scaler = minmax_fit(ds, sp)
+    # train rows 0 and 1 hold the target bounds 1.0 and 3.0
+    targets = scale_targets(scaler, ds.targets)
+    assert targets[0, 0] == -1.0 and targets[1, 0] == 1.0
 
 
 def test_scaler_width_mismatch():
