@@ -24,11 +24,10 @@ Chain velocity updates use exponential friction factors
 velocity of the next link up (zero past the end of the chain).
 
 :func:`run_trajectory` is the one integrator loop.  It records one row per
-step when given a train-loss function and nothing otherwise;
-:func:`nhc_step` (one step at an explicit temperature) and :func:`run_nhc`
-are wrappers over it that do not record.  A non-finite quantity aborts the
-loop with a :class:`~simmering.net.NonFiniteError` naming the quantity and
-the step index.
+step, and the parameter vectors of the steps it is asked to keep, when
+given a train-loss function, and nothing otherwise.  A non-finite quantity
+aborts the loop with a :class:`~simmering.net.NonFiniteError` naming the
+quantity and the step index.
 
 All state is float64.  Steps are deterministic; the only randomness in the
 module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
@@ -37,7 +36,7 @@ module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,32 +278,6 @@ def _named(fn, x, quantity: str, index: int, unit: str = "step"):
         raise NonFiniteError(f"non-finite {quantity} in {unit} {index}: {exc}") from exc
 
 
-def nhc_step(
-    state: PhaseState, grad_fn, config: IntegratorConfig, t_current: float
-) -> PhaseState:
-    """Advance one step at the given target temperature; pure.
-
-    ``grad_fn(x)`` must return the loss gradient at positions ``x``; it is
-    called exactly once per step.
-    """
-    fixed = replace(config, schedule=TemperatureSchedule.constant(t_current))
-    return run_trajectory(state, grad_fn, fixed, 1)[0]
-
-
-def run_nhc(
-    state: PhaseState,
-    grad_fn,
-    config: IntegratorConfig,
-    n_steps: int,
-) -> PhaseState:
-    """Advance ``n_steps`` without recording; pure.
-
-    Equivalent to ``n_steps`` chained calls of :func:`nhc_step` at the
-    schedule's temperatures.
-    """
-    return run_trajectory(state, grad_fn, config, n_steps)[0]
-
-
 # ---------------------------------------------------------------------------
 # recorded trajectories
 
@@ -315,9 +288,10 @@ class Trajectory:
 
     Record ``i`` (0-based) describes the state after completing step ``i+1``;
     the ``iterations`` column is that 1-based step count.  Snapshots hold
-    full parameter vectors for the recorded subset of steps:
-    ``snapshots[j]`` is the state after step ``snapshot_positions[j] + 1``,
-    i.e. record index ``snapshot_positions[j]``.
+    full parameter vectors for the steps the caller asked to keep, and for
+    no others: ``snapshots[j]`` is the state after step
+    ``snapshot_positions[j] + 1``, i.e. record index
+    ``snapshot_positions[j]``, and the positions strictly increase.
     """
 
     iterations: np.ndarray
@@ -340,8 +314,7 @@ def run_trajectory(
     n_steps: int,
     loss_train_fn=None,
     loss_test_fn=None,
-    snapshot_start: int = 0,
-    snapshot_stride: int = 1,
+    snapshot_steps=None,
 ) -> tuple[PhaseState, Trajectory | None]:
     """Advance ``n_steps``; the one integrator loop; pure.
 
@@ -352,17 +325,25 @@ def run_trajectory(
     ``None``.  With it, one row per step is recorded: ``loss_train_fn(x)``
     supplies the potential entering the extended energy; ``loss_test_fn``
     is optional (NaN recorded when absent).  Parameter snapshots are kept
-    for record positions ``snapshot_start``, ``snapshot_start +
-    snapshot_stride``, ...; pass ``snapshot_start=n_steps`` to keep none.
-    Positions are relative to this call.
+    for the record positions in ``snapshot_steps``, a strictly increasing
+    sequence in ``[0, n_steps)`` (``None`` keeps every step, ``()`` none).
+    Positions are relative to this call.  Only those rows are allocated,
+    and each kept state is written straight into its row.
 
     A :class:`NonFiniteError` names the quantity (velocities, gradient,
     train loss, test loss or extended energy) and the step index.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if snapshot_start < 0 or snapshot_stride < 1:
-        raise ValueError("snapshot_start must be >= 0 and snapshot_stride >= 1")
+    if snapshot_steps is None:
+        snap_positions = np.arange(n_steps, dtype=np.int64)
+    else:
+        snap_positions = np.asarray(snapshot_steps, dtype=np.int64)
+        fenced = np.concatenate(([-1], snap_positions.ravel(), [n_steps]))
+        if snap_positions.ndim != 1 or np.any(np.diff(fenced) <= 0):
+            raise ValueError(
+                f"snapshot_steps must strictly increase within [0, {n_steps})"
+            )
 
     out = state.copy()
     s = out.chain.positions.tolist()
@@ -380,13 +361,11 @@ def run_trajectory(
         loss_train = np.empty(n_steps)
         loss_test = np.full(n_steps, np.nan)
         energy = np.empty(n_steps)
-        n_snaps = 0
-        if snapshot_start < n_steps:
-            n_snaps = 1 + (n_steps - 1 - snapshot_start) // snapshot_stride
-        snap_positions = np.empty(n_snaps, dtype=np.int64)
-        snaps = np.empty((n_snaps, n))
-        snap_at = snapshot_start
+        snaps = np.empty((snap_positions.size, n))
+        # n_steps closes the list: a mark no step index reaches
+        snap_marks = snap_positions.tolist() + [n_steps]
         snap_row = 0
+        snap_at = snap_marks[0]
 
     sum_mv2 = m * float(v @ v)
     for i in range(n_steps):
@@ -411,10 +390,9 @@ def run_trajectory(
         if loss_test_fn is not None:
             loss_test[i] = float(_named(loss_test_fn, x, "test loss", idx))
         if i == snap_at:
-            snap_positions[snap_row] = i
             snaps[snap_row] = x
             snap_row += 1
-            snap_at += snapshot_stride
+            snap_at = snap_marks[snap_row]
 
     out.chain.positions[...] = s
     out.chain.velocities[...] = vs

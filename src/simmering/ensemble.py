@@ -29,12 +29,14 @@ _GRID = 1 << 52
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Which trajectory snapshots become ensemble members.
+    """Which trajectory records become ensemble members.
 
-    Snapshots from the first ``burn_in`` iterations are discarded, the
+    Records from the first ``burn_in`` iterations are discarded, the
     remainder is stride-thinned, and ``fraction`` of those (if < 1) is
     drawn uniformly without replacement under the plan seed and replicate
-    index (so replicated runs subsample independently).
+    index (so replicated runs subsample independently).  The choice
+    depends on nothing the integrator computes, so it is made before
+    integrating and only the members' states are ever captured.
     """
 
     total_iterations: int
@@ -55,6 +57,17 @@ class SamplingPlan:
             raise ValueError("fraction must lie in (0, 1]")
         if self.replicate < 0:
             raise ValueError("replicate must be >= 0")
+
+    def steps(self) -> np.ndarray:
+        """Sorted 0-based record indices of the members."""
+        window = np.arange(self.burn_in, self.total_iterations, self.stride, dtype=np.int64)
+        if self.fraction == 1.0:
+            return window
+        n_keep = int(round(window.size * self.fraction))
+        if n_keep < 1:
+            raise ValueError(f"fraction {self.fraction} of {window.size} snapshots keeps none")
+        rng = seeding.stream(self.seed, "subsample", self.replicate)
+        return window[np.sort(rng.choice(window.size, size=n_keep, replace=False))]
 
 
 @dataclass
@@ -95,31 +108,31 @@ def collect(
     topology: Topology,
     scaler: ScalerParams,
 ) -> EnsembleBundle:
-    """Select snapshots into a bundle per the sampling plan."""
+    """Pick the plan's members out of the trajectory's snapshots.
+
+    A trajectory that captured exactly ``plan.steps()`` hands its snapshot
+    matrix to the bundle as is, without a copy.
+    """
     if len(trajectory) != plan.total_iterations:
         raise ValueError(
             f"plan describes {plan.total_iterations} iterations but the "
             f"trajectory has {len(trajectory)}"
         )
-    keep = trajectory.snapshot_positions >= plan.burn_in
-    record_idx = trajectory.snapshot_positions[keep][:: plan.stride]
-    members = trajectory.snapshots[keep][:: plan.stride]
-    if record_idx.size == 0:
-        raise ValueError("no snapshots survive the burn-in window")
-    if plan.fraction < 1.0:
-        n_keep = int(round(record_idx.size * plan.fraction))
-        if n_keep < 1:
+    steps = plan.steps()
+    captured = trajectory.snapshot_positions
+    if np.array_equal(captured, steps):
+        members = trajectory.snapshots
+    else:
+        missing = np.setdiff1d(steps, captured)
+        if missing.size:
             raise ValueError(
-                f"fraction {plan.fraction} of {record_idx.size} snapshots keeps none"
+                f"no snapshot survives at record {missing[0]}, which the plan keeps"
             )
-        rng = seeding.stream(plan.seed, "subsample", plan.replicate)
-        chosen = np.sort(rng.choice(record_idx.size, size=n_keep, replace=False))
-        record_idx = record_idx[chosen]
-        members = members[chosen]
+        members = trajectory.snapshots[np.searchsorted(captured, steps)]
     return EnsembleBundle(
-        members=members.copy(),
-        iterations=record_idx + 1,
-        temperatures=trajectory.temperature[record_idx].copy(),
+        members=members,
+        iterations=steps + 1,
+        temperatures=trajectory.temperature[steps],
         topology=topology,
         scaler=scaler,
     )

@@ -3,7 +3,8 @@
 Each subcommand writes one self-describing run directory:
 
     out/
-      resolved_config.json      exact config + seed + package version
+      resolved_config.json      exact config + seed + package version;
+                                written last, so it marks a finished run
       metrics.json              fixed-field metric summary (pooled)
       replicate_00/
         losses.csv              adam runs: epoch,loss_train,loss_test
@@ -215,6 +216,8 @@ def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> 
 
 
 def _write_resolved_config(out_dir: str, cfg: ExperimentConfig, command: str):
+    """Callers write this last: only a finished run has it, and
+    :func:`load_run_config` requires it."""
     payload = {
         "command": command,
         "package_version": _package_version(),
@@ -416,7 +419,6 @@ def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
-    _write_resolved_config(out_dir, cfg, "train-adam")
     train_vals, test_vals = [], []
     for r in range(cfg.replicates):
         report = _train_one_adam(cfg, topology, prep, r)
@@ -431,6 +433,7 @@ def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
         improved=None,
     )
     _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
+    _write_resolved_config(out_dir, cfg, "train-adam")
     return out_dir
 
 
@@ -459,11 +462,23 @@ def _integrator_config(cfg) -> IntegratorConfig:
 
 
 def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
-    """Integrate one replicate, write its trajectory and bundle, return the bundle."""
+    """Integrate one replicate, write its trajectory and bundle, return the bundle.
+
+    The members are chosen before integrating, and only their states are
+    captured.
+    """
+    samp = cfg.sampling
+    plan = ensemble.SamplingPlan(
+        total_iterations=cfg.simmer.iterations,
+        burn_in=samp.burn_in,
+        stride=samp.stride,
+        fraction=samp.fraction,
+        seed=cfg.seed,
+        replicate=replicate,
+    )
     os.makedirs(rep_dir, exist_ok=True)
     grad_fn, loss_train_fn, loss_test_fn = _loss_fns(cfg, topology, prep)
     integ = _integrator_config(cfg)
-    samp = cfg.sampling
     try:
         _, traj = run_trajectory(
             state,
@@ -472,21 +487,11 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
             cfg.simmer.iterations,
             loss_train_fn,
             loss_test_fn,
-            snapshot_start=samp.burn_in,
-            snapshot_stride=samp.stride,
+            plan.steps(),
         )
     except net.NonFiniteError as exc:
         raise net.NonFiniteError(f"replicate {replicate}: {exc}") from exc
     _write_trajectory_csv(os.path.join(rep_dir, "trajectory.csv"), traj)
-    # capture already applied burn_in and stride, so the plan only subsamples
-    plan = ensemble.SamplingPlan(
-        total_iterations=cfg.simmer.iterations,
-        burn_in=samp.burn_in,
-        stride=1,
-        fraction=samp.fraction,
-        seed=cfg.seed,
-        replicate=replicate,
-    )
     bundle = ensemble.collect(traj, plan, topology, prep.scaler)
     write_bundle(rep_dir, bundle)
     return bundle
@@ -523,7 +528,6 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
-    _write_resolved_config(out_dir, cfg, "simmer")
 
     for r in range(cfg.replicates):
         params0 = initial_params(cfg, topology, r)
@@ -559,6 +563,7 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
         improved=_improved(prep.metric_kind, adam_test, ens),
     )
     _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
+    _write_resolved_config(out_dir, cfg, "simmer")
     return out_dir
 
 
@@ -592,7 +597,6 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
-    _write_resolved_config(out_dir, cfg, "retrofit")
 
     adam_tests, adam_trains = [], []
     for r in range(cfg.replicates):
@@ -636,6 +640,7 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         improved=_improved(prep.metric_kind, adam_test, ens),
     )
     _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
+    _write_resolved_config(out_dir, cfg, "retrofit")
     return out_dir
 
 

@@ -133,9 +133,9 @@ def test_harmonic_sampling_is_canonical():
         state = _harmonic_state(temperature, chain_mass=temperature, seed=1)
         cfg = _constant_config(temperature, dt=0.002)
         state, _ = run_trajectory(state, grad, cfg, 100_000, pot,
-                                  snapshot_start=100_000)
+                                  snapshot_steps=())
         state, traj = run_trajectory(state, grad, cfg, 2_000_000, pot,
-                                     snapshot_start=0, snapshot_stride=1)
+                                     snapshot_steps=range(0, 2_000_000, 1))
         elapsed = time.time() - t0
         x = traj.snapshots[:, 0]
         x2_err = abs(float(np.mean(x * x)) - temperature) / temperature
@@ -157,7 +157,7 @@ def test_extended_energy_is_conserved():
     pot = lambda x: float(0.5 * x[0] ** 2)
     state = _harmonic_state(0.5, chain_mass=0.5, seed=1)
     _, traj = run_trajectory(state, grad, _constant_config(0.5, dt=0.001),
-                             100_000, pot, snapshot_start=100_000)
+                             100_000, pot, snapshot_steps=())
     e = traj.extended_energy
     drift = abs(float(e[-1] - e[0])) / abs(float(e[0]))
     _report(3, "extended energy stable over 1e5 steps",
@@ -202,7 +202,8 @@ def test_sine_retrofit_improves_on_adam_endpoint():
                                        particle_mass=cfg.simmer.particle_mass)
         _, traj = run_trajectory(state, grad_fn, runner._integrator_config(cfg),
                                  cfg.simmer.iterations, ltrain, ltest,
-                                 snapshot_start=cfg.sampling.burn_in, snapshot_stride=1)
+                                 snapshot_steps=range(cfg.sampling.burn_in,
+                                                      cfg.simmer.iterations, 1))
         plan = ensemble.SamplingPlan(total_iterations=cfg.simmer.iterations,
                                      burn_in=cfg.sampling.burn_in, stride=1,
                                      fraction=cfg.sampling.fraction,
@@ -264,7 +265,8 @@ def test_iris_ensemble_matches_adam_and_votes_are_proportions():
         )
         _, traj = run_trajectory(state, grad_fn, runner._integrator_config(cfg),
                                  cfg.simmer.iterations, ltrain, ltest,
-                                 snapshot_start=cfg.sampling.burn_in, snapshot_stride=1)
+                                 snapshot_steps=range(cfg.sampling.burn_in,
+                                                      cfg.simmer.iterations, 1))
         plan = ensemble.SamplingPlan(total_iterations=cfg.simmer.iterations,
                                      burn_in=cfg.sampling.burn_in, stride=1,
                                      fraction=cfg.sampling.fraction,

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from simmering import data, net, runner
+from simmering import data, ensemble, net, runner, seeding
 from simmering.cli import main
 from simmering.config import from_dict
+from simmering.dynamics import PhaseState, ThermostatChain, initial_velocities, run_trajectory
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -500,6 +501,68 @@ def test_adam_nonfinite_error_names_epoch_and_quantity(tmp_path, capsys, command
     assert re.match(
         prefix + r": non-finite (gradient|train loss|test loss) in epoch \d+", payload["message"]
     )
+
+
+@pytest.mark.parametrize(
+    "command,section,field,value",
+    [("train-adam", "adam", "alpha", 1e200), ("simmer", "simmer", "dt", 2.0)],
+)
+def test_failed_run_is_not_a_run_directory(tmp_path, capsys, command, section, field, value):
+    raw = tiny_config_dict()
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    raw[section][field] = value
+    p = tmp_path / "blows_up.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+    assert error_line(capsys)["error"] == "NonFiniteError"
+    assert out.is_dir() and not (out / "resolved_config.json").exists()
+    if command == "train-adam":
+        after = ["retrofit", "--config", str(p), "--from-run", str(out)]
+    else:
+        after = ["evaluate", "--from-run", str(out)]
+    assert main(after + ["--out", str(tmp_path / "after")]) == 1
+    assert error_line(capsys)["message"].startswith("not a run directory")
+
+
+def test_simmer_members_equal_collect_over_full_capture(tmp_path):
+    raw = tiny_config_dict()
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    assert raw["sampling"]["stride"] > 1 and raw["sampling"]["fraction"] < 1
+    p = tmp_path / "sub.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "s"
+    assert main(["simmer", "--config", str(p), "--out", str(out)]) == 0
+
+    cfg = from_dict(raw)
+    prep = runner.prepare_data(cfg)
+    topology = runner.build_topology(cfg, prep.dataset)
+    grad_fn, loss_train_fn, loss_test_fn = runner._loss_fns(cfg, topology, prep)
+    samp = cfg.sampling
+    for r in range(cfg.replicates):
+        state = PhaseState(
+            positions=runner.initial_params(cfg, topology, r),
+            velocities=initial_velocities(
+                topology.param_count, 0.05, seeding.child_seed(cfg.seed, "velocities", r)
+            ),
+            masses=cfg.simmer.particle_mass,
+            chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
+        )
+        _, traj = run_trajectory(
+            state, grad_fn, runner._integrator_config(cfg), cfg.simmer.iterations,
+            loss_train_fn, loss_test_fn,
+        )
+        assert traj.snapshots.shape[0] == cfg.simmer.iterations
+        plan = ensemble.SamplingPlan(
+            cfg.simmer.iterations, samp.burn_in, samp.stride, samp.fraction, cfg.seed, r
+        )
+        bundle = ensemble.collect(traj, plan, topology, prep.scaler)
+        rep = out / f"replicate_{r:02d}"
+        assert read_bytes(rep / "ensemble_members.bin") == bundle.members.astype("<f8").tobytes()
+        sidecar = json.load(open(rep / "ensemble.json"))
+        assert sidecar["iterations"] == bundle.iterations.tolist()
+        assert sidecar["temperatures"] == bundle.temperatures.tolist()
 
 
 def test_bad_at_flag_text(tmp_path, capsys):

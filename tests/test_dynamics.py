@@ -6,6 +6,7 @@ runs (see test_acceptance.py); they catch gross integrator errors quickly.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,12 @@ def make_state(x, v, mass=1.0, n_chain=2, chain_mass=1.0):
         mass,
         dyn.ThermostatChain.rest(n_chain, mass=chain_mass),
     )
+
+
+def step_at(state, grad_fn, cfg, temperature):
+    """One unrecorded step at a fixed target temperature."""
+    fixed = replace(cfg, schedule=dyn.TemperatureSchedule.constant(temperature))
+    return dyn.run_trajectory(state, grad_fn, fixed, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,7 @@ def test_one_gradient_eval_per_step_at_half_step_positions():
 
     cfg = dyn.IntegratorConfig(dt=0.01, schedule=dyn.TemperatureSchedule.constant(4.0))
     state = make_state([1.0], [2.0])
-    dyn.nhc_step(state, grad, cfg, 4.0)
+    step_at(state, grad, cfg, 4.0)
     assert len(calls) == 1
     assert calls[0][0] == 1.0 + 0.5 * 0.01 * 2.0
 
@@ -170,7 +177,7 @@ def test_step_is_pure():
     cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5))
     state = make_state([1.0, -1.0], [0.5, 0.25])
     before = (state.positions.copy(), state.velocities.copy(), state.chain.velocities.copy())
-    out = dyn.nhc_step(state, harmonic_grad, cfg, 0.5)
+    out = step_at(state, harmonic_grad, cfg, 0.5)
     assert np.array_equal(state.positions, before[0])
     assert np.array_equal(state.velocities, before[1])
     assert np.array_equal(state.chain.velocities, before[2])
@@ -185,7 +192,7 @@ def test_pure_drift_translation_is_exact():
     x0 = np.array([0.0, 1.0, -2.0])
     v0 = np.array([2.0, 2.0, 2.0])
     state = make_state(x0, v0)
-    out = dyn.run_nhc(state, lambda x: np.zeros_like(x), cfg, 1000)
+    out = dyn.run_trajectory(state, lambda x: np.zeros_like(x), cfg, 1000)[0]
     np.testing.assert_array_equal(out.positions, x0 + 1000 * dt * v0)
     np.testing.assert_array_equal(out.velocities, v0)
     assert out.chain.velocities[0] == 0.0
@@ -195,7 +202,7 @@ def test_single_step_drift():
     dt = 0.25
     cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule.constant(4.0))
     state = make_state([1.0], [2.0])
-    out = dyn.nhc_step(state, lambda x: np.zeros_like(x), cfg, 4.0)
+    out = step_at(state, lambda x: np.zeros_like(x), cfg, 4.0)
     assert out.positions[0] == 1.0 + dt * 2.0
     assert out.velocities[0] == 2.0
 
@@ -204,10 +211,10 @@ def test_run_nhc_equals_repeated_steps():
     cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7))
     r = np.random.default_rng(0)
     state = dyn.PhaseState(r.normal(size=4), r.normal(size=4), 1.0, dyn.ThermostatChain.rest(4))
-    fast = dyn.run_nhc(state, harmonic_grad, cfg, 25)
+    fast = dyn.run_trajectory(state, harmonic_grad, cfg, 25)[0]
     slow = state
     for _ in range(25):
-        slow = dyn.nhc_step(slow, harmonic_grad, cfg, cfg.schedule.at(slow.step_index))
+        slow = step_at(slow, harmonic_grad, cfg, cfg.schedule.at(slow.step_index))
     np.testing.assert_array_equal(fast.positions, slow.positions)
     np.testing.assert_array_equal(fast.velocities, slow.velocities)
     np.testing.assert_array_equal(fast.chain.positions, slow.chain.positions)
@@ -218,8 +225,9 @@ def test_run_nhc_equals_repeated_steps():
 def test_run_nhc_resumes_schedule():
     cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 10))
     state = make_state([1.0], [0.5])
-    once = dyn.run_nhc(state, harmonic_grad, cfg, 30)
-    twice = dyn.run_nhc(dyn.run_nhc(state, harmonic_grad, cfg, 13), harmonic_grad, cfg, 17)
+    once = dyn.run_trajectory(state, harmonic_grad, cfg, 30)[0]
+    half = dyn.run_trajectory(state, harmonic_grad, cfg, 13)[0]
+    twice = dyn.run_trajectory(half, harmonic_grad, cfg, 17)[0]
     np.testing.assert_array_equal(once.positions, twice.positions)
     np.testing.assert_array_equal(once.velocities, twice.velocities)
 
@@ -227,7 +235,7 @@ def test_run_nhc_resumes_schedule():
 def test_odd_chain_length_supported():
     cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5), chain_length=3)
     state = make_state([1.0], [0.2], n_chain=3)
-    out = dyn.run_nhc(state, harmonic_grad, cfg, 100)
+    out = dyn.run_trajectory(state, harmonic_grad, cfg, 100)[0]
     assert np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.chain.velocities))
 
 
@@ -236,7 +244,7 @@ def test_nonfinite_state_aborts_with_step_index():
     state = make_state([1.0], [np.inf])
     state.step_index = 41
     with pytest.raises(NonFiniteError, match="41"):
-        dyn.nhc_step(state, harmonic_grad, cfg, 0.5)
+        step_at(state, harmonic_grad, cfg, 0.5)
 
 
 def test_nonfinite_errors_name_quantity_and_step():
@@ -248,7 +256,7 @@ def test_nonfinite_errors_name_quantity_and_step():
         raise NonFiniteError("boom")
 
     with pytest.raises(NonFiniteError, match="non-finite gradient in step 7: boom"):
-        dyn.run_nhc(state, broken, cfg, 3)
+        dyn.run_trajectory(state, broken, cfg, 3)[0]
     with pytest.raises(NonFiniteError, match="non-finite train loss in step 7$"):
         dyn.run_trajectory(state, harmonic_grad, cfg, 3, lambda x: math.inf)
     with pytest.raises(NonFiniteError, match="non-finite test loss in step 7: boom"):
@@ -273,7 +281,7 @@ def test_trajectory_records_and_snapshots():
     out, traj = dyn.run_trajectory(
         state, harmonic_grad, cfg, 20, harmonic_potential,
         loss_test_fn=lambda x: 2.0 * harmonic_potential(x),
-        snapshot_start=5, snapshot_stride=3,
+        snapshot_steps=range(5, 20, 3),
     )
     assert len(traj) == 20
     np.testing.assert_array_equal(traj.iterations, np.arange(1, 21))
@@ -292,16 +300,47 @@ def test_trajectory_snapshot_matches_stepwise_state():
     _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 6, harmonic_potential)
     stepwise = state
     for i in range(4):
-        stepwise = dyn.nhc_step(stepwise, harmonic_grad, cfg, 0.3)
+        stepwise = step_at(stepwise, harmonic_grad, cfg, 0.3)
     np.testing.assert_array_equal(traj.snapshots[3], stepwise.positions)
 
 
 def test_trajectory_without_snapshots():
     cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.3))
     _, traj = dyn.run_trajectory(
-        make_state([1.0], [0.0]), harmonic_grad, cfg, 10, harmonic_potential, snapshot_start=10
+        make_state([1.0], [0.0]), harmonic_grad, cfg, 10, harmonic_potential, snapshot_steps=()
     )
     assert traj.snapshots.shape[0] == 0 and len(traj) == 10
+
+
+def test_snapshot_steps_keep_only_their_rows():
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7))
+    state = make_state([1.0, 0.5, -0.25], [0.1, -0.2, 0.3])
+    _, full = dyn.run_trajectory(state, harmonic_grad, cfg, 20, harmonic_potential)
+    assert full.snapshots.shape == (20, 3)
+    np.testing.assert_array_equal(full.snapshot_positions, np.arange(20))
+    for steps in ([0, 3, 4, 10, 19], range(2, 20, 5), [7], ()):
+        out, traj = dyn.run_trajectory(
+            state, harmonic_grad, cfg, 20, harmonic_potential, snapshot_steps=steps
+        )
+        assert traj.snapshots.shape == (len(steps), 3)
+        np.testing.assert_array_equal(traj.snapshot_positions, list(steps))
+        np.testing.assert_array_equal(traj.snapshots, full.snapshots[list(steps)])
+        for name in ("iterations", "temperature", "kinetic_temperature", "loss_train",
+                     "extended_energy"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(full, name))
+        assert out.step_index == 20
+
+
+@pytest.mark.parametrize(
+    "steps", [[3, 1], [2, 2], [-1, 4], [5, 20], [[1, 2]], [0, 5, 5, 9]]
+)
+def test_snapshot_steps_validated(steps):
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.3))
+    with pytest.raises(ValueError, match="snapshot_steps"):
+        dyn.run_trajectory(
+            make_state([1.0], [0.0]), harmonic_grad, cfg, 20, harmonic_potential,
+            snapshot_steps=steps,
+        )
 
 
 def test_evaluator_trajectory_equals_plain_net_closures():
@@ -328,11 +367,11 @@ def test_evaluator_trajectory_equals_plain_net_closures():
     bound_grad, bound_train, bound_test = runner._loss_fns(cfg, top, prep)
     bound = dyn.run_trajectory(
         state, bound_grad, integ, 300, bound_train, bound_test,
-        snapshot_start=100, snapshot_stride=7,
+        snapshot_steps=range(100, 300, 7),
     )
     plain = dyn.run_trajectory(
         state, grad_fn, integ, 300, loss_train_fn, loss_test_fn,
-        snapshot_start=100, snapshot_stride=7,
+        snapshot_steps=range(100, 300, 7),
     )
     for got, want in zip(bound, plain):
         for name, value in vars(want).items():
@@ -357,7 +396,7 @@ def test_harmonic_equipartition_smoke():
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_nhc(state, harmonic_grad, cfg, 20_000)
+    state = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000)[0]
     _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 400_000, harmonic_potential)
     x2 = 2.0 * traj.loss_train.mean()
     v2 = traj.kinetic_temperature.mean()
@@ -374,11 +413,11 @@ def test_harmonic_position_distribution_smoke():
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_nhc(state, harmonic_grad, cfg, 20_000)
+    state = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000)[0]
     # thin to roughly independent samples; KS assumes iid
     _, traj = dyn.run_trajectory(
         state, harmonic_grad, cfg, 400_000, harmonic_potential,
-        snapshot_start=0, snapshot_stride=2000,
+        snapshot_steps=range(0, 400_000, 2000),
     )
     xs = traj.snapshots[:, 0]
     p = stats.kstest(xs, "norm", args=(0.0, math.sqrt(t_target))).pvalue

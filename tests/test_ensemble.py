@@ -5,6 +5,8 @@ tests; the exact-sum property of vote proportions is asserted with ==, not
 a tolerance, because that is the contract.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,66 @@ def test_collect_length_mismatch_and_empty_selection():
     sparse.snapshots = sparse.snapshots[:3]
     with pytest.raises(ValueError, match="survive"):
         collect(sparse, SamplingPlan(10, 5), Topology((1, 1), ("linear",)), identity_scaler(1))
+
+
+def full_capture_selection(plan):
+    """Record indices that collect picked from a trajectory capturing every
+    step, before plans chose their steps up front: burn-in, then stride,
+    then the seeded subsample."""
+    record_idx = np.arange(plan.total_iterations, dtype=np.int64)[plan.burn_in:][:: plan.stride]
+    if plan.fraction < 1.0:
+        n_keep = int(round(record_idx.size * plan.fraction))
+        rng = seeding.stream(plan.seed, "subsample", plan.replicate)
+        record_idx = record_idx[np.sort(rng.choice(record_idx.size, size=n_keep, replace=False))]
+    return record_idx
+
+
+def test_plan_steps_equal_the_full_capture_selection():
+    traj = fake_trajectory(300, 2)
+    topo = Topology((1, 1), ("linear",))
+    grid = itertools.product((0, 1, 150, 299), (1, 2, 7), (1.0, 0.5, 0.2, 0.01), (0, 5), (0, 3))
+    n_none = 0
+    for burn_in, stride, fraction, seed, replicate in grid:
+        plan = SamplingPlan(300, burn_in, stride, fraction, seed, replicate)
+        want = full_capture_selection(plan)
+        if want.size == 0:
+            n_none += 1
+            with pytest.raises(ValueError, match="keeps none"):
+                plan.steps()
+            continue
+        steps = plan.steps()
+        assert steps.dtype == np.int64
+        np.testing.assert_array_equal(steps, want)
+        bundle = collect(traj, plan, topo, identity_scaler(1))
+        np.testing.assert_array_equal(bundle.iterations, want + 1)
+        np.testing.assert_array_equal(bundle.members, traj.snapshots[want])
+        np.testing.assert_array_equal(bundle.temperatures, traj.temperature[want])
+    assert n_none > 0
+
+
+def test_collect_takes_the_captured_plan_steps_without_a_copy():
+    plan = SamplingPlan(total_iterations=60, burn_in=20, stride=3, fraction=0.5, seed=4)
+    config = IntegratorConfig(dt=0.01, schedule=TemperatureSchedule.constant(0.1))
+    state = PhaseState(
+        positions=np.array([0.25, 3.0]),
+        velocities=np.array([0.1, -0.2]),
+        masses=1.0,
+        chain=ThermostatChain.rest(2),
+    )
+
+    def potential(x):
+        return 0.5 * float(x @ x)
+
+    topo = Topology((1, 1), ("linear",))
+    _, kept = run_trajectory(state, lambda x: x, config, 60, potential, snapshot_steps=plan.steps())
+    _, full = run_trajectory(state, lambda x: x, config, 60, potential)
+    bundle = collect(kept, plan, topo, identity_scaler(1))
+    assert bundle.members is kept.snapshots
+    reference = collect(full, plan, topo, identity_scaler(1))
+    assert not np.shares_memory(reference.members, full.snapshots)
+    np.testing.assert_array_equal(bundle.members, reference.members)
+    np.testing.assert_array_equal(bundle.iterations, reference.iterations)
+    np.testing.assert_array_equal(bundle.temperatures, reference.temperatures)
 
 
 # ------------------------------------------------------------ pooling
