@@ -3,9 +3,13 @@
 A bundle stores raw parameter snapshots, never predictions; members are
 re-evaluated on demand.  Every prediction takes a sequence of bundles (one
 per replicate, in replicate order) and reduces over one walk of their
-members in storage order with a single running accumulator, so results are
-bit-stable and do not depend on whether the members sit in one bundle or
-several.
+members in storage order.  The walk evaluates consecutive members a chunk
+at a time, one stacked :func:`net.forward` per chunk, whose size is fixed
+by the input row count and the topology alone.  A stacked forward gives
+each member the bits its own forward would, and regression sums still add
+one member at a time into a single running total, so results are
+bit-stable and depend neither on the chunking nor on whether the members
+sit in one bundle or several.
 
 Vote proportions are quantized onto a 2**52 grid with largest-remainder
 rounding.  Each fraction is then an exact multiple of 2**-52 and every
@@ -25,6 +29,8 @@ from .dynamics import Trajectory
 from .net import Topology
 
 _GRID = 1 << 52
+# float budget of one stacked forward's widest layer output; see chunk_size
+CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,19 +144,32 @@ def collect(
     )
 
 
-def _member_outputs(bundles, inputs):
-    """Yield ``(bundle, net outputs)`` for every member, in storage order.
+def chunk_size(topology: Topology, n_rows: int) -> int:
+    """Members per stacked forward over ``n_rows`` inputs.
 
-    The one walk behind every ensemble prediction.  ``bundles`` is taken
-    in order and consumed once, so replicate bundles read lazily never sit
-    in memory together.  They must share one topology and one scaler; the
-    inputs are scaled once, by that scaler.
+    Fixed by shapes alone, so the chunks, and with them the bytes, never
+    depend on the machine: each chunk's widest layer output holds about
+    ``CHUNK_VALUES`` floats, and at least one member.
+    """
+    return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
+
+
+def _member_outputs(bundles, inputs):
+    """Yield ``(bundle, outputs)`` per chunk of members, in storage order.
+
+    The one walk behind every ensemble prediction.  ``outputs`` is the
+    ``(chunk, samples, outputs)`` array of one stacked :func:`net.forward`
+    over consecutive members of ``bundle``.  ``bundles`` is taken in order
+    and consumed once, so replicate bundles read lazily never sit in memory
+    together.  They must share one topology and one scaler; the inputs are
+    scaled once, by that scaler.
     """
     first = None
     for bundle in bundles:
         if first is None:
             first = bundle
             scaled = _scaled_inputs(bundle, inputs)
+            step = chunk_size(bundle.topology, scaled.shape[0])
         elif bundle.topology != first.topology:
             raise ValueError("cannot pool bundles with different topologies")
         elif not all(
@@ -158,8 +177,8 @@ def _member_outputs(bundles, inputs):
             for name, value in vars(bundle.scaler).items()
         ):
             raise ValueError("cannot pool bundles with different scalers")
-        for m in range(bundle.n_members):
-            yield bundle, net.forward(bundle.topology, bundle.members[m], scaled)
+        for lo in range(0, bundle.n_members, step):
+            yield bundle, net.forward(bundle.topology, bundle.members[lo : lo + step], scaled)
     if first is None:
         raise ValueError("nothing to pool")
 
@@ -178,16 +197,20 @@ def member_predictions(bundles, inputs) -> np.ndarray:
     scaled, so its rows are the raw outputs that
     :func:`net.class_labels_from_outputs` turns into labels.
     """
-    return np.array(
+    return np.concatenate(
         [data.unscale_targets(b.scaler, out) for b, out in _member_outputs(bundles, inputs)]
     )
 
 
 def regression_mean(bundles, inputs) -> np.ndarray:
     """Pointwise mean of member predictions, in original target units."""
-    total = 0.0
-    for n, (bundle, outputs) in enumerate(_member_outputs(bundles, inputs), 1):
-        total = total + data.unscale_targets(bundle.scaler, outputs)
+    # one member at a time into one running total, so the sum's rounding
+    # does not depend on the chunking
+    total, n = 0.0, 0
+    for bundle, outputs in _member_outputs(bundles, inputs):
+        for row in data.unscale_targets(bundle.scaler, outputs):
+            total = total + row
+        n += outputs.shape[0]
     return total / n
 
 
@@ -202,7 +225,7 @@ def vote_counts(bundles, inputs) -> np.ndarray:
     counts = 0
     for bundle, outputs in _member_outputs(bundles, inputs):
         one_hot = np.eye(n_vote_classes(bundle.topology), dtype=np.int64)
-        counts = counts + one_hot[net.class_labels_from_outputs(outputs)]
+        counts = counts + one_hot[net.class_labels_from_outputs(outputs)].sum(axis=0)
     return counts
 
 

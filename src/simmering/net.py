@@ -93,18 +93,28 @@ class Topology:
 
 
 def layer_views(topology: Topology, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Zero-copy (weights, biases) views into a flat parameter vector."""
+    """Zero-copy (weights, biases) views into a flat parameter vector or a stack.
+
+    A vector ``(N,)`` gives weights ``(fan_out, fan_in)`` and biases
+    ``(fan_out,)``.  A stack ``(C, N)`` of vectors gives weights
+    ``(C, fan_out, fan_in)`` and biases ``(C, 1, fan_out)``, which broadcast
+    over a ``(C, samples, fan_out)`` layer output.
+    """
     params = np.asarray(params)
-    if params.ndim != 1 or params.shape[0] != topology.param_count:
+    if params.ndim not in (1, 2) or params.shape[-1] != topology.param_count:
         raise ValueError(
-            f"parameter vector must have shape ({topology.param_count},), got {params.shape}"
+            f"parameter vector must have shape ({topology.param_count},) or "
+            f"(members, {topology.param_count}), got {params.shape}"
         )
+    stack = params.shape[:-1]
     views = []
     offset = 0
     for fan_out, fan_in in topology.layer_shapes():
-        w = params[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
+        w = params[..., offset : offset + fan_out * fan_in].reshape(*stack, fan_out, fan_in)
         offset += fan_out * fan_in
-        b = params[offset : offset + fan_out]
+        b = params[..., offset : offset + fan_out]
+        if stack:
+            b = b.reshape(*stack, 1, fan_out)
         offset += fan_out
         views.append((w, b))
     return views
@@ -191,14 +201,22 @@ def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
 
 
 def forward(topology: Topology, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Batched forward pass; rows are independent samples."""
+    """Batched forward pass; rows are independent samples.
+
+    ``params`` is one parameter vector ``(N,)``, giving outputs
+    ``(samples, outputs)``, or a stack ``(C, N)`` of them, giving
+    ``(C, samples, outputs)``.  Each layer of a stack is one stacked
+    ``np.matmul``, which makes for every member the same BLAS call a single
+    vector's ``a @ w.T`` makes, so ``forward(topology, stack, x)[c]`` equals
+    ``forward(topology, stack[c], x)`` bit for bit.
+    """
     a = _check_inputs(topology, inputs)
     return _forward(layer_views(topology, params), topology.activations, a)
 
 
 def _forward(views, activations, a):
     for (w, b), act in zip(views, activations):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b
         a = _apply_activation(act, z)
     return a
 
@@ -298,18 +316,18 @@ def _loss_output_grad(kind: str, outputs: np.ndarray, targets: np.ndarray) -> np
 
 
 def class_labels_from_outputs(outputs: np.ndarray) -> np.ndarray:
-    """Predicted class indices: argmax over logits, or sign for one logit.
+    """Predicted class indices over the last axis of ``(..., k)`` outputs.
 
-    A single-column output is the binary case (logit > 0 means class 1);
-    otherwise the lowest index among tied maxima wins, matching the vote
-    tie-break used for ensembles.
+    A single logit (``k == 1``) is the binary case: logit > 0 means class
+    1.  Otherwise the argmax wins, and the lowest index among tied maxima,
+    matching the vote tie-break used for ensembles.
     """
     outputs = np.asarray(outputs)
-    if outputs.ndim != 2:
-        raise ValueError("outputs must be 2-D")
-    if outputs.shape[1] == 1:
-        return (outputs[:, 0] > 0.0).astype(np.int64)
-    return np.argmax(outputs, axis=1)
+    if outputs.ndim < 2:
+        raise ValueError("outputs must be at least 2-D (..., outputs)")
+    if outputs.shape[-1] == 1:
+        return (outputs[..., 0] > 0.0).astype(np.int64)
+    return np.argmax(outputs, axis=-1)
 
 
 # ---------------------------------------------------------------------------

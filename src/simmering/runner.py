@@ -286,7 +286,7 @@ def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray
 def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle):
     members = np.ascontiguousarray(bundle.members, dtype="<f8")
     with open(os.path.join(rep_dir, "ensemble_members.bin"), "wb") as fh:
-        fh.write(members.tobytes())
+        fh.write(memoryview(members))  # the array's own buffer, not a copy
     sidecar = _layout_sidecar(bundle.topology)
     sidecar["layout"] = (
         "row-major (n_members, param_count) matrix; each row is one flat "
@@ -543,6 +543,9 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
         _write_replicate_ensemble_metrics(rep_dir, prep, bundle)
+    # the last bundle would otherwise stay alive through the baseline and
+    # the read-back below
+    del bundle
 
     adam_train = adam_test = None
     if cfg.adam is not None:
@@ -626,6 +629,7 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test, adam_train)
         adam_tests.append(adam_test)
         adam_trains.append(adam_train)
+    del bundle  # not alive through the read-back below
 
     # the bundles just written, read back one at a time as evaluate reads them
     ens = _bundle_test_metric(

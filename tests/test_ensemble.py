@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simmering import ensemble, net, seeding
+from simmering import data, ensemble, net, seeding
 from simmering.data import ScalerParams
 from simmering.dynamics import (
     IntegratorConfig,
@@ -503,3 +503,120 @@ def test_distribution_width_tracks_temperature():
         assert abs(regression_mean([bundle], x)[0, 0] - 3.0) < 0.5
 
     assert spreads[0.5] / max(spreads[1e-4], 1e-12) > 50.0
+
+
+# ------------------------------------------------------------ stacked chunks
+
+# topologies the chunked walk was sized on; member counts per pooled
+# bundle are chosen so that no budget below divides them
+CHUNK_TOPOLOGIES = [
+    (1, 10, 1), (1, 20, 20, 1), (2, 100, 50, 50, 3), (2, 5, 1), (3, 7, 4), (4, 33, 17, 2),
+]
+CHUNK_ROWS = (1, 37, 3600)
+POOLED_MEMBERS = (5, 3, 7)
+# chunk budgets: one member per chunk, the default, and every member in one chunk
+CHUNK_BUDGETS = (1, ensemble.CHUNK_VALUES, 1 << 40)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def chunk_bundles(sizes, activation, seed):
+    topology = Topology(sizes, (activation,) * (len(sizes) - 1))
+    rng = seeding.generator(seed)
+    n_in, n_out = sizes[0], sizes[-1]
+    scaler = ScalerParams(
+        rng.uniform(-3.0, -1.0, n_in), rng.uniform(1.0, 3.0, n_in),
+        rng.uniform(-20.0, -10.0, n_out), rng.uniform(10.0, 20.0, n_out),
+    )
+    return [
+        EnsembleBundle(
+            rng.normal(scale=0.5, size=(m, topology.param_count)),
+            np.arange(1, m + 1), np.zeros(m), topology, scaler,
+        )
+        for m in POOLED_MEMBERS
+    ]
+
+
+def per_member_outputs(bundles, inputs):
+    """Reference walk: one plain ``net.forward`` per member."""
+    scaled = data.scale_features(bundles[0].scaler, inputs)
+    return [(b, net.forward(b.topology, member, scaled)) for b in bundles for member in b.members]
+
+
+def reference_votes(bundles, inputs):
+    counts = 0
+    one_hot = np.eye(ensemble.n_vote_classes(bundles[0].topology), dtype=np.int64)
+    for _, outputs in per_member_outputs(bundles, inputs):
+        counts = counts + one_hot[net.class_labels_from_outputs(outputs)]
+    return counts
+
+
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+@pytest.mark.parametrize("sizes", CHUNK_TOPOLOGIES, ids=str)
+def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monkeypatch):
+    bundles = chunk_bundles(sizes, activation, seed=len(sizes) * 10 + len(activation))
+    rng = seeding.generator(3)
+    for n_rows in CHUNK_ROWS:
+        x = rng.uniform(-2.0, 2.0, size=(n_rows, sizes[0]))
+        ref = per_member_outputs(bundles, x)
+        ref_outputs = np.array([out for _, out in ref])
+        ref_rows = np.array([data.unscale_targets(b.scaler, out) for b, out in ref])
+        ref_mean = 0.0
+        for row in ref_rows:
+            ref_mean = ref_mean + row
+        ref_mean = ref_mean / len(ref_rows)
+        ref_counts = reference_votes(bundles, x)
+        ref_props = np.array(
+            [ensemble._exact_fraction_row(row, len(ref)) for row in ref_counts]
+        )
+        for budget in CHUNK_BUDGETS:
+            monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
+            chunks = list(ensemble._member_outputs(bundles, x))
+            assert [b for b, _ in chunks] == [
+                b for b in bundles
+                for _ in range(0, b.n_members, ensemble.chunk_size(b.topology, n_rows))
+            ]
+            outputs = np.concatenate([out for _, out in chunks])
+            assert np.array_equal(bits(outputs), bits(ref_outputs))
+            assert np.array_equal(bits(member_predictions(bundles, x)), bits(ref_rows))
+            assert np.array_equal(bits(regression_mean(bundles, x)), bits(ref_mean))
+            counts = vote_counts(bundles, x)
+            assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
+            assert np.array_equal(bits(vote_proportions(bundles, x)), bits(ref_props))
+
+
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+@pytest.mark.parametrize("sizes", [s for s in CHUNK_TOPOLOGIES if s[0] == 2], ids=str)
+def test_chunked_decision_grid_equals_per_member_votes_bitwise(sizes, activation, monkeypatch):
+    bundles = chunk_bundles(sizes, activation, seed=7)
+    xs, ys, _ = decision_grid(bundles, ((-1.5, 2.0), (-2.0, 1.0)), 60)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+    n = sum(POOLED_MEMBERS)
+    ref = np.array(
+        [ensemble._exact_fraction_row(row, n) for row in reference_votes(bundles, points)]
+    )
+    for budget in CHUNK_BUDGETS:
+        monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
+        _, _, grid = decision_grid(bundles, ((-1.5, 2.0), (-2.0, 1.0)), 60)
+        assert np.array_equal(bits(grid), bits(ref.reshape(60, 60, -1)))
+
+
+def test_chunk_size_depends_only_on_rows_and_topology():
+    iris = Topology((2, 100, 50, 50, 3), ("tanh", "tanh", "tanh", "linear"))
+    mpg = Topology((1, 10, 1), ("tanh", "linear"))
+    # the decision grid's 3600 nodes at the widest iris layer: one member a chunk
+    assert ensemble.chunk_size(iris, 3600) == 1
+    assert ensemble.chunk_size(mpg, 92) == ensemble.CHUNK_VALUES // 920
+    # same shapes, different members and member counts: the same chunks
+    x = np.zeros((92, 1))
+    step = ensemble.chunk_size(mpg, 92)
+    for n_members, seed in ((1, 0), (step, 1), (2 * step + 3, 2)):
+        members = seeding.generator(seed).normal(size=(n_members, mpg.param_count))
+        bundle = EnsembleBundle(
+            members, np.arange(1, n_members + 1), np.zeros(n_members), mpg, identity_scaler(1)
+        )
+        sizes = [out.shape[0] for _, out in ensemble._member_outputs([bundle], x)]
+        assert sizes == [min(step, n_members - lo) for lo in range(0, n_members, step)]

@@ -204,6 +204,32 @@ def test_forward_shape_errors():
         net.forward(top, params, np.array([[1.0, np.nan]]))
 
 
+def test_stacked_forward_equals_member_forwards_bitwise():
+    top = Topology((3, 7, 4), ("elu", "tanh"))
+    stack = rng(6).normal(size=(5, top.param_count))
+    x = rng(7).normal(size=(11, 3))
+    out = net.forward(top, stack, x)
+    assert out.shape == (5, 11, 4)
+    for m in range(5):
+        single = net.forward(top, stack[m], x)
+        assert np.array_equal(out[m].view(np.int64), single.view(np.int64))
+    # the stacked layer views are views of the stack
+    for w, b in net.layer_views(top, stack):
+        assert np.shares_memory(w, stack) and np.shares_memory(b, stack)
+        assert w.shape[0] == b.shape[0] == 5 and b.shape[1] == 1
+
+
+def test_stacked_forward_errors():
+    top = Topology((2, 3, 1), ("tanh", "linear"))
+    x = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="parameter vector must have shape"):
+        net.forward(top, np.zeros((3, top.param_count + 1)), x)
+    with pytest.raises(ValueError, match="parameter vector must have shape"):
+        net.forward(top, np.zeros((2, 3, top.param_count)), x)
+    with pytest.raises(NonFiniteError):
+        net.forward(top, np.zeros((3, top.param_count)), np.array([[1.0, np.inf]]))
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -510,3 +536,22 @@ def test_labels_from_outputs():
     np.testing.assert_array_equal(net.class_labels_from_outputs(multi), [1, 0])
     binary = np.array([[0.2], [-0.4], [0.0]])
     np.testing.assert_array_equal(net.class_labels_from_outputs(binary), [1, 0, 0])
+
+
+def test_labels_from_stacked_outputs():
+    # (members, samples, k): ties go to the lowest index on every member
+    multi = np.array([
+        [[0.1, 0.9, 0.3], [2.0, 2.0, 1.0], [-1.0, 0.5, 0.5]],
+        [[1.0, 1.0, 1.0], [0.0, -3.0, 4.0], [7.0, 7.0, 7.5]],
+    ])
+    labels = net.class_labels_from_outputs(multi)
+    np.testing.assert_array_equal(labels, [[1, 0, 1], [0, 2, 2]])
+    for m in range(2):
+        np.testing.assert_array_equal(labels[m], net.class_labels_from_outputs(multi[m]))
+    # one logit on 3-D input: > 0 is class 1, and 0 itself is class 0
+    binary = np.array([[[0.2], [-0.4], [0.0]], [[-0.0], [1e-300], [-2.0]]])
+    labels = net.class_labels_from_outputs(binary)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        net.class_labels_from_outputs(np.zeros(3))
