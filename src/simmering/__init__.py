@@ -15,6 +15,7 @@ Subpackage layout:
 - ``data``         generators, CSV loading, splits, min-max scaling
 - ``diagnostics``  regression/classification metrics and Hessian spectra
 - ``config``       experiment configuration (JSON)
+- ``parallel``     independent jobs on every usable core, in job order
 - ``runner``       run-directory pipelines behind the CLI
 - ``cli``          command-line entry point
 """

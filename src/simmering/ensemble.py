@@ -11,6 +11,10 @@ one member at a time into a single running total, so results are
 bit-stable and depend neither on the chunking nor on whether the members
 sit in one bundle or several.
 
+Vote tallies are integers, exact in any order, so :func:`vote_counts`
+tallies each bundle in its own :func:`parallel.map_in_order` job and sums
+the tallies; regression sums stay in one process, in walk order.
+
 Vote proportions are quantized onto a 2**52 grid with largest-remainder
 rounding.  Each fraction is then an exact multiple of 2**-52 and every
 partial sum is exactly representable, so the per-input class proportions
@@ -19,11 +23,13 @@ sum to exactly 1.0 in any summation order.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, net, seeding
+from . import data, net, parallel, seeding
 from .data import ScalerParams
 from .dynamics import Trajectory
 from .net import Topology
@@ -170,17 +176,23 @@ def _member_outputs(bundles, inputs):
             first = bundle
             scaled = _scaled_inputs(bundle, inputs)
             step = chunk_size(bundle.topology, scaled.shape[0])
-        elif bundle.topology != first.topology:
-            raise ValueError("cannot pool bundles with different topologies")
-        elif not all(
-            np.array_equal(value, getattr(first.scaler, name))
-            for name, value in vars(bundle.scaler).items()
-        ):
-            raise ValueError("cannot pool bundles with different scalers")
+        else:
+            _check_poolable(first, bundle)
         for lo in range(0, bundle.n_members, step):
             yield bundle, net.forward(bundle.topology, bundle.members[lo : lo + step], scaled)
     if first is None:
         raise ValueError("nothing to pool")
+
+
+def _check_poolable(first, other):
+    """Refuse to pool ``other`` with ``first`` (each has a topology and a scaler)."""
+    if other.topology != first.topology:
+        raise ValueError("cannot pool bundles with different topologies")
+    if not all(
+        np.array_equal(value, getattr(first.scaler, name))
+        for name, value in vars(other.scaler).items()
+    ):
+        raise ValueError("cannot pool bundles with different scalers")
 
 
 def _scaled_inputs(bundle: EnsembleBundle, inputs) -> np.ndarray:
@@ -220,12 +232,38 @@ def n_vote_classes(topology: Topology) -> int:
     return 2 if k == 1 else k
 
 
-def vote_counts(bundles, inputs) -> np.ndarray:
-    """Integer (samples, classes) tally of member argmax votes."""
+@dataclass(frozen=True)
+class _Tally:
+    topology: Topology
+    scaler: ScalerParams
+    counts: np.ndarray
+
+
+def _bundle_tally(inputs, bundle: EnsembleBundle) -> _Tally:
+    one_hot = np.eye(n_vote_classes(bundle.topology), dtype=np.int64)
     counts = 0
-    for bundle, outputs in _member_outputs(bundles, inputs):
-        one_hot = np.eye(n_vote_classes(bundle.topology), dtype=np.int64)
+    for _, outputs in _member_outputs([bundle], inputs):
         counts = counts + one_hot[net.class_labels_from_outputs(outputs)].sum(axis=0)
+    return _Tally(bundle.topology, bundle.scaler, counts)
+
+
+def vote_counts(bundles, inputs) -> np.ndarray:
+    """Integer (samples, classes) tally of member argmax votes.
+
+    Each bundle is tallied by one :func:`parallel.map_in_order` job, and
+    the integer tallies are summed in the parent, which is exact in any
+    order.  A sequence of bundles is looked up by the worker that tallies
+    each one; any other iterable is read into a list first.
+    """
+    if not isinstance(bundles, Sequence):
+        bundles = list(bundles)
+    tallies = parallel.map_in_order(functools.partial(_bundle_tally, inputs), bundles)
+    if not tallies:
+        raise ValueError("nothing to pool")
+    counts = 0
+    for tally in tallies:
+        _check_poolable(tallies[0], tally)
+        counts = counts + tally.counts
     return counts
 
 

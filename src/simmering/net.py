@@ -387,7 +387,11 @@ class Evaluator:
         delta = _loss_output_grad(kind, outputs, targets)
         for layer in range(topology.n_layers - 1, -1, -1):
             act = topology.activations[layer]
-            dz = delta * _activation_slope(act, pre[layer], post[layer + 1])
+            # a linear slope is all ones, and x * 1.0 == x bit for bit
+            if act == "linear":
+                dz = delta
+            else:
+                dz = delta * _activation_slope(act, pre[layer], post[layer + 1])
             gw, gb = self._grad_views[layer]
             gw[...] = dz.T @ post[layer]
             gb[...] = dz.sum(axis=0)

@@ -27,12 +27,13 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import data, diagnostics, ensemble, net, optimize, seeding
+from . import data, diagnostics, ensemble, net, optimize, parallel, seeding
 from .config import BUILTIN_PREFIX, ConfigError, ExperimentConfig, from_dict, to_dict
 from .dynamics import (
     IntegratorConfig,
@@ -326,10 +327,23 @@ def read_bundle(
     )
 
 
-def _replicate_bundles(run_dir: str, n: int, topology: net.Topology, scaler: data.ScalerParams):
-    """Yield the ensemble bundles of replicates 0..n-1, read one at a time."""
-    for r in range(n):
-        yield read_bundle(_replicate_dir(run_dir, r), topology, scaler)
+class _ReplicateBundles(Sequence):
+    """The ensemble bundles of replicates 0..n-1, each read when looked up.
+
+    Iterating reads one bundle at a time; a vote tally looks each one up in
+    the worker that tallies it, so bundles never travel between processes.
+    """
+
+    def __init__(self, run_dir: str, n: int, topology: net.Topology, scaler: data.ScalerParams):
+        self.run_dir, self.n, self.topology, self.scaler = run_dir, n, topology, scaler
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, replicate: int) -> ensemble.EnsembleBundle:
+        if not 0 <= replicate < self.n:
+            raise IndexError(replicate)
+        return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology, self.scaler)
 
 
 def _write_losses_csv(path: str, report: optimize.AdamReport):
@@ -419,12 +433,14 @@ def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
-    train_vals, test_vals = [], []
-    for r in range(cfg.replicates):
+
+    def replicate(r: int) -> diagnostics.MetricReport:
         report = _train_one_adam(cfg, topology, prep, r)
-        metrics = _write_adam_replicate(_replicate_dir(out_dir, r), topology, prep, report)
-        train_vals.append(metrics.adam_train_metric)
-        test_vals.append(metrics.adam_test_metric)
+        return _write_adam_replicate(_replicate_dir(out_dir, r), topology, prep, report)
+
+    reports = parallel.map_in_order(replicate, range(cfg.replicates))
+    train_vals = [m.adam_train_metric for m in reports]
+    test_vals = [m.adam_test_metric for m in reports]
     summary = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=sum(train_vals) / len(train_vals),
@@ -529,34 +545,33 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
 
-    for r in range(cfg.replicates):
-        params0 = initial_params(cfg, topology, r)
+    def job(r: int) -> diagnostics.MetricReport:
+        if r == cfg.replicates:  # the Adam baseline, after every replicate
+            report = _train_one_adam(cfg, topology, prep, 0, BASELINE_DIR)
+            baseline_dir = os.path.join(out_dir, BASELINE_DIR)
+            return _write_adam_replicate(baseline_dir, topology, prep, report)
         v0 = initial_velocities(
             topology.param_count, s.t_initial, seeding.child_seed(cfg.seed, "velocities", r)
         )
         state = PhaseState(
-            positions=params0,
+            positions=initial_params(cfg, topology, r),
             velocities=v0,
             masses=cfg.simmer.particle_mass,
             chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
         )
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        _write_replicate_ensemble_metrics(rep_dir, prep, bundle)
-    # the last bundle would otherwise stay alive through the baseline and
-    # the read-back below
-    del bundle
+        return _write_replicate_ensemble_metrics(rep_dir, prep, bundle)
 
+    n_jobs = cfg.replicates + (cfg.adam is not None)
+    reports = parallel.map_in_order(job, range(n_jobs))
     adam_train = adam_test = None
     if cfg.adam is not None:
-        baseline_dir = os.path.join(out_dir, BASELINE_DIR)
-        report = _train_one_adam(cfg, topology, prep, 0, BASELINE_DIR)
-        baseline = _write_adam_replicate(baseline_dir, topology, prep, report)
-        adam_train, adam_test = baseline.adam_train_metric, baseline.adam_test_metric
+        adam_train, adam_test = reports[-1].adam_train_metric, reports[-1].adam_test_metric
 
     # the bundles just written, read back one at a time as evaluate reads them
     ens = _bundle_test_metric(
-        _replicate_bundles(out_dir, cfg.replicates, topology, prep.scaler), prep
+        _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler), prep
     )
     summary = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
@@ -601,8 +616,7 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
     topology = build_topology(cfg, prep.dataset)
     _prepare_out_dir(out_dir)
 
-    adam_tests, adam_trains = [], []
-    for r in range(cfg.replicates):
+    def replicate(r: int) -> diagnostics.MetricReport:
         adam_rep = _replicate_dir(adam_run, r)
         final = read_snapshot(adam_rep, "final", topology)
         penultimate = read_snapshot(adam_rep, "penultimate", topology)
@@ -626,14 +640,15 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
         adam_test = _params_test_metric(topology, final, prep)
         adam_train = _params_train_metric(topology, final, prep)
-        _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test, adam_train)
-        adam_tests.append(adam_test)
-        adam_trains.append(adam_train)
-    del bundle  # not alive through the read-back below
+        return _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test, adam_train)
+
+    reports = parallel.map_in_order(replicate, range(cfg.replicates))
+    adam_tests = [m.adam_test_metric for m in reports]
+    adam_trains = [m.adam_train_metric for m in reports]
 
     # the bundles just written, read back one at a time as evaluate reads them
     ens = _bundle_test_metric(
-        _replicate_bundles(out_dir, cfg.replicates, topology, prep.scaler), prep
+        _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler), prep
     )
     adam_test = sum(adam_tests) / len(adam_tests)
     summary = diagnostics.MetricReport(
@@ -678,7 +693,7 @@ def run_evaluate(
                 f"distribution point {p_idx} has {point.size} coordinates, "
                 f"the feature space has {n_features}"
             )
-    bundles = list(_replicate_bundles(run_dir, cfg.replicates, topology, prep.scaler))
+    bundles = list(_ReplicateBundles(run_dir, cfg.replicates, topology, prep.scaler))
     _prepare_out_dir(out_dir)
 
     summary = {

@@ -1,6 +1,7 @@
 """CLI and runner integration: run directories, determinism, error reporting."""
 
 import json
+import multiprocessing
 import os
 import re
 
@@ -594,3 +595,77 @@ def test_canonical_configs_parse(tmp_path):
         cfg = load_config(os.path.join(config_dir, name))
         assert from_dict(to_dict(cfg)) == cfg
         assert cfg.name == name[:-5]
+
+
+# ------------------------------------------------------------ worker processes
+
+
+def tree_bytes(root):
+    return {
+        os.path.relpath(os.path.join(d, name), root): read_bytes(os.path.join(d, name))
+        for d, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, forks):
+    sine = write_config(tmp_path, replicates=3)
+    raw = classification_config_dict()
+    raw["replicates"] = 3
+    iris = tmp_path / "iris.json"
+    iris.write_text(json.dumps(raw))
+    trees = {}
+    for cores in (1, 3):
+        use_cores(cores)
+        del forks[:]
+        root = tmp_path / f"cores_{cores}"
+        a, r, s = str(root / "adam"), str(root / "retrofit"), str(root / "simmer")
+        for argv in (
+            ["train-adam", "--config", sine, "--out", a],
+            ["retrofit", "--config", sine, "--from-run", a, "--out", r],
+            ["evaluate", "--from-run", r, "--out", str(root / "eval_r"), "--at", "0.25"],
+            ["simmer", "--config", str(iris), "--out", s],
+            [
+                "evaluate", "--from-run", s, "--out", str(root / "eval_s"),
+                "--grid-resolution", "9", "--at", "3.0,1.0",
+            ],
+        ):
+            assert main(argv) == 0
+        assert os.path.isdir(os.path.join(s, runner.BASELINE_DIR))
+        assert multiprocessing.active_children() == []
+        assert bool(forks) == (cores > 1)
+        trees[cores] = tree_bytes(root)
+    assert sorted(trees[1]) == sorted(trees[3])
+    for name in trees[1]:
+        assert trees[1][name] == trees[3][name], name
+
+
+def test_first_failing_replicate_is_reported_for_any_core_count(
+    tmp_path, monkeypatch, capsys, use_cores
+):
+    raw = classification_config_dict()
+    raw["replicates"] = 3
+    p = tmp_path / "iris.json"
+    p.write_text(json.dumps(raw))
+    real_initial_params = runner.initial_params
+
+    def poisoned(cfg, topology, replicate):
+        params = real_initial_params(cfg, topology, replicate)
+        if replicate == 1:
+            params[0] = np.nan
+        return params
+
+    monkeypatch.setattr(runner, "initial_params", poisoned)
+    messages = {}
+    for cores in (1, 2):
+        use_cores(cores)
+        out = tmp_path / f"cores_{cores}"
+        with np.errstate(all="ignore"):
+            assert main(["simmer", "--config", str(p), "--out", str(out)]) == 1
+        payload = error_line(capsys)
+        assert payload["error"] == "NonFiniteError"
+        messages[cores] = payload["message"]
+        assert not (out / "resolved_config.json").exists()
+        assert multiprocessing.active_children() == []
+    assert messages[1] == messages[2]
+    assert re.match(r"replicate 1: non-finite gradient in step 0", messages[1])

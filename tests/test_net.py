@@ -492,6 +492,25 @@ def test_evaluator_matches_module_functions_bit_for_bit(kind, act):
         params += 0.01 * r.normal(size=params.shape)
 
 
+@pytest.mark.parametrize("act", net.ACTIVATIONS)
+def test_gradient_skips_linear_slope_bit_for_bit(act):
+    # a linear layer's dz is delta itself, not delta * ones: same bits,
+    # signed zeros included, with the linear layer in every position
+    r = rng(91 + len(act))
+    for activations in ((act, "linear", act), ("linear", act, "linear"), (act, act, act)):
+        top = Topology((3, 6, 5, 2), activations)
+        params = r.normal(size=top.param_count)
+        params[: 3 * 6 : 4] = -0.0
+        x = r.normal(size=(11, 3))
+        x[::3, 1] = -0.0
+        y = r.normal(size=(11, 2))
+        for kind in ("sse", "mse"):
+            want_value, want_grad = reference_loss_and_gradient(top, params, x, y, kind)
+            value, grad = net.Evaluator(top, kind, x, y).loss_and_gradient(params)
+            assert value == want_value
+            assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+
+
 def test_evaluator_flags_nonfinite_params():
     top, params, x, y = bound_case(rng(14), "mse", "linear")
     params[-1] = np.inf
