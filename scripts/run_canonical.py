@@ -9,7 +9,8 @@ root:
     python3 scripts/run_canonical.py all --out runs --seed 3 --replicates 2
 
 Stage directories must not already exist; rerunning an experiment needs a
-fresh --out (runs are immutable on purpose).
+fresh --out (runs are immutable on purpose).  The chain stops at the first
+stage that fails, and the script exits with that stage's exit code.
 """
 
 import argparse
@@ -56,7 +57,8 @@ EXPERIMENTS = {
 SEEDED_COMMANDS = {"train-adam", "retrofit", "simmer"}
 
 
-def run_experiment(name: str, out_root: Path, seed, replicates):
+def run_experiment(name: str, out_root: Path, seed, replicates) -> int:
+    """Run one experiment's stages in order; the first non-zero exit code, else 0."""
     exp_dir = out_root / name
     paths = {
         "cfg": str(CONFIGS / f"{name}.json"),
@@ -73,10 +75,14 @@ def run_experiment(name: str, out_root: Path, seed, replicates):
             if replicates is not None:
                 argv += ["--replicates", str(replicates)]
         print(f"[{name}/{stage}] simmering {' '.join(argv)}", flush=True)
-        cli.main(argv)
+        code = cli.main(argv)
+        if code:
+            print(f"[{name}/{stage}] failed with exit code {code}", file=sys.stderr, flush=True)
+            return code
+    return 0
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("experiments", nargs="+",
                         choices=sorted(EXPERIMENTS) + ["all"],
@@ -88,8 +94,11 @@ def main():
     args = parser.parse_args()
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
     for name in dict.fromkeys(names):
-        run_experiment(name, Path(args.out), args.seed, args.replicates)
+        code = run_experiment(name, Path(args.out), args.seed, args.replicates)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

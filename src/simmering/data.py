@@ -234,14 +234,6 @@ class Split:
         if overlap.size:
             raise ValueError(f"train and test indices overlap: {overlap[:5]}")
 
-    @property
-    def n_train(self) -> int:
-        return int(self.train_indices.size)
-
-    @property
-    def n_test(self) -> int:
-        return int(self.test_indices.size)
-
 
 def split(dataset: Dataset, n_train: int, seed: int) -> Split:
     """Seeded uniform permutation split; first n_train rows train."""

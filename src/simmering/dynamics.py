@@ -143,10 +143,6 @@ class TemperatureSchedule:
     def constant(cls, temperature: float) -> "TemperatureSchedule":
         return cls(t_initial=float(temperature), t_target=float(temperature))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.t_initial == self.t_target
-
     def at(self, iteration: int) -> float:
         if iteration < 0:
             raise ValueError("iteration must be >= 0")

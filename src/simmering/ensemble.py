@@ -11,9 +11,15 @@ one member at a time into a single running total, so results are
 bit-stable and depend neither on the chunking nor on whether the members
 sit in one bundle or several.
 
-Vote tallies are integers, exact in any order, so :func:`vote_counts`
-tallies each bundle in its own :func:`parallel.map_in_order` job and sums
-the tallies; regression sums stay in one process, in walk order.
+Memory: the walk computes every chunk's hidden layers in buffers it
+allocates once, and it takes the bundles one at a time, so bundles read
+lazily from a run directory are held one at a time.  :func:`evaluate`
+computes all of a run's predictions in one pass over its bundles.
+
+Vote tallies and member rows are exact in any split of the members, so
+:func:`evaluate` gives each bundle of a sequence its own
+:func:`parallel.map_in_order` job when it takes no means; means stay in
+one process, in walk order.
 
 Vote proportions are quantized onto a 2**52 grid with largest-remainder
 rounding.  Each fraction is then an exact multiple of 2**-52 and every
@@ -160,37 +166,53 @@ def chunk_size(topology: Topology, n_rows: int) -> int:
     return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
 
 
-def _member_outputs(bundles, inputs):
-    """Yield ``(bundle, outputs)`` per chunk of members, in storage order.
+def _member_outputs(bundles, input_sets):
+    """Yield ``(bundle, k, outputs)`` per chunk of members, bundle by bundle.
 
-    The one walk behind every ensemble prediction.  ``outputs`` is the
+    The one walk behind every ensemble prediction.  ``bundles`` is taken in
+    order and consumed once, and the walk drops each bundle before it takes
+    the next, so replicate bundles read lazily are held one at a time.
+    They must share one topology and one scaler; every input set is scaled
+    once, by that scaler.  Each bundle's members are walked over input set
+    ``k = 0, 1, ...`` in turn, in storage order, and ``outputs`` is the
     ``(chunk, samples, outputs)`` array of one stacked :func:`net.forward`
-    over consecutive members of ``bundle``.  ``bundles`` is taken in order
-    and consumed once, so replicate bundles read lazily never sit in memory
-    together.  They must share one topology and one scaler; the inputs are
-    scaled once, by that scaler.
+    over consecutive members on set ``k``.
+
+    Each set's hidden layers are computed in buffers allocated once per
+    walk for ``min(chunk, members)`` members (and again, larger, only if a
+    later bundle has more), so no chunk allocates hidden-layer arrays of
+    its own.  The output layer is a fresh array, so no two yielded
+    ``outputs`` share memory.
     """
-    first = None
+    pool = None
     for bundle in bundles:
-        if first is None:
-            first = bundle
-            scaled = _scaled_inputs(bundle, inputs)
-            step = chunk_size(bundle.topology, scaled.shape[0])
+        if pool is None:
+            pool = bundle.topology, bundle.scaler
+            scaled = [_scaled_inputs(bundle, inputs) for inputs in input_sets]
+            steps = [chunk_size(bundle.topology, x.shape[0]) for x in scaled]
+            hidden = [(0, []) for _ in scaled]
         else:
-            _check_poolable(first, bundle)
-        for lo in range(0, bundle.n_members, step):
-            yield bundle, net.forward(bundle.topology, bundle.members[lo : lo + step], scaled)
-    if first is None:
+            _check_poolable(*pool, bundle)
+        for k, x in enumerate(scaled):
+            for lo in range(0, bundle.n_members, steps[k]):
+                members = bundle.members[lo : lo + steps[k]]
+                c = members.shape[0]
+                if hidden[k][0] < c:
+                    widths = bundle.topology.layer_sizes[1:-1]
+                    hidden[k] = c, [np.empty((c, x.shape[0], w)) for w in widths]
+                buffers = [h[:c] for h in hidden[k][1]]
+                yield bundle, k, net.forward(bundle.topology, members, x, buffers)
+        bundle = members = None  # hold no bundle while the next one is read
+    if pool is None:
         raise ValueError("nothing to pool")
 
 
-def _check_poolable(first, other):
-    """Refuse to pool ``other`` with ``first`` (each has a topology and a scaler)."""
-    if other.topology != first.topology:
+def _check_poolable(topology, scaler, other):
+    """Refuse to pool ``other`` (it has a topology and a scaler) with the rest."""
+    if other.topology != topology:
         raise ValueError("cannot pool bundles with different topologies")
     if not all(
-        np.array_equal(value, getattr(first.scaler, name))
-        for name, value in vars(other.scaler).items()
+        np.array_equal(value, getattr(scaler, name)) for name, value in vars(other.scaler).items()
     ):
         raise ValueError("cannot pool bundles with different scalers")
 
@@ -202,6 +224,106 @@ def _scaled_inputs(bundle: EnsembleBundle, inputs) -> np.ndarray:
     return data.scale_features(bundle.scaler, inputs)
 
 
+def n_vote_classes(topology: Topology) -> int:
+    # a single logit output is a two-class decision thresholded at 0
+    k = topology.layer_sizes[-1]
+    return 2 if k == 1 else k
+
+
+@dataclass
+class Evaluation:
+    """An ensemble's predictions on input sets, one entry per requested set."""
+
+    topology: Topology
+    scaler: ScalerParams
+    n_members: int
+    means: list    # (samples, outputs) pointwise member mean, original target units
+    members: list  # (members, samples, outputs) every member's rows, original target units
+    votes: list    # (samples, classes) integer tally of member argmax votes
+
+
+def evaluate(bundles, means=(), members=(), votes=()) -> Evaluation:
+    """Pool ``bundles`` (one per replicate, in replicate order) on input sets.
+
+    ``means``, ``members`` and ``votes`` are lists of 2-D input arrays.
+    For each set the result holds the pointwise mean of the members'
+    predictions, every member's predictions, or the integer tally of their
+    votes.  A classifier's targets are not scaled, so its member rows are
+    the raw outputs that :func:`net.class_labels_from_outputs` turns into
+    labels.
+
+    Member rows and vote tallies are exact in any split of the members, so
+    without means a sequence of bundles is split: each bundle is one
+    :func:`parallel.map_in_order` job, looked up by the worker that
+    evaluates it (a sequence that reads bundles on demand reads each one
+    there), and the parent concatenates the rows and sums the tallies.
+    Means add one member at a time into one running total, whose rounding
+    thus depends neither on the chunking nor on how the members are split
+    into bundles; with means, and for any other iterable, the bundles are
+    one serial walk in storage order.  Either way each bundle is walked
+    once per input set.
+    """
+    sets = (list(means), list(members), list(votes))
+    if not any(sets):
+        raise ValueError("nothing to evaluate")
+    if means or not isinstance(bundles, Sequence):
+        pooled = _walk(bundles, *sets)
+    else:
+        parts = parallel.map_in_order(functools.partial(_evaluate_one, sets), bundles)
+        if not parts:
+            raise ValueError("nothing to pool")
+        first = parts[0]
+        for part in parts[1:]:
+            _check_poolable(first.topology, first.scaler, part)
+        pooled = Evaluation(
+            first.topology,
+            first.scaler,
+            sum(part.n_members for part in parts),
+            [],
+            [np.concatenate([part.members[k] for part in parts]) for k in range(len(members))],
+            [sum(part.votes[k] for part in parts) for k in range(len(votes))],
+        )
+    # member rows are unscaled once every bundle is known to share the scaler
+    pooled.members = [data.unscale_targets(pooled.scaler, rows) for rows in pooled.members]
+    return pooled
+
+
+def _evaluate_one(sets, bundle: EnsembleBundle) -> Evaluation:
+    return _walk([bundle], *sets)
+
+
+def _walk(bundles, means, members, votes) -> Evaluation:
+    """:func:`evaluate` in one serial walk, with member rows still in model units."""
+    n_means, n_rows = len(means), len(means) + len(members)
+    totals = [0.0] * len(means)
+    rows = [[] for _ in members]
+    tallies = [0] * len(votes)
+    n = 0
+    for bundle, k, outputs in _member_outputs(bundles, [*means, *members, *votes]):
+        if n == 0:
+            topology, scaler = bundle.topology, bundle.scaler
+            one_hot = np.eye(n_vote_classes(topology), dtype=np.int64)
+        if k == 0:
+            n += outputs.shape[0]
+        if k < n_means:
+            for row in data.unscale_targets(scaler, outputs):
+                totals[k] = totals[k] + row
+        elif k < n_rows:
+            rows[k - n_means].append(outputs)
+        else:
+            labels = net.class_labels_from_outputs(outputs)
+            tallies[k - n_rows] = tallies[k - n_rows] + one_hot[labels].sum(axis=0)
+        del bundle  # hold no bundle while the walk reads the next one
+    return Evaluation(
+        topology,
+        scaler,
+        n,
+        [total / n for total in totals],
+        [np.concatenate(chunks) for chunks in rows],
+        tallies,
+    )
+
+
 def member_predictions(bundles, inputs) -> np.ndarray:
     """(members, samples, outputs) array of every member's predictions.
 
@@ -209,62 +331,17 @@ def member_predictions(bundles, inputs) -> np.ndarray:
     scaled, so its rows are the raw outputs that
     :func:`net.class_labels_from_outputs` turns into labels.
     """
-    return np.concatenate(
-        [data.unscale_targets(b.scaler, out) for b, out in _member_outputs(bundles, inputs)]
-    )
+    return evaluate(bundles, members=[inputs]).members[0]
 
 
 def regression_mean(bundles, inputs) -> np.ndarray:
     """Pointwise mean of member predictions, in original target units."""
-    # one member at a time into one running total, so the sum's rounding
-    # does not depend on the chunking
-    total, n = 0.0, 0
-    for bundle, outputs in _member_outputs(bundles, inputs):
-        for row in data.unscale_targets(bundle.scaler, outputs):
-            total = total + row
-        n += outputs.shape[0]
-    return total / n
-
-
-def n_vote_classes(topology: Topology) -> int:
-    # a single logit output is a two-class decision thresholded at 0
-    k = topology.layer_sizes[-1]
-    return 2 if k == 1 else k
-
-
-@dataclass(frozen=True)
-class _Tally:
-    topology: Topology
-    scaler: ScalerParams
-    counts: np.ndarray
-
-
-def _bundle_tally(inputs, bundle: EnsembleBundle) -> _Tally:
-    one_hot = np.eye(n_vote_classes(bundle.topology), dtype=np.int64)
-    counts = 0
-    for _, outputs in _member_outputs([bundle], inputs):
-        counts = counts + one_hot[net.class_labels_from_outputs(outputs)].sum(axis=0)
-    return _Tally(bundle.topology, bundle.scaler, counts)
+    return evaluate(bundles, means=[inputs]).means[0]
 
 
 def vote_counts(bundles, inputs) -> np.ndarray:
-    """Integer (samples, classes) tally of member argmax votes.
-
-    Each bundle is tallied by one :func:`parallel.map_in_order` job, and
-    the integer tallies are summed in the parent, which is exact in any
-    order.  A sequence of bundles is looked up by the worker that tallies
-    each one; any other iterable is read into a list first.
-    """
-    if not isinstance(bundles, Sequence):
-        bundles = list(bundles)
-    tallies = parallel.map_in_order(functools.partial(_bundle_tally, inputs), bundles)
-    if not tallies:
-        raise ValueError("nothing to pool")
-    counts = 0
-    for tally in tallies:
-        _check_poolable(tallies[0], tally)
-        counts = counts + tally.counts
-    return counts
+    """Integer (samples, classes) tally of member argmax votes."""
+    return evaluate(bundles, votes=[inputs]).votes[0]
 
 
 def majority_vote(bundles, inputs) -> np.ndarray:
@@ -284,11 +361,30 @@ def _exact_fraction_row(counts_row, total: int) -> list[float]:
     return [b / _GRID for b in base]
 
 
+def proportions(counts) -> np.ndarray:
+    """Per-input class fractions of an integer vote tally; each row sums to exactly 1.0."""
+    # every row of a tally sums to the member count
+    return np.array([_exact_fraction_row(row, int(row.sum())) for row in counts])
+
+
 def vote_proportions(bundles, inputs) -> np.ndarray:
     """Per-input class vote fractions; each row sums to exactly 1.0."""
-    counts = vote_counts(bundles, inputs)
-    # every row of the tally sums to the member count
-    return np.array([_exact_fraction_row(row, int(row.sum())) for row in counts])
+    return proportions(vote_counts(bundles, inputs))
+
+
+def grid_nodes(bounds, resolution: int):
+    """(x_values, y_values, nodes) of a rectangular grid over a 2-D feature space.
+
+    ``nodes`` lists the ``resolution**2`` points with x varying slowest,
+    so node ``ix * resolution + iy`` is ``(x_values[ix], y_values[iy])``.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    x_values = np.linspace(x_lo, x_hi, resolution)
+    y_values = np.linspace(y_lo, y_hi, resolution)
+    gx, gy = np.meshgrid(x_values, y_values, indexing="ij")
+    return x_values, y_values, np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def decision_grid(bundles, bounds, resolution: int):
@@ -300,12 +396,6 @@ def decision_grid(bundles, bounds, resolution: int):
     bundles = list(bundles)
     if any(b.topology.layer_sizes[0] != 2 for b in bundles):
         raise ValueError("decision grids need a 2-feature input space")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    x_values = np.linspace(x_lo, x_hi, resolution)
-    y_values = np.linspace(y_lo, y_hi, resolution)
-    gx, gy = np.meshgrid(x_values, y_values, indexing="ij")
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    props = vote_proportions(bundles, points)
+    x_values, y_values, nodes = grid_nodes(bounds, resolution)
+    props = vote_proportions(bundles, nodes)
     return x_values, y_values, props.reshape(resolution, resolution, -1)

@@ -175,6 +175,19 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     return z  # linear
 
 
+def _activate_in_place(kind: str, z: np.ndarray) -> np.ndarray:
+    """:func:`_apply_activation` computed in ``z`` itself, with the same bits."""
+    if kind == "tanh":
+        return np.tanh(z, out=z)
+    if kind == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if kind == "elu":
+        knee = ~(z > 0.0)
+        np.expm1(z, out=z, where=knee)
+        return np.multiply(ELU_ALPHA, z, out=z, where=knee)
+    return z  # linear
+
+
 def _activation_slope(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """d(activation)/dz, reusing the already-computed activation ``a``."""
     if kind == "tanh":
@@ -200,7 +213,9 @@ def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def forward(topology: Topology, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def forward(
+    topology: Topology, params: np.ndarray, inputs: np.ndarray, hidden_out=()
+) -> np.ndarray:
     """Batched forward pass; rows are independent samples.
 
     ``params`` is one parameter vector ``(N,)``, giving outputs
@@ -209,13 +224,29 @@ def forward(topology: Topology, params: np.ndarray, inputs: np.ndarray) -> np.nd
     ``np.matmul``, which makes for every member the same BLAS call a single
     vector's ``a @ w.T`` makes, so ``forward(topology, stack, x)[c]`` equals
     ``forward(topology, stack[c], x)`` bit for bit.
+
+    ``hidden_out``, if given, holds one array per hidden layer, shaped as
+    that layer's output; the hidden layers are then computed in those
+    arrays, with the same bits, instead of in fresh ones.  The output layer
+    is always a fresh array.
     """
+    if hidden_out and len(hidden_out) != topology.n_layers - 1:
+        raise ValueError(
+            f"expected {topology.n_layers - 1} hidden-layer buffers, got {len(hidden_out)}"
+        )
     a = _check_inputs(topology, inputs)
-    return _forward(layer_views(topology, params), topology.activations, a)
+    return _forward(layer_views(topology, params), topology.activations, a, hidden_out)
 
 
-def _forward(views, activations, a):
-    for (w, b), act in zip(views, activations):
+def _forward(views, activations, a, hidden_out=()):
+    """The first ``len(hidden_out)`` layers are computed in place in ``hidden_out``."""
+    # two loops, so that the integrator's unbuffered forwards pay nothing per layer
+    for (w, b), act, z in zip(views, activations, hidden_out):
+        np.matmul(a, w.swapaxes(-1, -2), out=z)
+        z += b
+        a = _activate_in_place(act, z)
+    n = len(hidden_out)
+    for (w, b), act in zip(views[n:], activations[n:]):
         z = a @ w.swapaxes(-1, -2) + b
         a = _apply_activation(act, z)
     return a

@@ -50,7 +50,9 @@ def map_in_order(fn, items) -> list:
     n_items = len(items)
     n_workers = min(n_items, usable_cores())
     if n_workers < 2 or _in_worker:
-        return [fn(item) for item in items]
+        # looked up by index, as a worker does: no loop variable keeps the
+        # last item (say, a bundle read on demand) alive while the next loads
+        return [fn(items[index]) for index in range(n_items)]
     import multiprocessing  # imported here, so the inline path costs nothing
 
     context = multiprocessing.get_context("fork")

@@ -192,15 +192,31 @@ def _params_train_metric(topology, params, prep: PreparedData) -> float:
     )
 
 
+def _pooled(bundles, prep: PreparedData, more=(), points=()) -> ensemble.Evaluation:
+    """The ensemble pooled from ``bundles`` on the test set, then ``more`` sets.
+
+    A classifier's sets are vote tallies, a regression's member means;
+    ``points`` are the inputs at which every member's rows are kept.  One
+    pass over the bundles, each walked once per set (see
+    :func:`ensemble.evaluate`).
+    """
+    sets = [prep.dataset.features[prep.split.test_indices], *more]
+    if prep.task == "classification":
+        return ensemble.evaluate(bundles, members=points, votes=sets)
+    return ensemble.evaluate(bundles, means=sets, members=points)
+
+
+def _pooled_test_metric(prep: PreparedData, pooled: ensemble.Evaluation) -> float:
+    """Test metric of a :func:`_pooled` ensemble, in raw target units."""
+    if prep.task == "classification":
+        labels = np.argmax(pooled.votes[0], axis=1)  # ties go to the lowest class
+        return diagnostics.accuracy(labels, _true_labels(prep.raw_test_targets))
+    return diagnostics.mse(pooled.means[0], prep.raw_test_targets)
+
+
 def _bundle_test_metric(bundles, prep: PreparedData) -> float:
     """Test metric of the ensemble pooled from ``bundles``, in raw target units."""
-    test_features = prep.dataset.features[prep.split.test_indices]
-    if prep.task == "classification":
-        labels = ensemble.majority_vote(bundles, test_features)
-        return diagnostics.accuracy(labels, _true_labels(prep.raw_test_targets))
-    return diagnostics.mse(
-        ensemble.regression_mean(bundles, test_features), prep.raw_test_targets
-    )
+    return _pooled_test_metric(prep, _pooled(bundles, prep))
 
 
 def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> Optional[bool]:
@@ -311,13 +327,19 @@ def read_bundle(
             f"bundle topology {sidecar['layer_sizes']} does not match "
             f"the configured model {list(topology.layer_sizes)}"
         )
-    # read, then copy: np.fromfile would hold one buffer instead of two, but
-    # freeing the read buffer is what raises glibc's dynamic mmap threshold,
-    # so the multi-MB temporaries of the forwards that follow come from the
-    # heap; without it the iris decision grid runs about 1.5x slower
-    with open(os.path.join(rep_dir, "ensemble_members.bin"), "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    members = flat.reshape(sidecar["n_members"], sidecar["param_count"])
+    path = os.path.join(rep_dir, "ensemble_members.bin")
+    members = np.empty((sidecar["n_members"], sidecar["param_count"]), dtype="<f8")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != members.nbytes:
+            raise ValueError(
+                f"{path} holds {size} bytes, but {sidecar['n_members']} members of "
+                f"{sidecar['param_count']} float64 values need {members.nbytes}"
+            )
+        # straight into the array: the bundle is the only copy of the bytes
+        got = fh.readinto(memoryview(members).cast("B"))
+    if got != members.nbytes:
+        raise ValueError(f"{path} ended after {got} of {members.nbytes} bytes")
     return ensemble.EnsembleBundle(
         members=members,
         iterations=np.asarray(sidecar["iterations"], dtype=np.int64),
@@ -330,8 +352,9 @@ def read_bundle(
 class _ReplicateBundles(Sequence):
     """The ensemble bundles of replicates 0..n-1, each read when looked up.
 
-    Iterating reads one bundle at a time; a vote tally looks each one up in
-    the worker that tallies it, so bundles never travel between processes.
+    Iterating reads one bundle at a time and keeps none; a job of
+    :func:`ensemble.evaluate` looks its bundle up in the worker that runs
+    it, so bundles never travel between processes.
     """
 
     def __init__(self, run_dir: str, n: int, topology: net.Topology, scaler: data.ScalerParams):
@@ -344,6 +367,11 @@ class _ReplicateBundles(Sequence):
         if not 0 <= replicate < self.n:
             raise IndexError(replicate)
         return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology, self.scaler)
+
+    def __iter__(self):
+        # unlike Sequence.__iter__, hold no reference to the bundle handed out
+        for replicate in range(self.n):
+            yield self[replicate]
 
 
 def _write_losses_csv(path: str, report: optimize.AdamReport):
@@ -693,22 +721,33 @@ def run_evaluate(
                 f"distribution point {p_idx} has {point.size} coordinates, "
                 f"the feature space has {n_features}"
             )
-    bundles = list(_ReplicateBundles(run_dir, cfg.replicates, topology, prep.scaler))
+    bundles = _ReplicateBundles(run_dir, cfg.replicates, topology, prep.scaler)
+    more = []
+    if prep.task == "classification" and n_features == 2:
+        lo = prep.dataset.features.min(axis=0)
+        hi = prep.dataset.features.max(axis=0)
+        bounds = ((lo[0], hi[0]), (lo[1], hi[1]))
+        xs, ys, nodes = ensemble.grid_nodes(bounds, grid_resolution)
+        more.append(nodes)
+    if prep.task == "regression" and n_features == 1:
+        lo = float(prep.dataset.features.min())
+        hi = float(prep.dataset.features.max())
+        grid = np.linspace(lo, hi, 101).reshape(-1, 1)
+        more.append(grid)
+    # one pass: each bundle is read once, and a process holds one at a time
+    pooled = _pooled(bundles, prep, more, [point.reshape(1, -1) for point in points])
     _prepare_out_dir(out_dir)
 
     summary = {
         "metric_kind": prep.metric_kind,
-        "ensemble_test_metric": _bundle_test_metric(bundles, prep),
-        "n_members": sum(bundle.n_members for bundle in bundles),
+        "ensemble_test_metric": _pooled_test_metric(prep, pooled),
+        "n_members": pooled.n_members,
         "n_replicates": cfg.replicates,
     }
 
     if prep.task == "classification" and n_features == 2:
-        lo = prep.dataset.features.min(axis=0)
-        hi = prep.dataset.features.max(axis=0)
-        xs, ys, props = ensemble.decision_grid(
-            bundles, ((lo[0], hi[0]), (lo[1], hi[1])), grid_resolution
-        )
+        props = ensemble.proportions(pooled.votes[1])
+        props = props.reshape(grid_resolution, grid_resolution, -1)
         grid_path = os.path.join(out_dir, "decision_grid.csv")
         class_names = list(prep.dataset.target_names)
         with open(grid_path, "w", encoding="utf-8", newline="") as fh:
@@ -724,10 +763,7 @@ def run_evaluate(
         }
 
     if prep.task == "regression" and n_features == 1:
-        lo = float(prep.dataset.features.min())
-        hi = float(prep.dataset.features.max())
-        grid = np.linspace(lo, hi, 101).reshape(-1, 1)
-        curve = ensemble.regression_mean(bundles, grid)
+        curve = pooled.means[1]
         with open(os.path.join(out_dir, "prediction_curve.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write(f"{feature_names[0]},ensemble_mean\n")
             for i in range(grid.shape[0]):
@@ -746,7 +782,7 @@ def run_evaluate(
             )
             for p_idx, point in enumerate(points):
                 coords = ",".join(_fmt(c) for c in point)
-                rows = ensemble.member_predictions(bundles, point.reshape(1, -1))[:, 0]
+                rows = pooled.members[p_idx][:, 0]
                 if prep.task == "regression":
                     values = [_fmt(v) for v in rows[:, 0]]
                 else:

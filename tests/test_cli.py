@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -597,6 +599,43 @@ def test_canonical_configs_parse(tmp_path):
         assert cfg.name == name[:-5]
 
 
+def test_canonical_chain_stops_at_the_first_failing_stage(tmp_path):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(here, "scripts", "run_canonical.py")
+    out = tmp_path / "runs"
+    done = subprocess.run(
+        [sys.executable, script, "iris_ab_initio", "--out", str(out), "--replicates", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "replicates: must be >= 1" in done.stderr
+    assert not (out / "iris_ab_initio" / "eval").exists()  # evaluate never ran
+
+
+@pytest.mark.parametrize("change", ["truncated", "overlong"])
+def test_evaluate_refuses_a_member_file_of_the_wrong_size(tmp_path, capsys, change):
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    main(["train-adam", "--config", cfg_path, "--out", a])
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    members = os.path.join(r, "replicate_01", "ensemble_members.bin")
+    size = os.path.getsize(members)
+    with open(members, "r+b") as fh:
+        if change == "truncated":
+            fh.truncate(size - 8)
+        else:
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\0" * 8)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--from-run", r, "--out", str(out)]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "ValueError"
+    bad = size - 8 if change == "truncated" else size + 8
+    assert payload["message"].startswith(f"{members} holds {bad} bytes")
+    assert payload["message"].endswith(f"need {size}")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ worker processes
 
 
@@ -669,3 +708,44 @@ def test_first_failing_replicate_is_reported_for_any_core_count(
         assert multiprocessing.active_children() == []
     assert messages[1] == messages[2]
     assert re.match(r"replicate 1: non-finite gradient in step 0", messages[1])
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_evaluate_reads_each_bundle_once(tmp_path, monkeypatch, use_cores, forks, task):
+    if task == "classification":
+        raw = classification_config_dict()
+        cfg_path = tmp_path / "iris.json"
+        cfg_path.write_text(json.dumps(dict(raw, replicates=3)))
+        run = str(tmp_path / "run")
+        assert main(["simmer", "--config", str(cfg_path), "--out", run]) == 0
+        extra = ["--grid-resolution", "5", "--at", "3.0,1.0", "--at", "2.5,0.5"]
+    else:
+        cfg_path = write_config(tmp_path, replicates=3)
+        a, run = str(tmp_path / "a"), str(tmp_path / "run")
+        main(["train-adam", "--config", cfg_path, "--out", a])
+        assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", run]) == 0
+        extra = ["--at", "0.25", "--at", "-0.5"]
+    log = tmp_path / "reads.log"
+    real_read_bundle = runner.read_bundle
+
+    def read_bundle(rep_dir, topology, scaler):
+        # an appended line per read, so reads in forked workers count too
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, (os.path.basename(rep_dir) + "\n").encode())
+        os.close(fd)
+        return real_read_bundle(rep_dir, topology, scaler)
+
+    monkeypatch.setattr(runner, "read_bundle", read_bundle)
+    trees = []
+    for cores in (1, 3):
+        use_cores(cores)
+        del forks[:]
+        log.write_text("")
+        out = tmp_path / f"eval_{cores}"
+        assert main(["evaluate", "--from-run", run, "--out", str(out)] + extra) == 0
+        reads = sorted(log.read_text().split())
+        assert reads == ["replicate_00", "replicate_01", "replicate_02"]
+        # regression means stay one serial walk; vote tallies fan out
+        assert bool(forks) == (cores > 1 and task == "classification")
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]

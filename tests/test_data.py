@@ -220,7 +220,7 @@ def test_builtin_unknown_name():
 def test_split_iris_counts():
     ds = load_builtin("iris")
     sp = split(ds, n_train=112, seed=4)
-    assert sp.n_train == 112 and sp.n_test == 38
+    assert sp.train_indices.size == 112 and sp.test_indices.size == 38
 
 
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=50))
@@ -236,7 +236,7 @@ def test_split_disjoint_and_covering(n, seed):
 def test_split_single_test_row():
     ds = gen_noisy_sine(10, 0.0, 0)
     sp = split(ds, n_train=9, seed=1)
-    assert sp.n_test == 1
+    assert sp.test_indices.size == 1
 
 
 def test_split_seed_determinism():

@@ -97,7 +97,7 @@ def test_schedule_ramp_values():
 
 def test_schedule_constant():
     sch = dyn.TemperatureSchedule.constant(0.002)
-    assert sch.is_constant
+    assert sch.t_initial == sch.t_target == 0.002
     assert sch.at(0) == sch.at(123456) == 0.002
 
 

@@ -6,6 +6,7 @@ a tolerance, because that is the contract.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -573,12 +574,12 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
         )
         for budget in CHUNK_BUDGETS:
             monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
-            chunks = list(ensemble._member_outputs(bundles, x))
-            assert [b for b, _ in chunks] == [
-                b for b in bundles
+            chunks = list(ensemble._member_outputs(bundles, [x]))
+            assert [(b, k) for b, k, _ in chunks] == [
+                (b, 0) for b in bundles
                 for _ in range(0, b.n_members, ensemble.chunk_size(b.topology, n_rows))
             ]
-            outputs = np.concatenate([out for _, out in chunks])
+            outputs = np.concatenate([out for _, _, out in chunks])
             assert np.array_equal(bits(outputs), bits(ref_outputs))
             assert np.array_equal(bits(member_predictions(bundles, x)), bits(ref_rows))
             assert np.array_equal(bits(regression_mean(bundles, x)), bits(ref_mean))
@@ -618,5 +619,94 @@ def test_chunk_size_depends_only_on_rows_and_topology():
         bundle = EnsembleBundle(
             members, np.arange(1, n_members + 1), np.zeros(n_members), mpg, identity_scaler(1)
         )
-        sizes = [out.shape[0] for _, out in ensemble._member_outputs([bundle], x)]
+        sizes = [out.shape[0] for _, _, out in ensemble._member_outputs([bundle], [x])]
         assert sizes == [min(step, n_members - lo) for lo in range(0, n_members, step)]
+
+
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
+    # two hidden layers; 8 members walked 3 at a time: chunks of 3, 3 and 2
+    topology = Topology((2, 9, 5, 3), (activation,) * 3)
+    rng = seeding.generator(11)
+    scaler = ScalerParams(
+        np.array([-2.0, -1.0]), np.array([1.0, 3.0]), np.array([-5.0] * 3), np.array([5.0] * 3)
+    )
+    bundles = [
+        EnsembleBundle(
+            rng.normal(scale=1.5, size=(m, topology.param_count)),
+            np.arange(1, m + 1), np.zeros(m), topology, scaler,
+        )
+        for m in (8, 8)
+    ]
+    x = rng.uniform(-3.0, 3.0, size=(13, 2))
+    y = rng.uniform(-3.0, 3.0, size=(4, 2))
+    monkeypatch.setattr(ensemble, "CHUNK_VALUES", 3 * 13 * 9)
+    assert ensemble.chunk_size(topology, 13) == 3
+
+    buffers = []
+    real_forward = net.forward
+
+    def forward(topology, params, inputs, hidden_out=()):
+        buffers.append([h.__array_interface__["data"][0] for h in hidden_out])
+        return real_forward(topology, params, inputs, hidden_out)
+
+    monkeypatch.setattr(net, "forward", forward)
+    kept = []
+    for bundle, k, outputs in ensemble._member_outputs(bundles, [x]):
+        # no earlier chunk changes while later ones run
+        assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
+        kept.append((outputs, outputs.copy()))
+    assert [out.shape[0] for out, _ in kept] == [3, 3, 2, 3, 3, 2]
+    assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
+    assert not any(np.shares_memory(a, b) for (a, _), (b, _) in itertools.combinations(kept, 2))
+    # every chunk's hidden layers went into the same two buffers
+    assert len(buffers) == 6 and len(buffers[0]) == 2
+    assert all(b == buffers[0] for b in buffers)
+    monkeypatch.setattr(net, "forward", real_forward)
+
+    ref = per_member_outputs(bundles, x)
+    assert np.array_equal(bits(np.concatenate([out for out, _ in kept])),
+                          bits(np.array([out for _, out in ref])))
+    ref_rows = np.array([data.unscale_targets(scaler, out) for _, out in ref])
+    ref_mean = 0.0
+    for row in ref_rows:
+        ref_mean = ref_mean + row
+    ref_mean = ref_mean / len(ref_rows)
+    assert np.array_equal(bits(member_predictions(bundles, x)), bits(ref_rows))
+    assert np.array_equal(bits(regression_mean(bundles, x)), bits(ref_mean))
+
+    # several input sets in one pass give each set's own bits, serial
+    # (lazily produced bundles) or split into one job per bundle
+    y_rows = np.array([data.unscale_targets(scaler, out) for _, out in per_member_outputs(bundles, y)])
+    both = ensemble.evaluate(bundles, means=[x, y], members=[y, x])
+    assert both.n_members == 16
+    assert np.array_equal(bits(both.means[0]), bits(ref_mean))
+    assert np.array_equal(bits(both.means[1]), bits(regression_mean(bundles, y)))
+    assert np.array_equal(bits(both.members[0]), bits(y_rows))
+    assert np.array_equal(bits(both.members[1]), bits(ref_rows))
+    split = ensemble.evaluate(bundles, members=[y, x], votes=[x])
+    serial = ensemble.evaluate(iter(bundles), members=[y, x], votes=[x])
+    for pooled in (split, serial):
+        assert pooled.n_members == 16
+        assert np.array_equal(bits(pooled.members[0]), bits(y_rows))
+        assert np.array_equal(bits(pooled.members[1]), bits(ref_rows))
+        assert np.array_equal(pooled.votes[0], reference_votes(bundles, x))
+
+
+def test_walk_holds_one_lazily_read_bundle_at_a_time():
+    topology = Topology((1, 4, 1), ("tanh", "linear"))
+    scaler = identity_scaler(1)
+    alive = []
+
+    def lazily():
+        for seed in range(4):
+            members = seeding.generator(seed).normal(size=(5, topology.param_count))
+            alive.append(weakref.ref(members))
+            yield EnsembleBundle(members, np.arange(1, 6), np.zeros(5), topology, scaler)
+
+    x = np.zeros((3, 1))
+    for _, _, _ in ensemble._member_outputs(lazily(), [x, x]):
+        assert sum(ref() is not None for ref in alive) == 1
+    assert len(alive) == 4
+    ensemble.evaluate(lazily(), means=[x], members=[x])
+    assert all(ref() is None for ref in alive)
