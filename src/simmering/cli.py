@@ -15,24 +15,29 @@ exit code is 1 (argparse usage errors keep their conventional code 2).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 
+# one BLAS thread per process: the stages fork one worker per core, and a
+# BLAS pool in every worker would oversubscribe the cores.  Set before the
+# first import that loads numpy; a value the user exported still wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from . import runner
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, from_dict, load_config, to_dict
 from .net import NonFiniteError
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """``cfg`` with the flags' seed and replicates, checked as a config file's are."""
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.replicates is not None:
-        if args.replicates < 1:
-            raise ConfigError("replicates", "must be >= 1")
         updates["replicates"] = args.replicates
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return from_dict({**to_dict(cfg), **updates}) if updates else cfg
 
 
 def _parse_point(text: str):

@@ -115,8 +115,9 @@ def hessian_spectrum(
     max_params: int = HESSIAN_PARAM_CAP,
 ) -> SpectrumReport:
     """Eigenvalues of the loss Hessian at `params`, descending."""
-
-    def grad_fn(p):
-        return net.gradient(topology, p, inputs, targets, loss_kind)
-
-    return spectrum_from_gradient(grad_fn, params, max_params=max_params)
+    evaluator = net.Evaluator(topology, loss_kind, inputs, targets)
+    # the evaluator overwrites its gradient buffer on every call, and
+    # fd_hessian subtracts the results of two calls
+    return spectrum_from_gradient(
+        lambda p: evaluator.gradient(p).copy(), params, max_params=max_params
+    )

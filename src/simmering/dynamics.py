@@ -102,10 +102,6 @@ class PhaseState:
         if self.masses <= 0.0:
             raise ValueError("masses must be positive")
 
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
     def copy(self) -> "PhaseState":
         return PhaseState(
             self.positions.copy(),
@@ -138,10 +134,6 @@ class TemperatureSchedule:
             raise ValueError("temperature increment must be > 0")
         if self.hold_iterations < 1:
             raise ValueError("hold_iterations must be >= 1")
-
-    @classmethod
-    def constant(cls, temperature: float) -> "TemperatureSchedule":
-        return cls(t_initial=float(temperature), t_target=float(temperature))
 
     def at(self, iteration: int) -> float:
         if iteration < 0:
@@ -177,29 +169,6 @@ def initial_velocities(n: int, temperature: float, seed) -> np.ndarray:
         raise ValueError("temperature must be >= 0")
     rng = seeding.generator(seed)
     return rng.normal(0.0, math.sqrt(temperature), size=n)
-
-
-def kinetic_temperature(state: PhaseState) -> float:
-    """Instantaneous (1/N) * sum(m v_i^2)."""
-    v = state.velocities
-    return state.masses * float(v @ v) / v.shape[0]
-
-
-def extended_energy(state: PhaseState, loss_value: float, temperature: float) -> float:
-    """Conserved quantity of system plus chain at fixed target temperature.
-
-    Kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + s_3 + ...).
-    Constant along exact trajectories only while the target temperature is
-    constant.
-    """
-    v = state.velocities
-    kin = 0.5 * state.masses * float(v @ v)
-    chain = state.chain
-    chain_kin = 0.5 * float((chain.masses * chain.velocities) @ chain.velocities)
-    n = state.n_particles
-    s = chain.positions
-    bath = n * temperature * float(s[0]) + temperature * float(s[1:].sum())
-    return kin + loss_value + chain_kin + bath
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +343,8 @@ def run_trajectory(
         ltrain = float(_named(loss_train_fn, x, "train loss", idx))
         if not math.isfinite(ltrain):
             raise NonFiniteError(f"non-finite train loss in step {idx}")
+        # the extended energy, conserved while the target temperature is
+        # constant: kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + ...)
         chain_kin = 0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c))
         bath = n * t_now * s[0] + t_now * sum(s[1:])
         e_now = 0.5 * sum_mv2 + ltrain + chain_kin + bath

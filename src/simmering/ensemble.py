@@ -324,31 +324,6 @@ def _walk(bundles, means, members, votes) -> Evaluation:
     )
 
 
-def member_predictions(bundles, inputs) -> np.ndarray:
-    """(members, samples, outputs) array of every member's predictions.
-
-    Rows are in original target units.  A classifier's targets are not
-    scaled, so its rows are the raw outputs that
-    :func:`net.class_labels_from_outputs` turns into labels.
-    """
-    return evaluate(bundles, members=[inputs]).members[0]
-
-
-def regression_mean(bundles, inputs) -> np.ndarray:
-    """Pointwise mean of member predictions, in original target units."""
-    return evaluate(bundles, means=[inputs]).means[0]
-
-
-def vote_counts(bundles, inputs) -> np.ndarray:
-    """Integer (samples, classes) tally of member argmax votes."""
-    return evaluate(bundles, votes=[inputs]).votes[0]
-
-
-def majority_vote(bundles, inputs) -> np.ndarray:
-    """Most-voted class per input; ties go to the lowest class index."""
-    return np.argmax(vote_counts(bundles, inputs), axis=1)
-
-
 def _exact_fraction_row(counts_row, total: int) -> list[float]:
     # largest-remainder apportionment of 2**52 grid cells; every result is
     # an exact multiple of 2**-52 so the row sums to exactly 1.0
@@ -367,11 +342,6 @@ def proportions(counts) -> np.ndarray:
     return np.array([_exact_fraction_row(row, int(row.sum())) for row in counts])
 
 
-def vote_proportions(bundles, inputs) -> np.ndarray:
-    """Per-input class vote fractions; each row sums to exactly 1.0."""
-    return proportions(vote_counts(bundles, inputs))
-
-
 def grid_nodes(bounds, resolution: int):
     """(x_values, y_values, nodes) of a rectangular grid over a 2-D feature space.
 
@@ -386,16 +356,3 @@ def grid_nodes(bounds, resolution: int):
     gx, gy = np.meshgrid(x_values, y_values, indexing="ij")
     return x_values, y_values, np.column_stack([gx.ravel(), gy.ravel()])
 
-
-def decision_grid(bundles, bounds, resolution: int):
-    """Vote proportions on a rectangular grid over a 2-D feature space.
-
-    Returns (x_values, y_values, proportions) with proportions indexed as
-    [ix, iy, class] at the node (x_values[ix], y_values[iy]).
-    """
-    bundles = list(bundles)
-    if any(b.topology.layer_sizes[0] != 2 for b in bundles):
-        raise ValueError("decision grids need a 2-feature input space")
-    x_values, y_values, nodes = grid_nodes(bounds, resolution)
-    props = vote_proportions(bundles, nodes)
-    return x_values, y_values, props.reshape(resolution, resolution, -1)

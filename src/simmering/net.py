@@ -18,13 +18,12 @@ Losses, conventions:
   {0,1} targets, computed in the standard overflow-safe form, averaged over
   samples.
 
-The module functions (:func:`forward`, :func:`loss`,
-:func:`loss_and_gradient`) validate their arguments on every call.  Loops
-that evaluate one data set many times (the integrator, Adam) use an
-:class:`Evaluator` instead: it validates the data once, keeps the layer
-views of the parameter array it is handed and a gradient buffer, and runs
-the same numpy expressions, so its results equal the module functions'
-bit for bit.
+The module functions (:func:`forward`, :func:`loss`) validate their
+arguments on every call.  Gradients come from an :class:`Evaluator`, bound
+to one data set for the many evaluations of a loop (the integrator, Adam,
+the Hessian probe): it validates the data once, keeps the layer views of
+the parameter array it is handed and a gradient buffer, and runs the same
+numpy expressions, so its loss equals the module functions' bit for bit.
 """
 
 from __future__ import annotations
@@ -368,11 +367,11 @@ def class_labels_from_outputs(outputs: np.ndarray) -> np.ndarray:
 class Evaluator:
     """A network bound to one data set, for many parameter vectors.
 
-    The loss kind, inputs and targets are checked once, here, with the same
-    errors :func:`loss_and_gradient` raises.  Each call then runs the same
-    numpy expressions as :func:`forward`, :func:`loss` and
-    :func:`loss_and_gradient`, so results agree bit for bit, and still
-    raises :class:`NonFiniteError` on non-finite outputs, loss or gradient.
+    The loss kind, inputs and targets are checked once, here, with the
+    errors :func:`forward` and :func:`loss` raise.  Each call then runs the
+    same numpy expressions as :func:`forward` and :func:`loss`, so losses
+    agree bit for bit, and still raises :class:`NonFiniteError` on
+    non-finite outputs, loss or gradient.
 
     The layer views of the last parameter array seen are kept, so an
     integrator that updates one array in place builds them once.  The array
@@ -436,23 +435,3 @@ class Evaluator:
     def gradient(self, params: np.ndarray) -> np.ndarray:
         return self.loss_and_gradient(params)[1]
 
-
-def loss_and_gradient(
-    topology: Topology,
-    params: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-) -> tuple[float, np.ndarray]:
-    """Full-batch loss and exact reverse-mode gradient d(loss)/d(params)."""
-    return Evaluator(topology, loss_kind, inputs, targets).loss_and_gradient(params)
-
-
-def gradient(
-    topology: Topology,
-    params: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-) -> np.ndarray:
-    return loss_and_gradient(topology, params, inputs, targets, loss_kind)[1]

@@ -169,26 +169,21 @@ def _true_labels(one_hot: np.ndarray) -> np.ndarray:
     return np.argmax(one_hot, axis=1)
 
 
-def _params_test_metric(topology, params, prep: PreparedData) -> float:
-    """Test metric for a single parameter vector, in raw target units."""
-    outputs = net.forward(topology, params, prep.test_inputs)
+def _params_metric(topology, params, prep: PreparedData, inputs, raw_targets) -> float:
+    """Metric of one parameter vector on model-space ``inputs``, in raw target units."""
+    outputs = net.forward(topology, params, inputs)
     if prep.task == "classification":
         return diagnostics.accuracy(
-            net.class_labels_from_outputs(outputs), _true_labels(prep.raw_test_targets)
+            net.class_labels_from_outputs(outputs), _true_labels(raw_targets)
         )
-    return diagnostics.mse(
-        data.unscale_targets(prep.scaler, outputs), prep.raw_test_targets
-    )
+    return diagnostics.mse(data.unscale_targets(prep.scaler, outputs), raw_targets)
 
 
-def _params_train_metric(topology, params, prep: PreparedData) -> float:
-    outputs = net.forward(topology, params, prep.train_inputs)
-    if prep.task == "classification":
-        return diagnostics.accuracy(
-            net.class_labels_from_outputs(outputs), _true_labels(prep.raw_train_targets)
-        )
-    return diagnostics.mse(
-        data.unscale_targets(prep.scaler, outputs), prep.raw_train_targets
+def _train_test_metrics(topology, params, prep: PreparedData) -> tuple[float, float]:
+    """(train, test) metrics of one parameter vector."""
+    return (
+        _params_metric(topology, params, prep, prep.train_inputs, prep.raw_train_targets),
+        _params_metric(topology, params, prep, prep.test_inputs, prep.raw_test_targets),
     )
 
 
@@ -212,11 +207,6 @@ def _pooled_test_metric(prep: PreparedData, pooled: ensemble.Evaluation) -> floa
         labels = np.argmax(pooled.votes[0], axis=1)  # ties go to the lowest class
         return diagnostics.accuracy(labels, _true_labels(prep.raw_test_targets))
     return diagnostics.mse(pooled.means[0], prep.raw_test_targets)
-
-
-def _bundle_test_metric(bundles, prep: PreparedData) -> float:
-    """Test metric of the ensemble pooled from ``bundles``, in raw target units."""
-    return _pooled_test_metric(prep, _pooled(bundles, prep))
 
 
 def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> Optional[bool]:
@@ -443,10 +433,11 @@ def _write_adam_replicate(rep_dir, topology, prep, report) -> diagnostics.Metric
         topology,
         {"final": report.final_params, "penultimate": report.penultimate_params},
     )
+    adam_train, adam_test = _train_test_metrics(topology, report.final_params, prep)
     metrics = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
-        adam_train_metric=_params_train_metric(topology, report.final_params, prep),
-        adam_test_metric=_params_test_metric(topology, report.final_params, prep),
+        adam_train_metric=adam_train,
+        adam_test_metric=adam_test,
         ensemble_test_metric=None,
         improved=None,
     )
@@ -541,8 +532,9 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
     return bundle
 
 
-def _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test=None, adam_train=None):
-    ens = _bundle_test_metric([bundle], prep)
+def _write_ensemble_metrics(out_dir, prep, bundles, adam_train=None, adam_test=None):
+    """Write ``out_dir``'s metrics.json for the ensemble pooled from ``bundles``."""
+    ens = _pooled_test_metric(prep, _pooled(bundles, prep))
     metrics = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=adam_train,
@@ -550,8 +542,17 @@ def _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test=None, ada
         ensemble_test_metric=ens,
         improved=_improved(prep.metric_kind, adam_test, ens),
     )
-    _write_json(os.path.join(rep_dir, METRICS_FILE), metrics.to_dict())
+    _write_json(os.path.join(out_dir, METRICS_FILE), metrics.to_dict())
     return metrics
+
+
+def _finish_sampling_run(out_dir, cfg, command, topology, prep, adam_train, adam_test) -> str:
+    """The pooled metrics.json of a simmer or retrofit run, then its resolved config."""
+    # the bundles just written, read back one at a time as evaluate reads them
+    bundles = _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler)
+    _write_ensemble_metrics(out_dir, prep, bundles, adam_train, adam_test)
+    _write_resolved_config(out_dir, cfg, command)
+    return out_dir
 
 
 def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -589,28 +590,14 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
         )
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        return _write_replicate_ensemble_metrics(rep_dir, prep, bundle)
+        return _write_ensemble_metrics(rep_dir, prep, [bundle])
 
     n_jobs = cfg.replicates + (cfg.adam is not None)
     reports = parallel.map_in_order(job, range(n_jobs))
     adam_train = adam_test = None
     if cfg.adam is not None:
         adam_train, adam_test = reports[-1].adam_train_metric, reports[-1].adam_test_metric
-
-    # the bundles just written, read back one at a time as evaluate reads them
-    ens = _bundle_test_metric(
-        _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler), prep
-    )
-    summary = diagnostics.MetricReport(
-        metric_kind=prep.metric_kind,
-        adam_train_metric=adam_train,
-        adam_test_metric=adam_test,
-        ensemble_test_metric=ens,
-        improved=_improved(prep.metric_kind, adam_test, ens),
-    )
-    _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
-    _write_resolved_config(out_dir, cfg, "simmer")
-    return out_dir
+    return _finish_sampling_run(out_dir, cfg, "simmer", topology, prep, adam_train, adam_test)
 
 
 def _check_retrofit_compatibility(cfg: ExperimentConfig, stored: ExperimentConfig):
@@ -666,29 +653,13 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         )
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        adam_test = _params_test_metric(topology, final, prep)
-        adam_train = _params_train_metric(topology, final, prep)
-        return _write_replicate_ensemble_metrics(rep_dir, prep, bundle, adam_test, adam_train)
+        adam_train, adam_test = _train_test_metrics(topology, final, prep)
+        return _write_ensemble_metrics(rep_dir, prep, [bundle], adam_train, adam_test)
 
     reports = parallel.map_in_order(replicate, range(cfg.replicates))
-    adam_tests = [m.adam_test_metric for m in reports]
-    adam_trains = [m.adam_train_metric for m in reports]
-
-    # the bundles just written, read back one at a time as evaluate reads them
-    ens = _bundle_test_metric(
-        _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler), prep
-    )
-    adam_test = sum(adam_tests) / len(adam_tests)
-    summary = diagnostics.MetricReport(
-        metric_kind=prep.metric_kind,
-        adam_train_metric=sum(adam_trains) / len(adam_trains),
-        adam_test_metric=adam_test,
-        ensemble_test_metric=ens,
-        improved=_improved(prep.metric_kind, adam_test, ens),
-    )
-    _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
-    _write_resolved_config(out_dir, cfg, "retrofit")
-    return out_dir
+    adam_train = sum(m.adam_train_metric for m in reports) / len(reports)
+    adam_test = sum(m.adam_test_metric for m in reports) / len(reports)
+    return _finish_sampling_run(out_dir, cfg, "retrofit", topology, prep, adam_train, adam_test)
 
 
 # ---------------------------------------------------------------------------

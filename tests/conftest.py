@@ -2,6 +2,11 @@
 
 import os
 
+# one BLAS thread per process, as the CLI sets it: the runner forks one
+# worker per core.  numpy is not loaded yet when pytest imports this file.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import pytest
 
 

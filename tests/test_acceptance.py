@@ -6,6 +6,7 @@ trades speed for fidelity: the sampling and experiment tests integrate real
 trajectories and take a few minutes altogether.
 """
 import itertools
+import json
 import math
 import os
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from simmering import data, diagnostics, ensemble, net, optimize, runner, seeding
+from simmering import data, diagnostics, ensemble, net, optimize, parallel, runner, seeding
 from simmering.config import from_dict
 from simmering.dynamics import (
     IntegratorConfig,
@@ -94,7 +95,7 @@ def test_gradients_match_finite_differences():
         top, params, x, y = _random_case(r, kind)
         if not _relu_kink_free(top, params, x):
             continue
-        g = net.gradient(top, params, x, y, kind)
+        g = net.Evaluator(top, kind, x, y).gradient(params)
         g_fd = _fd_gradient(top, params, x, y, kind)
         worst = max(worst, float(np.max(np.abs(g - g_fd) / (1.0 + np.abs(g_fd)))))
         done += 1
@@ -122,26 +123,34 @@ def _constant_config(temperature, dt):
     return IntegratorConfig(dt=dt, schedule=sched, chain_length=2)
 
 
-def test_harmonic_sampling_is_canonical():
+def _harmonic_sample(temperature):
+    """(x2 error, v2 error, KS p, seconds) of one temperature's run, timed by itself."""
     grad = lambda x: x           # k = 1
     pot = lambda x: float(0.5 * x[0] ** 2)
+    t0 = time.time()
+    # chain mass on the oscillator scale keeps the chain resonant
+    state = _harmonic_state(temperature, chain_mass=temperature, seed=1)
+    cfg = _constant_config(temperature, dt=0.002)
+    state, _ = run_trajectory(state, grad, cfg, 100_000, pot,
+                              snapshot_steps=())
+    state, traj = run_trajectory(state, grad, cfg, 2_000_000, pot,
+                                 snapshot_steps=range(0, 2_000_000, 1))
+    elapsed = time.time() - t0
+    x = traj.snapshots[:, 0]
+    x2_err = abs(float(np.mean(x * x)) - temperature) / temperature
+    v2_err = abs(float(np.mean(traj.kinetic_temperature)) - temperature) / temperature
+    # thin to roughly independent samples before the distribution test
+    p = stats.kstest(x[::2000], "norm", args=(0.0, math.sqrt(temperature))).pvalue
+    return x2_err, v2_err, p, elapsed
+
+
+def test_harmonic_sampling_is_canonical():
+    temperatures = (0.1, 0.5, 1.0)
     details = []
     ok = True
-    for temperature in (0.1, 0.5, 1.0):
-        t0 = time.time()
-        # chain mass on the oscillator scale keeps the chain resonant
-        state = _harmonic_state(temperature, chain_mass=temperature, seed=1)
-        cfg = _constant_config(temperature, dt=0.002)
-        state, _ = run_trajectory(state, grad, cfg, 100_000, pot,
-                                  snapshot_steps=())
-        state, traj = run_trajectory(state, grad, cfg, 2_000_000, pot,
-                                     snapshot_steps=range(0, 2_000_000, 1))
-        elapsed = time.time() - t0
-        x = traj.snapshots[:, 0]
-        x2_err = abs(float(np.mean(x * x)) - temperature) / temperature
-        v2_err = abs(float(np.mean(traj.kinetic_temperature)) - temperature) / temperature
-        # thin to roughly independent samples before the distribution test
-        p = stats.kstest(x[::2000], "norm", args=(0.0, math.sqrt(temperature))).pvalue
+    # one job per temperature, on every usable core
+    results = parallel.map_in_order(_harmonic_sample, temperatures)
+    for temperature, (x2_err, v2_err, p, elapsed) in zip(temperatures, results):
         good = x2_err < 0.05 and v2_err < 0.05 and p > 0.01 and elapsed < 60.0
         ok = ok and good
         details.append(f"T={temperature}: x2 {x2_err:.1%}, v2 {v2_err:.1%}, KS p={p:.2f}, {elapsed:.0f}s")
@@ -184,36 +193,33 @@ SINE_RETROFIT = {
 }
 
 
-def test_sine_retrofit_improves_on_adam_endpoint():
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_sine_retrofit_improves_on_adam_endpoint(tmp_path):
     cfg = from_dict(SINE_RETROFIT)
+    adam_dir, run_dir = str(tmp_path / "adam"), str(tmp_path / "retrofit")
+    runner.run_train_adam(cfg, adam_dir)
+    runner.run_retrofit(cfg, adam_dir, run_dir)
     prep = runner.prepare_data(cfg)
     topo = runner.build_topology(cfg, prep.dataset)
-    grad_fn, ltrain, ltest = runner._loss_fns(cfg, topo, prep)
     xs = prep.dataset.features
     truth = np.sin(2.0 * np.pi * xs[:, 0])
     scaled_xs = data.scale_features(prep.scaler, xs)
 
     test_wins = curve_wins = 0
     for r in range(cfg.replicates):
-        report = runner._train_one_adam(cfg, topo, prep, r)
-        state = optimize.retrofit_init(report, gamma=cfg.adam.alpha,
-                                       chain_length=cfg.simmer.chain_length,
-                                       chain_mass=cfg.simmer.chain_mass,
-                                       particle_mass=cfg.simmer.particle_mass)
-        _, traj = run_trajectory(state, grad_fn, runner._integrator_config(cfg),
-                                 cfg.simmer.iterations, ltrain, ltest,
-                                 snapshot_steps=range(cfg.sampling.burn_in,
-                                                      cfg.simmer.iterations, 1))
-        plan = ensemble.SamplingPlan(total_iterations=cfg.simmer.iterations,
-                                     burn_in=cfg.sampling.burn_in, stride=1,
-                                     fraction=cfg.sampling.fraction,
-                                     seed=cfg.seed, replicate=r)
-        bundle = ensemble.collect(traj, plan, topo, prep.scaler)
-        adam_test = runner._params_test_metric(topo, report.final_params, prep)
-        ens_test = runner._bundle_test_metric([bundle], prep)
+        rep_dir = runner._replicate_dir(run_dir, r)
+        metrics = _read_json(os.path.join(rep_dir, "metrics.json"))
+        adam_test, ens_test = metrics["adam_test_metric"], metrics["ensemble_test_metric"]
+        final = runner.read_snapshot(runner._replicate_dir(adam_dir, r), "final", topo)
+        bundle = runner.read_bundle(rep_dir, topo, prep.scaler)
         adam_curve = float(np.mean((data.unscale_targets(
-            prep.scaler, net.forward(topo, report.final_params, scaled_xs))[:, 0] - truth) ** 2))
-        ens_curve = float(np.mean((ensemble.regression_mean([bundle], xs)[:, 0] - truth) ** 2))
+            prep.scaler, net.forward(topo, final, scaled_xs))[:, 0] - truth) ** 2))
+        ens_mean = ensemble.evaluate([bundle], means=[xs]).means[0]
+        ens_curve = float(np.mean((ens_mean[:, 0] - truth) ** 2))
         test_wins += ens_test < adam_test
         curve_wins += ens_curve < adam_curve
         print(f"    replicate {r}: adam test {adam_test:.5f} ens test {ens_test:.5f}"
@@ -243,43 +249,19 @@ IRIS_AB_INITIO = {
 }
 
 
-def test_iris_ensemble_matches_adam_and_votes_are_proportions():
+def test_iris_ensemble_matches_adam_and_votes_are_proportions(tmp_path):
     cfg = from_dict(IRIS_AB_INITIO)
-    prep = runner.prepare_data(cfg)
-    topo = runner.build_topology(cfg, prep.dataset)
-    grad_fn, ltrain, ltest = runner._loss_fns(cfg, topo, prep)
+    run_dir, eval_dir = str(tmp_path / "simmer"), str(tmp_path / "evaluate")
+    runner.run_simmer(cfg, run_dir)
+    runner.run_evaluate(run_dir, eval_dir, grid_resolution=100)
 
-    adam_report = runner._train_one_adam(cfg, topo, prep, 0)
-    adam_acc = runner._params_test_metric(topo, adam_report.final_params, prep)
-
-    bundles = []
-    for r in range(cfg.replicates):
-        sched = cfg.simmer.schedule
-        state = PhaseState(
-            positions=runner.initial_params(cfg, topo, r),
-            velocities=initial_velocities(topo.param_count, sched.t_initial,
-                                          seeding.child_seed(cfg.seed, "velocities", r)),
-            masses=cfg.simmer.particle_mass,
-            chain=ThermostatChain.rest(cfg.simmer.chain_length, mass=cfg.simmer.chain_mass),
-            step_index=0,
-        )
-        _, traj = run_trajectory(state, grad_fn, runner._integrator_config(cfg),
-                                 cfg.simmer.iterations, ltrain, ltest,
-                                 snapshot_steps=range(cfg.sampling.burn_in,
-                                                      cfg.simmer.iterations, 1))
-        plan = ensemble.SamplingPlan(total_iterations=cfg.simmer.iterations,
-                                     burn_in=cfg.sampling.burn_in, stride=1,
-                                     fraction=cfg.sampling.fraction,
-                                     seed=cfg.seed, replicate=r)
-        bundle = ensemble.collect(traj, plan, topo, prep.scaler)
-        bundles.append(bundle)
-    pooled_acc = runner._bundle_test_metric(bundles, prep)
-
-    features = prep.dataset.features
-    bounds = ((features[:, 0].min(), features[:, 0].max()),
-              (features[:, 1].min(), features[:, 1].max()))
-    _, _, props = ensemble.decision_grid(bundles, bounds, resolution=100)
-    grid_gap = float(np.max(np.abs(props.sum(axis=2) - 1.0)))
+    metrics = _read_json(os.path.join(run_dir, "metrics.json"))
+    pooled_acc, adam_acc = metrics["ensemble_test_metric"], metrics["adam_test_metric"]
+    # decision_grid.csv rows: the two node coordinates, then one vote proportion per class
+    with open(os.path.join(eval_dir, "decision_grid.csv"), encoding="utf-8") as fh:
+        props = np.array([[float(cell) for cell in line.split(",")[2:]]
+                          for line in fh.read().splitlines()[1:]])
+    grid_gap = float(np.max(np.abs(props.sum(axis=1) - 1.0)))
 
     _report(5, "iris pooled ensemble matches Adam and grid votes sum to one",
             pooled_acc >= adam_acc and grid_gap == 0.0,

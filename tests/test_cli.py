@@ -405,6 +405,35 @@ def test_config_field_error_is_machine_parsable(tmp_path, capsys):
     assert "simmer.dt" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--seed", "-1", "seed: must be >= 0, got -1"),
+     ("--replicates", "0", "replicates: must be >= 1, got 0")],
+)
+def test_bad_override_flag_is_a_config_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    assert main(["train-adam", "--config", write_config(tmp_path), "--out", str(out),
+                 flag, value]) == 1
+    assert error_line(capsys) == {"error": "ConfigError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exported,printed", [(None, "1 1 1"), ("3", "3 1 1")])
+def test_cli_runs_one_blas_thread_unless_the_user_chose(exported, printed):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os, simmering.cli; "
+            f"print(*(os.environ.get(name) for name in {names!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == printed
+
+
 def test_nonempty_out_dir_refused(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "occupied"

@@ -111,7 +111,7 @@ def test_symmetrization_and_raw_asymmetry_reported():
     x = rng.normal(size=(12, 2))
     y = rng.normal(size=(12, 1))
     hess, asym = fd_hessian(
-        lambda p: net.gradient(topology, p, x, y, "sse"), params
+        lambda p: net.Evaluator(topology, "sse", x, y).gradient(p), params
     )
     assert np.array_equal(hess, hess.T)
     assert asym < 1e-5
@@ -124,7 +124,7 @@ def test_spectrum_matches_scipy_on_full_network_hessian():
     rng = seeding.generator(5)
     x = rng.uniform(-1, 1, size=(9, 1))
     y = rng.normal(size=(9, 1))
-    hess, _ = fd_hessian(lambda p: net.gradient(topology, p, x, y, "sse"), params)
+    hess, _ = fd_hessian(lambda p: net.Evaluator(topology, "sse", x, y).gradient(p), params)
     mine = hessian_spectrum(topology, params, x, y, "sse").eigenvalues
     reference = np.sort(scipy_linalg.eigvalsh(hess))[::-1]
     np.testing.assert_allclose(mine, reference, rtol=1e-10, atol=1e-12)

@@ -37,9 +37,31 @@ def make_state(x, v, mass=1.0, n_chain=2, chain_mass=1.0):
     )
 
 
+def kinetic_temperature(state):
+    """Oracle: the instantaneous (1/N) * sum(m v_i^2)."""
+    v = state.velocities
+    return state.masses * float(v @ v) / v.shape[0]
+
+
+def extended_energy(state, loss_value, temperature):
+    """Oracle: the conserved quantity of system plus chain at a fixed target temperature.
+
+    Kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + s_3 + ...).
+    Constant along exact trajectories only while the target temperature is
+    constant.
+    """
+    v = state.velocities
+    kin = 0.5 * state.masses * float(v @ v)
+    chain = state.chain
+    chain_kin = 0.5 * float((chain.masses * chain.velocities) @ chain.velocities)
+    s = chain.positions
+    bath = v.shape[0] * temperature * float(s[0]) + temperature * float(s[1:].sum())
+    return kin + loss_value + chain_kin + bath
+
+
 def step_at(state, grad_fn, cfg, temperature):
     """One unrecorded step at a fixed target temperature."""
-    fixed = replace(cfg, schedule=dyn.TemperatureSchedule.constant(temperature))
+    fixed = replace(cfg, schedule=dyn.TemperatureSchedule(temperature, temperature))
     return dyn.run_trajectory(state, grad_fn, fixed, 1)[0]
 
 
@@ -74,7 +96,7 @@ def test_per_particle_mass_array_rejected():
 
 
 def test_integrator_config_validation():
-    sch = dyn.TemperatureSchedule.constant(1.0)
+    sch = dyn.TemperatureSchedule(1.0, 1.0)
     with pytest.raises(ValueError):
         dyn.IntegratorConfig(dt=0.0, schedule=sch)
     with pytest.raises(ValueError):
@@ -96,7 +118,8 @@ def test_schedule_ramp_values():
 
 
 def test_schedule_constant():
-    sch = dyn.TemperatureSchedule.constant(0.002)
+    # a constant schedule is the degenerate ramp with t_initial == t_target
+    sch = dyn.TemperatureSchedule(0.002, 0.002)
     assert sch.t_initial == sch.t_target == 0.002
     assert sch.at(0) == sch.at(123456) == 0.002
 
@@ -109,7 +132,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         dyn.TemperatureSchedule(0.0, 0.5, 0.1, 0)
     with pytest.raises(ValueError):
-        dyn.TemperatureSchedule.constant(1.0).at(-1)
+        dyn.TemperatureSchedule(1.0, 1.0).at(-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,14 +150,14 @@ def test_schedule_monotone(t0, dt_t, hold, i, j):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics on states
+# diagnostics on states: the oracles, then the recorded columns against them
 
 
 def test_kinetic_temperature_simple():
     state = make_state([0.0, 0.0], [1.0, 2.0])
-    assert dyn.kinetic_temperature(state) == (1.0 + 4.0) / 2.0
+    assert kinetic_temperature(state) == (1.0 + 4.0) / 2.0
     heavy = make_state([0.0, 0.0], [1.0, 2.0], mass=2.0)
-    assert dyn.kinetic_temperature(heavy) == 2.0 * (1.0 + 4.0) / 2.0
+    assert kinetic_temperature(heavy) == 2.0 * (1.0 + 4.0) / 2.0
 
 
 def test_extended_energy_terms():
@@ -142,17 +165,39 @@ def test_extended_energy_terms():
     state.chain.velocities[:] = [1.0, -1.0]
     state.chain.positions[:] = [0.5, 0.25]
     # kin 2.0 + loss 4.5 + chain kin 1.0 + 1*T*0.5 + T*0.25 with T=2
-    val = dyn.extended_energy(state, loss_value=4.5, temperature=2.0)
+    val = extended_energy(state, loss_value=4.5, temperature=2.0)
     assert val == 2.0 + 4.5 + 1.0 + 2.0 * 0.5 + 2.0 * 0.25
 
 
 def test_extended_energy_ignores_chain_positions_at_zero_t():
     state = make_state([1.0], [1.0])
-    a = dyn.extended_energy(state, 0.5, 0.0)
+    a = extended_energy(state, 0.5, 0.0)
     state.chain.positions[:] *= 0.0
     state.chain.positions[:] += 7.0
-    b = dyn.extended_energy(state, 0.5, 0.0)
+    b = extended_energy(state, 0.5, 0.0)
     assert a == b
+
+
+@pytest.mark.parametrize("n_chain", [2, 3])
+def test_recorded_kinetic_temperature_and_energy_match_the_oracles(n_chain):
+    # three particles of mass 1.3 under a ramp, so N, m, T and every chain
+    # position enter; the state after each step comes from one-step calls
+    schedule = dyn.TemperatureSchedule(0.1, 0.5, 0.2, 7)
+    cfg = dyn.IntegratorConfig(
+        dt=0.01, schedule=schedule, chain_length=n_chain, chain_mass=0.7, particle_mass=1.3
+    )
+    state = make_state([0.5, -1.0, 2.0], [0.3, 0.1, -0.4], mass=1.3, n_chain=n_chain,
+                       chain_mass=0.7)
+    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 40, harmonic_potential)
+    for i in range(40):
+        state = dyn.run_trajectory(state, harmonic_grad, cfg, 1)[0]
+        t_now = schedule.at(i)
+        assert traj.temperature[i] == t_now
+        want_t = kinetic_temperature(state)
+        want_e = extended_energy(state, harmonic_potential(state.positions), t_now)
+        assert math.isclose(traj.kinetic_temperature[i], want_t, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(traj.extended_energy[i], want_e, rel_tol=1e-12, abs_tol=0.0)
+    assert np.any(state.chain.positions[1:] != 0.0)  # the T*(s_2 + ...) term is live
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +211,7 @@ def test_one_gradient_eval_per_step_at_half_step_positions():
         calls.append(x.copy())
         return np.zeros_like(x)
 
-    cfg = dyn.IntegratorConfig(dt=0.01, schedule=dyn.TemperatureSchedule.constant(4.0))
+    cfg = dyn.IntegratorConfig(dt=0.01, schedule=dyn.TemperatureSchedule(4.0, 4.0))
     state = make_state([1.0], [2.0])
     step_at(state, grad, cfg, 4.0)
     assert len(calls) == 1
@@ -174,7 +219,7 @@ def test_one_gradient_eval_per_step_at_half_step_positions():
 
 
 def test_step_is_pure():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
     state = make_state([1.0, -1.0], [0.5, 0.25])
     before = (state.positions.copy(), state.velocities.copy(), state.chain.velocities.copy())
     out = step_at(state, harmonic_grad, cfg, 0.5)
@@ -188,7 +233,7 @@ def test_pure_drift_translation_is_exact():
     # flat potential with sum(m v^2) == N*T keeps the chain acceleration on
     # link 1 exactly zero; a dyadic dt makes every float increment exact
     dt = 0.015625
-    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule.constant(4.0))
+    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule(4.0, 4.0))
     x0 = np.array([0.0, 1.0, -2.0])
     v0 = np.array([2.0, 2.0, 2.0])
     state = make_state(x0, v0)
@@ -200,7 +245,7 @@ def test_pure_drift_translation_is_exact():
 
 def test_single_step_drift():
     dt = 0.25
-    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule.constant(4.0))
+    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule(4.0, 4.0))
     state = make_state([1.0], [2.0])
     out = step_at(state, lambda x: np.zeros_like(x), cfg, 4.0)
     assert out.positions[0] == 1.0 + dt * 2.0
@@ -233,14 +278,14 @@ def test_run_nhc_resumes_schedule():
 
 
 def test_odd_chain_length_supported():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5), chain_length=3)
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5), chain_length=3)
     state = make_state([1.0], [0.2], n_chain=3)
     out = dyn.run_trajectory(state, harmonic_grad, cfg, 100)[0]
     assert np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.chain.velocities))
 
 
 def test_nonfinite_state_aborts_with_step_index():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
     state = make_state([1.0], [np.inf])
     state.step_index = 41
     with pytest.raises(NonFiniteError, match="41"):
@@ -248,7 +293,7 @@ def test_nonfinite_state_aborts_with_step_index():
 
 
 def test_nonfinite_errors_name_quantity_and_step():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.5))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
     state = make_state([1.0], [0.5])
     state.step_index = 7
 
@@ -264,7 +309,7 @@ def test_nonfinite_errors_name_quantity_and_step():
 
 
 def test_exploding_gradient_caught_during_run():
-    cfg = dyn.IntegratorConfig(dt=0.5, schedule=dyn.TemperatureSchedule.constant(0.5))
+    cfg = dyn.IntegratorConfig(dt=0.5, schedule=dyn.TemperatureSchedule(0.5, 0.5))
     state = make_state([2.0], [0.0])
     # steep cubic-force potential diverges fast at dt=0.5
     with pytest.raises(NonFiniteError):
@@ -295,7 +340,7 @@ def test_trajectory_records_and_snapshots():
 
 
 def test_trajectory_snapshot_matches_stepwise_state():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.3))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
     state = make_state([0.7], [0.4])
     _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 6, harmonic_potential)
     stepwise = state
@@ -305,7 +350,7 @@ def test_trajectory_snapshot_matches_stepwise_state():
 
 
 def test_trajectory_without_snapshots():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.3))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
     _, traj = dyn.run_trajectory(
         make_state([1.0], [0.0]), harmonic_grad, cfg, 10, harmonic_potential, snapshot_steps=()
     )
@@ -335,7 +380,7 @@ def test_snapshot_steps_keep_only_their_rows():
     "steps", [[3, 1], [2, 2], [-1, 4], [5, 20], [[1, 2]], [0, 5, 5, 9]]
 )
 def test_snapshot_steps_validated(steps):
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.3))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
     with pytest.raises(ValueError, match="snapshot_steps"):
         dyn.run_trajectory(
             make_state([1.0], [0.0]), harmonic_grad, cfg, 20, harmonic_potential,
@@ -350,8 +395,8 @@ def test_evaluator_trajectory_equals_plain_net_closures():
     top = runner.build_topology(cfg, prep.dataset)
     kind = cfg.model.loss
 
-    def grad_fn(x):
-        return net.gradient(top, x, prep.train_inputs, prep.train_targets, kind)
+    def grad_fn(x):  # a fresh evaluator per call keeps nothing between calls
+        return net.Evaluator(top, kind, prep.train_inputs, prep.train_targets).gradient(x)
 
     def loss_train_fn(x):
         return net.loss(kind, net.forward(top, x, prep.train_inputs), prep.train_targets)
@@ -389,7 +434,7 @@ def test_evaluator_trajectory_equals_plain_net_closures():
 
 def test_harmonic_equipartition_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(t_target))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(t_target, t_target))
     state = dyn.PhaseState(
         np.array([0.0]),
         dyn.initial_velocities(1, t_target, 1),
@@ -406,7 +451,7 @@ def test_harmonic_equipartition_smoke():
 
 def test_harmonic_position_distribution_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(t_target))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(t_target, t_target))
     state = dyn.PhaseState(
         np.array([0.0]),
         dyn.initial_velocities(1, t_target, 1),
@@ -426,20 +471,20 @@ def test_harmonic_position_distribution_smoke():
 
 def test_extended_energy_conservation_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.001, schedule=dyn.TemperatureSchedule.constant(t_target))
+    cfg = dyn.IntegratorConfig(dt=0.001, schedule=dyn.TemperatureSchedule(t_target, t_target))
     state = dyn.PhaseState(
         np.array([1.0]),
         dyn.initial_velocities(1, t_target, 3),
         1.0,
         dyn.ThermostatChain.rest(2),
     )
-    e0 = dyn.extended_energy(state, harmonic_potential(state.positions), t_target)
+    e0 = extended_energy(state, harmonic_potential(state.positions), t_target)
     _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000, harmonic_potential)
     assert np.max(np.abs(traj.extended_energy - e0)) / (abs(e0) + 1.0) < 1e-3
 
 
 def test_zero_temperature_quenches():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule.constant(0.0))
+    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.0))
     state = make_state([1.5], [0.0])
     _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 50_000, harmonic_potential)
     half = len(traj) // 2

@@ -28,12 +28,9 @@ from simmering.ensemble import (
     EnsembleBundle,
     SamplingPlan,
     collect,
-    decision_grid,
-    majority_vote,
-    member_predictions,
-    regression_mean,
-    vote_counts,
-    vote_proportions,
+    evaluate,
+    grid_nodes,
+    proportions,
 )
 from simmering.net import Topology
 
@@ -218,7 +215,7 @@ def test_plan_steps_equal_the_full_capture_selection():
 
 def test_collect_takes_the_captured_plan_steps_without_a_copy():
     plan = SamplingPlan(total_iterations=60, burn_in=20, stride=3, fraction=0.5, seed=4)
-    config = IntegratorConfig(dt=0.01, schedule=TemperatureSchedule.constant(0.1))
+    config = IntegratorConfig(dt=0.01, schedule=TemperatureSchedule(0.1, 0.1))
     state = PhaseState(
         positions=np.array([0.25, 3.0]),
         velocities=np.array([0.1, -0.2]),
@@ -248,10 +245,11 @@ def test_votes_over_bundles_are_order_invariant():
     a = class_bundle([0, 0, 1])
     b = class_bundle([2, 1])
     x = np.zeros((3, 1))
-    assert np.array_equal(vote_counts([a, b], x), [[2, 2, 1]] * 3)
-    assert np.array_equal(vote_counts([a, b], x), vote_counts([b, a], x))
-    assert np.array_equal(vote_proportions([a, b], x), vote_proportions([b, a], x))
-    assert np.array_equal(majority_vote([a, b], x), majority_vote([b, a], x))
+    ab = evaluate([a, b], votes=[x]).votes[0]
+    ba = evaluate([b, a], votes=[x]).votes[0]
+    assert np.array_equal(ab, [[2, 2, 1]] * 3)
+    assert np.array_equal(ab, ba)
+    assert np.array_equal(proportions(ab), proportions(ba))
 
 
 def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
@@ -267,33 +265,33 @@ def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
     second = rng.normal(size=(5, topology.param_count))
     both = bundle(np.concatenate([first, second]))
     x = rng.normal(size=(9, 1))
-    assert np.array_equal(regression_mean([bundle(first), bundle(second)], x),
-                          regression_mean([both], x))
+    mean = evaluate([both], means=[x]).means[0]
+    assert np.array_equal(evaluate([bundle(first), bundle(second)], means=[x]).means[0], mean)
     # lazily produced bundles (as replicates read from disk) give the same bits
     lazy = (bundle(m) for m in (first, second))
-    assert np.array_equal(regression_mean(lazy, x), regression_mean([both], x))
-    assert np.array_equal(member_predictions([bundle(first), bundle(second)], x),
-                          member_predictions([both], x))
+    assert np.array_equal(evaluate(lazy, means=[x]).means[0], mean)
+    assert np.array_equal(evaluate([bundle(first), bundle(second)], members=[x]).members[0],
+                          evaluate([both], members=[x]).members[0])
 
 
 def test_pool_rejects_mismatches():
     x = np.zeros((1, 1))
     with pytest.raises(ValueError, match="nothing to pool"):
-        vote_counts([], x)
+        evaluate([], votes=[x])
     a = class_bundle([0])
     b = class_bundle([0], n_classes=4)
     with pytest.raises(ValueError, match="cannot pool bundles with different topologies"):
-        vote_counts([a, b], x)
+        evaluate([a, b], votes=[x])
     c = class_bundle([0])
     c.scaler = identity_scaler(1)  # now scales targets, unlike a's scaler
     with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        vote_counts([a, c], x)
+        evaluate([a, c], votes=[x])
     d = class_bundle([0])
     d.scaler = ScalerParams(np.array([-2.0]), np.array([1.0]))  # other feature bounds
     with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        regression_mean([a, d], x)
+        evaluate([a, d], means=[x])
     with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        member_predictions([a, class_bundle([1]), c], x)
+        evaluate([a, class_bundle([1]), c], members=[x])
 
 
 # ------------------------------------------------------------ regression
@@ -301,13 +299,13 @@ def test_pool_rejects_mismatches():
 
 def test_two_member_bundle_averages_to_zero():
     bundle = scalar_bundle([1.0, -1.0])
-    out = regression_mean([bundle], np.array([[0.0], [0.5]]))
+    out = evaluate([bundle], means=[np.array([[0.0], [0.5]])]).means[0]
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_identical_members_average_to_themselves():
     bundle = scalar_bundle([0.7, 0.7, 0.7])
-    out = regression_mean([bundle], np.array([[0.3]]))
+    out = evaluate([bundle], means=[np.array([[0.3]])]).means[0]
     assert out[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
@@ -328,7 +326,7 @@ def test_regression_mean_matches_naive_loop_oracle():
         data_mod.unscale_targets(scaler, net.forward(topology, p, scaled)) for p in members
     ]
     oracle = sum(preds) / len(preds)
-    got = regression_mean([bundle], inputs)
+    got = evaluate([bundle], means=[inputs]).means[0]
     np.testing.assert_allclose(got, oracle, rtol=1e-12)
     assert (got >= np.min(preds, axis=0) - 1e-12).all()
     assert (got <= np.max(preds, axis=0) + 1e-12).all()
@@ -342,12 +340,13 @@ def test_distribution_mean_equals_regression_mean_bitwise():
         members, np.arange(1, 18), np.zeros(17), topology, identity_scaler(1)
     )
     point = np.array([[0.25]])
-    spread = member_predictions([bundle], point)
+    pooled = evaluate([bundle], means=[point], members=[point])
+    spread = pooled.members[0]
     assert spread.shape == (17, 1, 1)
     running = np.zeros((1, 1))
     for row in spread:  # storage order, one running sum
         running += row
-    assert np.array_equal(running / 17, regression_mean([bundle], point))
+    assert np.array_equal(running / 17, pooled.means[0])
     from simmering import data as data_mod
 
     for m in range(17):
@@ -357,8 +356,9 @@ def test_distribution_mean_equals_regression_mean_bitwise():
 
 def test_single_member_distribution():
     bundle = scalar_bundle([2.5])
-    spread = member_predictions([bundle], np.array([[0.0]]))
-    mean = regression_mean([bundle], np.array([[0.0]]))
+    x = np.array([[0.0]])
+    pooled = evaluate([bundle], means=[x], members=[x])
+    spread, mean = pooled.members[0], pooled.means[0]
     assert spread.shape == (1, 1, 1)
     assert spread[0, 0, 0] == mean[0, 0] == pytest.approx(2.5, abs=1e-15)
 
@@ -367,9 +367,14 @@ def test_single_member_distribution():
 
 
 def test_majority_vote_and_tie_break():
-    assert majority_vote([class_bundle([0, 0, 1])], np.zeros((1, 1)))[0] == 0
-    assert majority_vote([class_bundle([1, 0])], np.zeros((1, 1)))[0] == 0  # tie -> low
-    assert majority_vote([class_bundle([2, 2, 1])], np.zeros((1, 1)))[0] == 2
+    # the majority is the argmax of the tally, so ties go to the lowest class
+    x = np.zeros((1, 1))
+    for preferred, tally, majority in (([0, 0, 1], [2, 1, 0], 0),
+                                       ([1, 0], [1, 1, 0], 0),
+                                       ([2, 2, 1], [0, 1, 2], 2)):
+        counts = evaluate([class_bundle(preferred)], votes=[x]).votes[0]
+        assert np.array_equal(counts, [tally])
+        assert np.argmax(counts, axis=1)[0] == np.argmax(proportions(counts), axis=1)[0] == majority
 
 
 def test_vote_counts_match_brute_force_tally():
@@ -385,17 +390,16 @@ def test_vote_counts_match_brute_force_tally():
         outputs = net.forward(topology, p, inputs)  # identity scaler: same coords
         for i, label in enumerate(np.argmax(outputs, axis=1)):
             tally[i, label] += 1
-    assert np.array_equal(vote_counts([bundle], inputs), tally)
-    assert np.array_equal(majority_vote([bundle], inputs), np.argmax(tally, axis=1))
+    assert np.array_equal(evaluate([bundle], votes=[inputs]).votes[0], tally)
 
 
 def test_unanimous_proportions_are_exactly_one_hot():
-    props = vote_proportions([class_bundle([1, 1, 1, 1])], np.zeros((1, 1)))
+    props = proportions(evaluate([class_bundle([1, 1, 1, 1])], votes=[np.zeros((1, 1))]).votes[0])
     assert np.array_equal(props, [[0.0, 1.0, 0.0]])
 
 
 def test_three_way_split_proportions():
-    props = vote_proportions([class_bundle([0, 1, 2])], np.zeros((1, 1)))
+    props = proportions(evaluate([class_bundle([0, 1, 2])], votes=[np.zeros((1, 1))]).votes[0])
     assert props.sum() == 1.0  # exact, not approximate
     np.testing.assert_allclose(props, [[1 / 3, 1 / 3, 1 / 3]], rtol=1e-15)
 
@@ -404,13 +408,13 @@ def test_three_way_split_proportions():
 @settings(max_examples=60, deadline=None)
 def test_proportions_sum_exactly_to_one(votes):
     bundle = class_bundle(votes, n_classes=5)
-    props = vote_proportions([bundle], np.zeros((2, 1)))
+    counts = evaluate([bundle], votes=[np.zeros((2, 1))]).votes[0]
+    props = proportions(counts)
     for row in props:
         assert row.sum() == 1.0
         assert (row >= 0.0).all() and (row <= 1.0).all()
-    counts = vote_counts([bundle], np.zeros((2, 1)))
     np.testing.assert_allclose(props, counts / len(votes), rtol=0, atol=1e-12)
-    assert np.array_equal(np.argmax(props, axis=1), majority_vote([bundle], np.zeros((2, 1))))
+    assert np.array_equal(np.argmax(props, axis=1), np.argmax(counts, axis=1))
 
 
 def test_binary_logit_votes_use_two_classes():
@@ -420,10 +424,9 @@ def test_binary_logit_votes_use_two_classes():
     bundle = EnsembleBundle(
         members, np.arange(1, 4), np.zeros(3), topology, identity_scaler(1, scale_targets=False)
     )
-    counts = vote_counts([bundle], np.zeros((1, 1)))
+    counts = evaluate([bundle], votes=[np.zeros((1, 1))]).votes[0]
     assert counts.shape == (1, 2)
     assert np.array_equal(counts, [[1, 2]])
-    assert majority_vote([bundle], np.zeros((1, 1)))[0] == 1
 
 
 # ------------------------------------------------------------ decision grid
@@ -436,19 +439,19 @@ def test_decision_grid_matches_direct_calls():
     bundle = EnsembleBundle(
         members, np.arange(1, 10), np.zeros(9), topology, identity_scaler(2, scale_targets=False)
     )
-    xs, ys, grid = decision_grid([bundle], ((-1, 1), (0, 2)), resolution=7)
+    xs, ys, nodes = grid_nodes(((-1, 1), (0, 2)), resolution=7)
+    grid = proportions(evaluate([bundle], votes=[nodes]).votes[0]).reshape(7, 7, -1)
     assert xs.shape == (7,) and ys.shape == (7,) and grid.shape == (7, 7, 3)
     for ix, iy in [(0, 0), (3, 5), (6, 6), (2, 1)]:
-        direct = vote_proportions([bundle], np.array([[xs[ix], ys[iy]]]))
-        assert np.array_equal(grid[ix, iy], direct[0])
+        direct = evaluate([bundle], votes=[np.array([[xs[ix], ys[iy]]])]).votes[0]
+        assert np.array_equal(grid[ix, iy], proportions(direct)[0])
     sums = grid.sum(axis=2)
     assert (sums == 1.0).all()
 
 
-def test_decision_grid_resolution_one_and_input_width_guard():
-    bundle = class_bundle([0, 1])  # 1-feature topology
-    with pytest.raises(ValueError, match="2-feature"):
-        decision_grid([bundle], ((-1, 1), (-1, 1)), 3)
+def test_decision_grid_resolution_one():
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        grid_nodes(((-1, 1), (-1, 1)), 0)
     rng = seeding.generator(2)
     topology = Topology((2, 3), ("linear",))
     wide = EnsembleBundle(
@@ -458,7 +461,8 @@ def test_decision_grid_resolution_one_and_input_width_guard():
         topology,
         identity_scaler(2, scale_targets=False),
     )
-    xs, ys, grid = decision_grid([wide], ((0.5, 1.0), (2.0, 3.0)), resolution=1)
+    xs, ys, nodes = grid_nodes(((0.5, 1.0), (2.0, 3.0)), resolution=1)
+    grid = proportions(evaluate([wide], votes=[nodes]).votes[0]).reshape(1, 1, -1)
     assert xs[0] == 0.5 and ys[0] == 2.0 and grid.shape == (1, 1, 3)
 
 
@@ -472,17 +476,13 @@ def test_distribution_width_tracks_temperature():
     x = np.zeros((1, 1))
     y = np.full((1, 1), 3.0)
 
-    def grad_fn(p):
-        return net.gradient(topology, p, x, y, "sse")
-
-    def loss_fn(p):
-        return net.loss("sse", net.forward(topology, p, x), y)
+    evaluator = net.Evaluator(topology, "sse", x, y)
 
     spreads = {}
     for temperature in (0.5, 1e-4):
         config = IntegratorConfig(
             dt=0.01,
-            schedule=TemperatureSchedule.constant(temperature),
+            schedule=TemperatureSchedule(temperature, temperature),
             chain_length=2,
             chain_mass=max(temperature, 1e-4) / 2.0,  # stiffness of (b-3)^2 is 2
         )
@@ -492,16 +492,16 @@ def test_distribution_width_tracks_temperature():
             masses=1.0,
             chain=ThermostatChain.rest(2, mass=config.chain_mass),
         )
-        _, traj = run_trajectory(state, grad_fn, config, 20_000, loss_fn)
+        _, traj = run_trajectory(state, evaluator.gradient, config, 20_000, evaluator.loss)
         bundle = collect(
             traj,
             SamplingPlan(total_iterations=20_000, burn_in=10_000),
             topology,
             identity_scaler(1),
         )
-        spread = member_predictions([bundle], x)
-        spreads[temperature] = spread[:, 0, 0].var()
-        assert abs(regression_mean([bundle], x)[0, 0] - 3.0) < 0.5
+        pooled = evaluate([bundle], means=[x], members=[x])
+        spreads[temperature] = pooled.members[0][:, 0, 0].var()
+        assert abs(pooled.means[0][0, 0] - 3.0) < 0.5
 
     assert spreads[0.5] / max(spreads[1e-4], 1e-12) > 50.0
 
@@ -581,28 +581,31 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
             ]
             outputs = np.concatenate([out for _, _, out in chunks])
             assert np.array_equal(bits(outputs), bits(ref_outputs))
-            assert np.array_equal(bits(member_predictions(bundles, x)), bits(ref_rows))
-            assert np.array_equal(bits(regression_mean(bundles, x)), bits(ref_mean))
-            counts = vote_counts(bundles, x)
+            # member rows and votes split one job per bundle; means walk serially
+            split = evaluate(bundles, members=[x], votes=[x])
+            assert np.array_equal(bits(split.members[0]), bits(ref_rows))
+            assert np.array_equal(bits(evaluate(bundles, means=[x]).means[0]), bits(ref_mean))
+            counts = split.votes[0]
             assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
-            assert np.array_equal(bits(vote_proportions(bundles, x)), bits(ref_props))
+            assert np.array_equal(bits(proportions(counts)), bits(ref_props))
 
 
 @pytest.mark.parametrize("activation", net.ACTIVATIONS)
 @pytest.mark.parametrize("sizes", [s for s in CHUNK_TOPOLOGIES if s[0] == 2], ids=str)
 def test_chunked_decision_grid_equals_per_member_votes_bitwise(sizes, activation, monkeypatch):
     bundles = chunk_bundles(sizes, activation, seed=7)
-    xs, ys, _ = decision_grid(bundles, ((-1.5, 2.0), (-2.0, 1.0)), 60)
+    xs, ys, nodes = grid_nodes(((-1.5, 2.0), (-2.0, 1.0)), 60)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
+    assert np.array_equal(nodes, points)
     n = sum(POOLED_MEMBERS)
     ref = np.array(
         [ensemble._exact_fraction_row(row, n) for row in reference_votes(bundles, points)]
     )
     for budget in CHUNK_BUDGETS:
         monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
-        _, _, grid = decision_grid(bundles, ((-1.5, 2.0), (-2.0, 1.0)), 60)
-        assert np.array_equal(bits(grid), bits(ref.reshape(60, 60, -1)))
+        grid = proportions(evaluate(bundles, votes=[nodes]).votes[0])
+        assert np.array_equal(bits(grid), bits(ref))
 
 
 def test_chunk_size_depends_only_on_rows_and_topology():
@@ -672,20 +675,20 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     for row in ref_rows:
         ref_mean = ref_mean + row
     ref_mean = ref_mean / len(ref_rows)
-    assert np.array_equal(bits(member_predictions(bundles, x)), bits(ref_rows))
-    assert np.array_equal(bits(regression_mean(bundles, x)), bits(ref_mean))
+    assert np.array_equal(bits(evaluate(bundles, members=[x]).members[0]), bits(ref_rows))
+    assert np.array_equal(bits(evaluate(bundles, means=[x]).means[0]), bits(ref_mean))
 
     # several input sets in one pass give each set's own bits, serial
     # (lazily produced bundles) or split into one job per bundle
     y_rows = np.array([data.unscale_targets(scaler, out) for _, out in per_member_outputs(bundles, y)])
-    both = ensemble.evaluate(bundles, means=[x, y], members=[y, x])
+    both = evaluate(bundles, means=[x, y], members=[y, x])
     assert both.n_members == 16
     assert np.array_equal(bits(both.means[0]), bits(ref_mean))
-    assert np.array_equal(bits(both.means[1]), bits(regression_mean(bundles, y)))
+    assert np.array_equal(bits(both.means[1]), bits(evaluate(bundles, means=[y]).means[0]))
     assert np.array_equal(bits(both.members[0]), bits(y_rows))
     assert np.array_equal(bits(both.members[1]), bits(ref_rows))
-    split = ensemble.evaluate(bundles, members=[y, x], votes=[x])
-    serial = ensemble.evaluate(iter(bundles), members=[y, x], votes=[x])
+    split = evaluate(bundles, members=[y, x], votes=[x])
+    serial = evaluate(iter(bundles), members=[y, x], votes=[x])
     for pooled in (split, serial):
         assert pooled.n_members == 16
         assert np.array_equal(bits(pooled.members[0]), bits(y_rows))
@@ -708,5 +711,5 @@ def test_walk_holds_one_lazily_read_bundle_at_a_time():
     for _, _, _ in ensemble._member_outputs(lazily(), [x, x]):
         assert sum(ref() is not None for ref in alive) == 1
     assert len(alive) == 4
-    ensemble.evaluate(lazily(), means=[x], members=[x])
+    evaluate(lazily(), means=[x], members=[x])
     assert all(ref() is None for ref in alive)

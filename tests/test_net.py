@@ -398,7 +398,7 @@ def test_gradient_matches_fd(kind):
         top, params, x, y = make_case(r, kind)
         if not relu_safe(top, params, x):
             continue
-        g = net.gradient(top, params, x, y, kind)
+        g = net.Evaluator(top, kind, x, y).gradient(params)
         g_fd = fd_gradient(top, params, x, y, kind)
         assert max_rel_err(g, g_fd) < 1e-6
         done += 1
@@ -409,7 +409,7 @@ def test_gradient_zero_at_perfect_sse_fit():
     params = rng(9).normal(size=top.param_count)
     x = rng(10).normal(size=(5, 1))
     y = net.forward(top, params, x)
-    g = net.gradient(top, params, x, y, "sse")
+    g = net.Evaluator(top, "sse", x, y).gradient(params)
     assert np.all(g == 0.0)
 
 
@@ -418,15 +418,17 @@ def test_loss_and_gradient_consistent():
     params = rng(11).normal(size=top.param_count)
     x = rng(12).normal(size=(6, 2))
     y = rng(13).normal(size=(6, 2))
-    v, g = net.loss_and_gradient(top, params, x, y, "mse")
-    assert v == net.loss("mse", net.forward(top, params, x), y)
-    np.testing.assert_array_equal(g, net.gradient(top, params, x, y, "mse"))
+    ev = net.Evaluator(top, "mse", x, y)
+    v, g = ev.loss_and_gradient(params)
+    g = g.copy()  # the next call overwrites the evaluator's buffer
+    assert v == ev.loss(params) == net.loss("mse", net.forward(top, params, x), y)
+    np.testing.assert_array_equal(g, ev.gradient(params))
 
 
 def test_gradient_empty_batch_rejected():
     top = Topology((1, 1), ("linear",))
     with pytest.raises(ValueError):
-        net.gradient(top, np.zeros(2), np.zeros((0, 1)), np.zeros((0, 1)), "sse")
+        net.Evaluator(top, "sse", np.zeros((0, 1)), np.zeros((0, 1))).gradient(np.zeros(2))
 
 
 def test_gradient_nonfinite_params_flagged():
@@ -434,7 +436,7 @@ def test_gradient_nonfinite_params_flagged():
     params = np.zeros(top.param_count)
     params[0] = np.nan
     with pytest.raises(NonFiniteError):
-        net.gradient(top, params, np.ones((2, 1)), np.ones((2, 1)), "sse")
+        net.Evaluator(top, "sse", np.ones((2, 1)), np.ones((2, 1))).gradient(params)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +542,6 @@ def test_evaluator_rejects_bad_data_at_construction(kind, x, y, error, match):
     top = Topology((2, 1), ("linear",))
     with pytest.raises(error, match=match):
         net.Evaluator(top, kind, x, y)
-    with pytest.raises(error, match=match):
-        net.loss_and_gradient(top, np.zeros(top.param_count), x, y, kind)
 
 
 def test_evaluator_rejects_non_one_hot_targets():

@@ -116,7 +116,7 @@ def test_quadratic_matches_hand_rolled_recurrence_exactly():
 def test_losses_are_recorded_after_each_update():
     topology, params0, x, y = quadratic_problem()
     report = train_adam(topology, params0, x, y, x, y, "sse", epochs=2, alpha=0.01)
-    _, g0 = net.loss_and_gradient(topology, params0, x, y, "sse")
+    _, g0 = net.Evaluator(topology, "sse", x, y).loss_and_gradient(params0)
     after_first, _ = adam_step(params0, g0, AdamState.fresh(2, alpha=0.01))
     assert report.train_losses[0] == net.loss(
         "sse", net.forward(topology, after_first, x), y
