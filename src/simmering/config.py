@@ -5,7 +5,11 @@ and optionally ``adam``, ``simmer`` and ``sampling``, plus top-level
 ``name``, ``seed`` and ``replicates``.  Parsing is strict: unknown keys,
 missing required keys, wrong types, and out-of-range values all raise
 :class:`ConfigError` carrying the dotted path of the offending field
-(e.g. ``simmer.schedule.t_step``).
+(e.g. ``simmer.schedule.t_step``).  This is the one place the sampler's
+settings are checked: ``simmer.schedule`` parses into
+:class:`dynamics.TemperatureSchedule` and ``sampling`` into
+:class:`ensemble.SamplingPlan`, the types the integrator and the member
+choice run on, and neither type checks its ranges again.
 
 ``from_dict``/``to_dict`` round-trip losslessly; ``load_config`` adds one
 normalization on top of that: relative CSV/schema paths in ``data`` are
@@ -17,10 +21,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import net
+from .dynamics import TemperatureSchedule
+from .ensemble import SamplingPlan
 
 DATA_KINDS = ("noisy_sine", "csv")
 INITIALIZERS = ("glorot_normal", "stratified_glorot")
@@ -115,30 +121,13 @@ class AdamConfig:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    """Step-wise thermostat temperature ramp (constant when initial == target)."""
-
-    t_initial: float
-    t_target: float
-    t_step: float = 1.0
-    hold_iterations: int = 1
-
-
-@dataclass(frozen=True)
 class SimmerConfig:
     dt: float
     iterations: int
-    schedule: ScheduleConfig
+    schedule: TemperatureSchedule
     chain_length: int = 2
     chain_mass: float = 1.0
     particle_mass: float = 1.0
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    burn_in: int
-    stride: int = 1
-    fraction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ class ExperimentConfig:
     model: ModelConfig
     adam: Optional[AdamConfig] = None
     simmer: Optional[SimmerConfig] = None
-    sampling: Optional[SamplingConfig] = None
+    sampling: Optional[SamplingPlan] = None
     replicates: int = 1
 
 
@@ -214,7 +203,7 @@ def _parse_adam(raw, path: str) -> AdamConfig:
     return AdamConfig(alpha=alpha, epochs=epochs)
 
 
-def _parse_schedule(raw, path: str) -> ScheduleConfig:
+def _parse_schedule(raw, path: str) -> TemperatureSchedule:
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
     _check_unknown(raw, ("t_initial", "t_target", "t_step", "hold_iterations"), path)
@@ -222,7 +211,9 @@ def _parse_schedule(raw, path: str) -> ScheduleConfig:
     t_target = _as_float(_get(raw, "t_target", path, required=True), _join(path, "t_target"), minimum=0.0)
     t_step = _as_float(_get(raw, "t_step", path, False, 1.0), _join(path, "t_step"), minimum=0.0, exclusive=True)
     hold = _as_int(_get(raw, "hold_iterations", path, False, 1), _join(path, "hold_iterations"), minimum=1)
-    return ScheduleConfig(t_initial=t_initial, t_target=t_target, t_step=t_step, hold_iterations=hold)
+    if t_target < t_initial:
+        _fail(_join(path, "t_target"), f"must be >= t_initial ({t_initial}), got {t_target}")
+    return TemperatureSchedule(t_initial=t_initial, t_target=t_target, t_step=t_step, hold_iterations=hold)
 
 
 def _parse_simmer(raw, path: str) -> SimmerConfig:
@@ -247,7 +238,7 @@ def _parse_simmer(raw, path: str) -> SimmerConfig:
     )
 
 
-def _parse_sampling(raw, path: str) -> SamplingConfig:
+def _parse_sampling(raw, path: str) -> SamplingPlan:
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
     _check_unknown(raw, ("burn_in", "stride", "fraction"), path)
@@ -256,7 +247,7 @@ def _parse_sampling(raw, path: str) -> SamplingConfig:
     fraction = _as_float(_get(raw, "fraction", path, False, 1.0), _join(path, "fraction"), minimum=0.0, exclusive=True)
     if fraction > 1.0:
         _fail(_join(path, "fraction"), f"must be <= 1, got {fraction}")
-    return SamplingConfig(burn_in=burn_in, stride=stride, fraction=fraction)
+    return SamplingPlan(burn_in=burn_in, stride=stride, fraction=fraction)
 
 
 _TOP_KEYS = ("name", "seed", "data", "model", "adam", "simmer", "sampling", "replicates")
@@ -284,10 +275,17 @@ def from_dict(raw: dict) -> ExperimentConfig:
     if sampling is not None:
         sampling = _parse_sampling(sampling, "sampling")
 
-    if simmer is not None and sampling is None:
-        _fail("sampling", "required when a simmer section is present")
-    if simmer is not None and sampling.burn_in >= simmer.iterations:
-        _fail("sampling.burn_in", f"must be < simmer.iterations ({simmer.iterations})")
+    if simmer is not None:
+        if sampling is None:
+            _fail("sampling", "required when a simmer section is present")
+        if sampling.burn_in >= simmer.iterations:
+            _fail("sampling.burn_in", f"must be < simmer.iterations ({simmer.iterations})")
+        window, n_keep = sampling.window(simmer.iterations)
+        if n_keep < 1:
+            _fail(
+                "sampling.fraction",
+                f"{sampling.fraction} of the {window.size} steps after burn_in and stride keeps none",
+            )
     if adam is None and simmer is None:
         _fail("", "config needs at least one of 'adam' or 'simmer'")
     return ExperimentConfig(
@@ -372,17 +370,6 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("data.path", f"file not found: {csv_path}")
         if not os.path.exists(schema_path):
             raise ConfigError("data.schema", f"file not found: {schema_path}")
-        cfg = ExperimentConfig(
-            name=cfg.name,
-            seed=cfg.seed,
-            data=DataConfig(
-                kind="csv", n_train=cfg.data.n_train, path=csv_path, schema=schema_path
-            ),
-            model=cfg.model,
-            adam=cfg.adam,
-            simmer=cfg.simmer,
-            sampling=cfg.sampling,
-            replicates=cfg.replicates,
-        )
+        cfg = replace(cfg, data=replace(cfg.data, path=csv_path, schema=schema_path))
     return cfg
 

@@ -23,11 +23,14 @@ Chain velocity updates use exponential friction factors
 ``v' = v * exp(-c*dt*w) + c*dt*a * exp(-c*dt*w/2)`` where ``w`` is the
 velocity of the next link up (zero past the end of the chain).
 
-:func:`run_trajectory` is the one integrator loop.  It records one row per
-step, and the parameter vectors of the steps it is asked to keep, when
-given a train-loss function, and nothing otherwise.  A non-finite quantity
-aborts the loop with a :class:`~simmering.net.NonFiniteError` naming the
-quantity and the step index.
+:func:`run_trajectory` is the one integrator loop.  It takes the time
+step and a :class:`TemperatureSchedule`, the type a config's
+``simmer.schedule`` section parses into; the config parser checks the
+schedule's ranges, once, and this module trusts them.  The loop records one
+row per step, and the parameter vectors of the steps it is asked to keep,
+when given a train-loss function, and nothing otherwise.  A non-finite
+quantity aborts the loop with a :class:`~simmering.net.NonFiniteError`
+naming the quantity and the step index.
 
 All state is float64.  Steps are deterministic; the only randomness in the
 module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
@@ -118,22 +121,15 @@ class TemperatureSchedule:
 
     ``at(i) = min(t_target, t_initial + t_step * (i // hold_iterations))``.
     A constant schedule is the degenerate ramp with ``t_initial == t_target``.
+    ``config`` builds it from ``simmer.schedule`` and checks the ranges
+    there: ``0 <= t_initial <= t_target``, ``t_step > 0`` and
+    ``hold_iterations >= 1``.
     """
 
     t_initial: float
     t_target: float
     t_step: float = 1.0
     hold_iterations: int = 1
-
-    def __post_init__(self):
-        if self.t_initial < 0.0 or self.t_target < 0.0:
-            raise ValueError("temperatures must be >= 0")
-        if self.t_target < self.t_initial:
-            raise ValueError("schedule must be non-decreasing (t_target >= t_initial)")
-        if self.t_step <= 0.0:
-            raise ValueError("temperature increment must be > 0")
-        if self.hold_iterations < 1:
-            raise ValueError("hold_iterations must be >= 1")
 
     def at(self, iteration: int) -> float:
         if iteration < 0:
@@ -142,25 +138,6 @@ class TemperatureSchedule:
             self.t_target,
             self.t_initial + self.t_step * (iteration // self.hold_iterations),
         )
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Time step, chain geometry and the temperature protocol."""
-
-    dt: float
-    schedule: TemperatureSchedule
-    chain_length: int = 2
-    chain_mass: float = 1.0
-    particle_mass: float = 1.0
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.chain_length < 1:
-            raise ValueError("chain_length must be >= 1")
-        if self.chain_mass <= 0.0 or self.particle_mass <= 0.0:
-            raise ValueError("masses must be positive")
 
 
 def initial_velocities(n: int, temperature: float, seed) -> np.ndarray:
@@ -275,7 +252,8 @@ class Trajectory:
 def run_trajectory(
     state: PhaseState,
     grad_fn,
-    config: IntegratorConfig,
+    dt: float,
+    schedule: TemperatureSchedule,
     n_steps: int,
     loss_train_fn=None,
     loss_test_fn=None,
@@ -283,8 +261,9 @@ def run_trajectory(
 ) -> tuple[PhaseState, Trajectory | None]:
     """Advance ``n_steps``; the one integrator loop; pure.
 
-    The target temperature follows ``config.schedule`` evaluated at the
-    state's running step index, so a ramp continues correctly across calls.
+    Each step advances by ``dt``, and the target temperature follows
+    ``schedule`` evaluated at the state's running step index, so a ramp
+    continues correctly across calls.
 
     Without ``loss_train_fn`` nothing is recorded and the trajectory is
     ``None``.  With it, one row per step is recorded: ``loss_train_fn(x)``
@@ -315,7 +294,6 @@ def run_trajectory(
     vs = out.chain.velocities.tolist()
     q = out.chain.masses.tolist()
     x, v, m = out.positions, out.velocities, out.masses
-    schedule = config.schedule
     n = x.shape[0]
     n_c = len(s)
     record = loss_train_fn is not None
@@ -336,7 +314,7 @@ def run_trajectory(
     for i in range(n_steps):
         idx = out.step_index + i
         t_now = schedule.at(idx)
-        sum_mv2 = _advance(x, v, m, s, vs, q, config.dt, t_now, grad_fn, idx, sum_mv2)
+        sum_mv2 = _advance(x, v, m, s, vs, q, dt, t_now, grad_fn, idx, sum_mv2)
         if not record:
             continue
 

@@ -1,5 +1,10 @@
 """Ensembles of sampled parameter vectors and their aggregate predictions.
 
+The member choice is made once, before integrating:
+:meth:`SamplingPlan.steps` draws the record indices, the integrator
+captures only those states, and :func:`collect` turns what it captured
+into a bundle.
+
 A bundle stores raw parameter snapshots, never predictions; members are
 re-evaluated on demand.  Every prediction takes a sequence of bundles (one
 per replicate, in replicate order) and reduces over one walk of their
@@ -49,42 +54,32 @@ CHUNK_VALUES = 1 << 16
 class SamplingPlan:
     """Which trajectory records become ensemble members.
 
-    Records from the first ``burn_in`` iterations are discarded, the
-    remainder is stride-thinned, and ``fraction`` of those (if < 1) is
-    drawn uniformly without replacement under the plan seed and replicate
-    index (so replicated runs subsample independently).  The choice
-    depends on nothing the integrator computes, so it is made before
-    integrating and only the members' states are ever captured.
+    The type a config's ``sampling`` section parses into; the config
+    parser checks its ranges, once.  Records from the first ``burn_in``
+    iterations are discarded, the remainder is stride-thinned, and
+    ``fraction`` of those (if < 1) is drawn uniformly without replacement
+    under the run seed and replicate index (so replicated runs subsample
+    independently).  The choice depends on nothing the integrator
+    computes, so it is made before integrating and only the members'
+    states are ever captured.
     """
 
-    total_iterations: int
     burn_in: int
     stride: int = 1
     fraction: float = 1.0
-    seed: int = 0
-    replicate: int = 0
 
-    def __post_init__(self):
-        if self.total_iterations < 1:
-            raise ValueError("total_iterations must be >= 1")
-        if not 0 <= self.burn_in < self.total_iterations:
-            raise ValueError("burn_in must lie in [0, total_iterations)")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
-        if self.replicate < 0:
-            raise ValueError("replicate must be >= 0")
+    def window(self, iterations: int) -> tuple[np.ndarray, int]:
+        """The record indices left after burn-in and stride, and how many
+        of them :meth:`steps` keeps."""
+        window = np.arange(self.burn_in, iterations, self.stride, dtype=np.int64)
+        return window, int(round(window.size * self.fraction))
 
-    def steps(self) -> np.ndarray:
-        """Sorted 0-based record indices of the members."""
-        window = np.arange(self.burn_in, self.total_iterations, self.stride, dtype=np.int64)
+    def steps(self, iterations: int, seed: int, replicate: int) -> np.ndarray:
+        """Sorted 0-based record indices of the members of one run."""
+        window, n_keep = self.window(iterations)
         if self.fraction == 1.0:
             return window
-        n_keep = int(round(window.size * self.fraction))
-        if n_keep < 1:
-            raise ValueError(f"fraction {self.fraction} of {window.size} snapshots keeps none")
-        rng = seeding.stream(self.seed, "subsample", self.replicate)
+        rng = seeding.stream(seed, "subsample", replicate)
         return window[np.sort(rng.choice(window.size, size=n_keep, replace=False))]
 
 
@@ -120,37 +115,18 @@ class EnsembleBundle:
         return int(self.members.shape[0])
 
 
-def collect(
-    trajectory: Trajectory,
-    plan: SamplingPlan,
-    topology: Topology,
-    scaler: ScalerParams,
-) -> EnsembleBundle:
-    """Pick the plan's members out of the trajectory's snapshots.
+def collect(trajectory: Trajectory, topology: Topology, scaler: ScalerParams) -> EnsembleBundle:
+    """The bundle of the members ``trajectory`` kept.
 
-    A trajectory that captured exactly ``plan.steps()`` hands its snapshot
-    matrix to the bundle as is, without a copy.
+    The trajectory captured only the members' states, at the records
+    :meth:`SamplingPlan.steps` chose, so its snapshot matrix becomes the
+    bundle's members as is, without a copy.
     """
-    if len(trajectory) != plan.total_iterations:
-        raise ValueError(
-            f"plan describes {plan.total_iterations} iterations but the "
-            f"trajectory has {len(trajectory)}"
-        )
-    steps = plan.steps()
-    captured = trajectory.snapshot_positions
-    if np.array_equal(captured, steps):
-        members = trajectory.snapshots
-    else:
-        missing = np.setdiff1d(steps, captured)
-        if missing.size:
-            raise ValueError(
-                f"no snapshot survives at record {missing[0]}, which the plan keeps"
-            )
-        members = trajectory.snapshots[np.searchsorted(captured, steps)]
+    positions = trajectory.snapshot_positions
     return EnsembleBundle(
-        members=members,
-        iterations=steps + 1,
-        temperatures=trajectory.temperature[steps],
+        members=trajectory.snapshots,
+        iterations=positions + 1,
+        temperatures=trajectory.temperature[positions],
         topology=topology,
         scaler=scaler,
     )

@@ -131,7 +131,8 @@ def velocity_estimate(x_last: np.ndarray, x_prev: np.ndarray, gamma: float) -> n
 
 
 def retrofit_init(
-    report: AdamReport,
+    final_params: np.ndarray,
+    penultimate_params: np.ndarray,
     gamma: float,
     chain_length: int = 2,
     chain_mass: float = 1.0,
@@ -140,11 +141,12 @@ def retrofit_init(
     """Phase-space start for simmering from an Adam endpoint.
 
     Positions are the final Adam iterate (the same bits, copied), velocities
-    the last-displacement estimate, and the thermostat chain starts at rest.
+    the last-displacement estimate from the last two iterates, and the
+    thermostat chain starts at rest.
     """
-    velocities = velocity_estimate(report.final_params, report.penultimate_params, gamma)
+    velocities = velocity_estimate(final_params, penultimate_params, gamma)
     return PhaseState(
-        positions=report.final_params.copy(),
+        positions=final_params.copy(),
         velocities=velocities,
         masses=float(particle_mass),
         chain=ThermostatChain.rest(chain_length, mass=chain_mass),

@@ -35,14 +35,7 @@ import numpy as np
 
 from . import data, diagnostics, ensemble, net, optimize, parallel, seeding
 from .config import BUILTIN_PREFIX, ConfigError, ExperimentConfig, from_dict, to_dict
-from .dynamics import (
-    IntegratorConfig,
-    PhaseState,
-    TemperatureSchedule,
-    ThermostatChain,
-    initial_velocities,
-    run_trajectory,
-)
+from .dynamics import PhaseState, ThermostatChain, initial_velocities, run_trajectory
 
 TRAJECTORY_HEADER = "iteration,T_target,T_kinetic,loss_train,loss_test,extended_energy"
 LOSSES_HEADER = "epoch,loss_train,loss_test"
@@ -374,19 +367,6 @@ def _write_losses_csv(path: str, report: optimize.AdamReport):
             )
 
 
-def _read_losses_csv(path: str):
-    train, test = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != LOSSES_HEADER:
-            raise ValueError(f"unexpected losses.csv header: {header!r}")
-        for line in fh:
-            _, lt, le = line.strip().split(",")
-            train.append(float(lt))
-            test.append(float(le))
-    return np.asarray(train), np.asarray(test)
-
-
 def _write_trajectory_csv(path: str, traj):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
@@ -479,55 +459,30 @@ def _loss_fns(cfg, topology, prep):
     return train.gradient, train.loss, test.loss
 
 
-def _integrator_config(cfg) -> IntegratorConfig:
-    s = cfg.simmer.schedule
-    schedule = TemperatureSchedule(
-        t_initial=s.t_initial,
-        t_target=s.t_target,
-        t_step=s.t_step,
-        hold_iterations=s.hold_iterations,
-    )
-    return IntegratorConfig(
-        dt=cfg.simmer.dt,
-        schedule=schedule,
-        chain_length=cfg.simmer.chain_length,
-        chain_mass=cfg.simmer.chain_mass,
-        particle_mass=cfg.simmer.particle_mass,
-    )
-
-
 def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
     """Integrate one replicate, write its trajectory and bundle, return the bundle.
 
     The members are chosen before integrating, and only their states are
     captured.
     """
-    samp = cfg.sampling
-    plan = ensemble.SamplingPlan(
-        total_iterations=cfg.simmer.iterations,
-        burn_in=samp.burn_in,
-        stride=samp.stride,
-        fraction=samp.fraction,
-        seed=cfg.seed,
-        replicate=replicate,
-    )
+    simmer = cfg.simmer
     os.makedirs(rep_dir, exist_ok=True)
     grad_fn, loss_train_fn, loss_test_fn = _loss_fns(cfg, topology, prep)
-    integ = _integrator_config(cfg)
     try:
         _, traj = run_trajectory(
             state,
             grad_fn,
-            integ,
-            cfg.simmer.iterations,
+            simmer.dt,
+            simmer.schedule,
+            simmer.iterations,
             loss_train_fn,
             loss_test_fn,
-            plan.steps(),
+            cfg.sampling.steps(simmer.iterations, cfg.seed, replicate),
         )
     except net.NonFiniteError as exc:
         raise net.NonFiniteError(f"replicate {replicate}: {exc}") from exc
     _write_trajectory_csv(os.path.join(rep_dir, "trajectory.csv"), traj)
-    bundle = ensemble.collect(traj, plan, topology, prep.scaler)
+    bundle = ensemble.collect(traj, topology, prep.scaler)
     write_bundle(rep_dir, bundle)
     return bundle
 
@@ -635,17 +590,9 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         adam_rep = _replicate_dir(adam_run, r)
         final = read_snapshot(adam_rep, "final", topology)
         penultimate = read_snapshot(adam_rep, "penultimate", topology)
-        train_losses, test_losses = _read_losses_csv(os.path.join(adam_rep, "losses.csv"))
-        report = optimize.AdamReport(
-            train_losses=train_losses,
-            test_losses=test_losses,
-            final_params=final,
-            penultimate_params=penultimate,
-            alpha=stored.adam.alpha,
-            epochs=stored.adam.epochs,
-        )
         state = optimize.retrofit_init(
-            report,
+            final,
+            penultimate,
             gamma=stored.adam.alpha,
             chain_length=cfg.simmer.chain_length,
             chain_mass=cfg.simmer.chain_mass,

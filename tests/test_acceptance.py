@@ -18,7 +18,6 @@ from scipy import stats
 from simmering import data, diagnostics, ensemble, net, optimize, parallel, runner, seeding
 from simmering.config import from_dict
 from simmering.dynamics import (
-    IntegratorConfig,
     PhaseState,
     TemperatureSchedule,
     ThermostatChain,
@@ -117,10 +116,9 @@ def _harmonic_state(temperature, chain_mass, seed):
     )
 
 
-def _constant_config(temperature, dt):
-    sched = TemperatureSchedule(t_initial=temperature, t_target=temperature,
-                                t_step=1.0, hold_iterations=1)
-    return IntegratorConfig(dt=dt, schedule=sched, chain_length=2)
+def _constant_schedule(temperature):
+    return TemperatureSchedule(t_initial=temperature, t_target=temperature,
+                               t_step=1.0, hold_iterations=1)
 
 
 def _harmonic_sample(temperature):
@@ -130,10 +128,10 @@ def _harmonic_sample(temperature):
     t0 = time.time()
     # chain mass on the oscillator scale keeps the chain resonant
     state = _harmonic_state(temperature, chain_mass=temperature, seed=1)
-    cfg = _constant_config(temperature, dt=0.002)
-    state, _ = run_trajectory(state, grad, cfg, 100_000, pot,
+    schedule = _constant_schedule(temperature)
+    state, _ = run_trajectory(state, grad, 0.002, schedule, 100_000, pot,
                               snapshot_steps=())
-    state, traj = run_trajectory(state, grad, cfg, 2_000_000, pot,
+    state, traj = run_trajectory(state, grad, 0.002, schedule, 2_000_000, pot,
                                  snapshot_steps=range(0, 2_000_000, 1))
     elapsed = time.time() - t0
     x = traj.snapshots[:, 0]
@@ -165,7 +163,7 @@ def test_extended_energy_is_conserved():
     grad = lambda x: x
     pot = lambda x: float(0.5 * x[0] ** 2)
     state = _harmonic_state(0.5, chain_mass=0.5, seed=1)
-    _, traj = run_trajectory(state, grad, _constant_config(0.5, dt=0.001),
+    _, traj = run_trajectory(state, grad, 0.001, _constant_schedule(0.5),
                              100_000, pot, snapshot_steps=())
     e = traj.extended_energy
     drift = abs(float(e[-1] - e[0])) / abs(float(e[0]))
@@ -281,7 +279,7 @@ def test_handoff_is_exact():
     y = np.sin(x)
     params0 = net.init_glorot_normal(top, seeding.child_seed(3, "weights"))
     report = optimize.train_adam(top, params0, x, y, x, y, "sse", epochs=50, alpha=0.002)
-    state = optimize.retrofit_init(report, gamma=0.002)
+    state = optimize.retrofit_init(report.final_params, report.penultimate_params, gamma=0.002)
     bits_equal = state.positions.tobytes() == report.final_params.tobytes()
 
     worst = 0.0

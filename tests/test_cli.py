@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from simmering import data, ensemble, net, runner, seeding
+from simmering import data, net, runner, seeding
 from simmering.cli import main
 from simmering.config import from_dict
 from simmering.dynamics import PhaseState, ThermostatChain, initial_velocities, run_trajectory
@@ -406,6 +406,30 @@ def test_config_field_error_is_machine_parsable(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (lambda r: r["simmer"]["schedule"].update(t_initial=0.5, t_target=0.1),
+         "simmer.schedule.t_target"),
+        (lambda r: r["sampling"].update(fraction=1e-6), "sampling.fraction"),
+    ],
+    ids=["decreasing-schedule", "fraction-keeps-none"],
+)
+def test_retrofit_refuses_a_bad_sampler_config_before_writing(tmp_path, capsys, mutate, path):
+    adam = tmp_path / "a"
+    assert main(["train-adam", "--config", write_config(tmp_path), "--out", str(adam)]) == 0
+    raw = tiny_config_dict()
+    mutate(raw)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "r"
+    assert main(["retrofit", "--config", str(p), "--from-run", str(adam), "--out", str(out)]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag,value,message",
     [("--seed", "-1", "seed: must be >= 0, got -1"),
      ("--replicates", "0", "replicates: must be >= 1, got 0")],
@@ -571,7 +595,6 @@ def test_simmer_members_equal_collect_over_full_capture(tmp_path):
     prep = runner.prepare_data(cfg)
     topology = runner.build_topology(cfg, prep.dataset)
     grad_fn, loss_train_fn, loss_test_fn = runner._loss_fns(cfg, topology, prep)
-    samp = cfg.sampling
     for r in range(cfg.replicates):
         state = PhaseState(
             positions=runner.initial_params(cfg, topology, r),
@@ -582,19 +605,17 @@ def test_simmer_members_equal_collect_over_full_capture(tmp_path):
             chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
         )
         _, traj = run_trajectory(
-            state, grad_fn, runner._integrator_config(cfg), cfg.simmer.iterations,
+            state, grad_fn, cfg.simmer.dt, cfg.simmer.schedule, cfg.simmer.iterations,
             loss_train_fn, loss_test_fn,
         )
         assert traj.snapshots.shape[0] == cfg.simmer.iterations
-        plan = ensemble.SamplingPlan(
-            cfg.simmer.iterations, samp.burn_in, samp.stride, samp.fraction, cfg.seed, r
-        )
-        bundle = ensemble.collect(traj, plan, topology, prep.scaler)
+        steps = cfg.sampling.steps(cfg.simmer.iterations, cfg.seed, r)
         rep = out / f"replicate_{r:02d}"
-        assert read_bytes(rep / "ensemble_members.bin") == bundle.members.astype("<f8").tobytes()
+        members = traj.snapshots[steps]
+        assert read_bytes(rep / "ensemble_members.bin") == members.astype("<f8").tobytes()
         sidecar = json.load(open(rep / "ensemble.json"))
-        assert sidecar["iterations"] == bundle.iterations.tolist()
-        assert sidecar["temperatures"] == bundle.temperatures.tolist()
+        assert sidecar["iterations"] == (steps + 1).tolist()
+        assert sidecar["temperatures"] == traj.temperature[steps].tolist()
 
 
 def test_bad_at_flag_text(tmp_path, capsys):

@@ -128,6 +128,30 @@ def test_csv_builtin_config():
         (lambda r: r["sampling"].update(fraction=0.0), "sampling.fraction"),
         (lambda r: r["sampling"].update(fraction=1.5), "sampling.fraction"),
         (lambda r: r["sampling"].update(stride=0), "sampling.stride"),
+        pytest.param(
+            lambda r: r["simmer"]["schedule"].update(t_initial=0.5, t_target=0.1),
+            "simmer.schedule.t_target",
+            id="decreasing-schedule",
+        ),
+        pytest.param(
+            lambda r: r["sampling"].update(fraction=1e-6),
+            "sampling.fraction",
+            id="fraction-keeps-none",
+        ),
+        pytest.param(
+            lambda r: r["sampling"].update(burn_in=-1), "sampling.burn_in", id="negative-burn-in"
+        ),
+        pytest.param(
+            lambda r: r["simmer"].update(chain_length=0), "simmer.chain_length", id="no-chain"
+        ),
+        pytest.param(
+            lambda r: r["simmer"].update(chain_mass=0.0), "simmer.chain_mass", id="massless-chain"
+        ),
+        pytest.param(
+            lambda r: r["simmer"].update(particle_mass=-1.0),
+            "simmer.particle_mass",
+            id="negative-particle-mass",
+        ),
     ],
 )
 def test_validation_errors_carry_field_paths(mutate, path_fragment):
@@ -136,6 +160,7 @@ def test_validation_errors_carry_field_paths(mutate, path_fragment):
     with pytest.raises(ConfigError) as err:
         from_dict(raw)
     assert path_fragment in str(err.value)
+    assert err.value.path == path_fragment
 
 
 def test_csv_without_schema_rejected():
@@ -237,3 +262,28 @@ def test_constant_schedule_accepted():
     assert cfg.simmer.schedule.t_initial == cfg.simmer.schedule.t_target == 0.002
     assert cfg.simmer.schedule.t_step == 1.0
     assert cfg.simmer.schedule.hold_iterations == 1
+
+
+def test_to_dict_writes_the_keys_in_a_fixed_order():
+    # resolved_config.json is to_dict's output; a change to its key order
+    # changes the bytes of every run directory
+    assert json.dumps(to_dict(from_dict(sine_dict()))) == (
+        '{"name": "sine", "seed": 0, "replicates": 2, "data": {"kind": "noisy_sine", '
+        '"n_train": 65, "n_points": 101, "noise_amp": 0.1}, "model": {"hidden": [20, 20], '
+        '"activations": ["tanh", "tanh", "linear"], "loss": "sse", "init": "glorot_normal"}, '
+        '"adam": {"alpha": 0.002, "epochs": 2000}, "simmer": {"dt": 0.002, "iterations": 10000, '
+        '"chain_length": 2, "chain_mass": 1.0, "particle_mass": 1.0, "schedule": '
+        '{"t_initial": 0.0, "t_target": 0.05, "t_step": 0.01, "hold_iterations": 1000}}, '
+        '"sampling": {"burn_in": 7000, "stride": 1, "fraction": 1.0}}'
+    )
+    raw = sine_dict()
+    raw["data"] = {"kind": "csv", "path": "builtin:auto_mpg_s", "n_train": 313}
+    assert json.dumps(to_dict(from_dict(raw))) == (
+        '{"name": "sine", "seed": 0, "replicates": 2, "data": {"kind": "csv", '
+        '"n_train": 313, "path": "builtin:auto_mpg_s"}, "model": {"hidden": [20, 20], '
+        '"activations": ["tanh", "tanh", "linear"], "loss": "sse", "init": "glorot_normal"}, '
+        '"adam": {"alpha": 0.002, "epochs": 2000}, "simmer": {"dt": 0.002, "iterations": 10000, '
+        '"chain_length": 2, "chain_mass": 1.0, "particle_mass": 1.0, "schedule": '
+        '{"t_initial": 0.0, "t_target": 0.05, "t_step": 0.01, "hold_iterations": 1000}}, '
+        '"sampling": {"burn_in": 7000, "stride": 1, "fraction": 1.0}}'
+    )

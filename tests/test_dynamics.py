@@ -6,7 +6,6 @@ runs (see test_acceptance.py); they catch gross integrator errors quickly.
 
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,10 +58,10 @@ def extended_energy(state, loss_value, temperature):
     return kin + loss_value + chain_kin + bath
 
 
-def step_at(state, grad_fn, cfg, temperature):
+def step_at(state, grad_fn, dt, temperature):
     """One unrecorded step at a fixed target temperature."""
-    fixed = replace(cfg, schedule=dyn.TemperatureSchedule(temperature, temperature))
-    return dyn.run_trajectory(state, grad_fn, fixed, 1)[0]
+    fixed = dyn.TemperatureSchedule(temperature, temperature)
+    return dyn.run_trajectory(state, grad_fn, dt, fixed, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +94,6 @@ def test_per_particle_mass_array_rejected():
         dyn.PhaseState(np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), dyn.ThermostatChain.rest(2))
 
 
-def test_integrator_config_validation():
-    sch = dyn.TemperatureSchedule(1.0, 1.0)
-    with pytest.raises(ValueError):
-        dyn.IntegratorConfig(dt=0.0, schedule=sch)
-    with pytest.raises(ValueError):
-        dyn.IntegratorConfig(dt=0.1, schedule=sch, chain_length=0)
-
-
 # ---------------------------------------------------------------------------
 # temperature schedule
 
@@ -125,12 +116,8 @@ def test_schedule_constant():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        dyn.TemperatureSchedule(0.5, 0.1, 0.1, 10)  # decreasing
-    with pytest.raises(ValueError):
-        dyn.TemperatureSchedule(0.0, 0.5, -0.1, 10)
-    with pytest.raises(ValueError):
-        dyn.TemperatureSchedule(0.0, 0.5, 0.1, 0)
+    # the ranges are checked where the config parses the schedule
+    # (test_config.py); the schedule itself guards its argument
     with pytest.raises(ValueError):
         dyn.TemperatureSchedule(1.0, 1.0).at(-1)
 
@@ -183,14 +170,11 @@ def test_recorded_kinetic_temperature_and_energy_match_the_oracles(n_chain):
     # three particles of mass 1.3 under a ramp, so N, m, T and every chain
     # position enter; the state after each step comes from one-step calls
     schedule = dyn.TemperatureSchedule(0.1, 0.5, 0.2, 7)
-    cfg = dyn.IntegratorConfig(
-        dt=0.01, schedule=schedule, chain_length=n_chain, chain_mass=0.7, particle_mass=1.3
-    )
     state = make_state([0.5, -1.0, 2.0], [0.3, 0.1, -0.4], mass=1.3, n_chain=n_chain,
                        chain_mass=0.7)
-    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 40, harmonic_potential)
+    _, traj = dyn.run_trajectory(state, harmonic_grad, 0.01, schedule, 40, harmonic_potential)
     for i in range(40):
-        state = dyn.run_trajectory(state, harmonic_grad, cfg, 1)[0]
+        state = dyn.run_trajectory(state, harmonic_grad, 0.01, schedule, 1)[0]
         t_now = schedule.at(i)
         assert traj.temperature[i] == t_now
         want_t = kinetic_temperature(state)
@@ -211,18 +195,18 @@ def test_one_gradient_eval_per_step_at_half_step_positions():
         calls.append(x.copy())
         return np.zeros_like(x)
 
-    cfg = dyn.IntegratorConfig(dt=0.01, schedule=dyn.TemperatureSchedule(4.0, 4.0))
+    dt = 0.01
     state = make_state([1.0], [2.0])
-    step_at(state, grad, cfg, 4.0)
+    step_at(state, grad, dt, 4.0)
     assert len(calls) == 1
     assert calls[0][0] == 1.0 + 0.5 * 0.01 * 2.0
 
 
 def test_step_is_pure():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
+    dt = 0.002
     state = make_state([1.0, -1.0], [0.5, 0.25])
     before = (state.positions.copy(), state.velocities.copy(), state.chain.velocities.copy())
-    out = step_at(state, harmonic_grad, cfg, 0.5)
+    out = step_at(state, harmonic_grad, dt, 0.5)
     assert np.array_equal(state.positions, before[0])
     assert np.array_equal(state.velocities, before[1])
     assert np.array_equal(state.chain.velocities, before[2])
@@ -233,11 +217,11 @@ def test_pure_drift_translation_is_exact():
     # flat potential with sum(m v^2) == N*T keeps the chain acceleration on
     # link 1 exactly zero; a dyadic dt makes every float increment exact
     dt = 0.015625
-    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule(4.0, 4.0))
+    sch = dyn.TemperatureSchedule(4.0, 4.0)
     x0 = np.array([0.0, 1.0, -2.0])
     v0 = np.array([2.0, 2.0, 2.0])
     state = make_state(x0, v0)
-    out = dyn.run_trajectory(state, lambda x: np.zeros_like(x), cfg, 1000)[0]
+    out = dyn.run_trajectory(state, lambda x: np.zeros_like(x), dt, sch, 1000)[0]
     np.testing.assert_array_equal(out.positions, x0 + 1000 * dt * v0)
     np.testing.assert_array_equal(out.velocities, v0)
     assert out.chain.velocities[0] == 0.0
@@ -245,21 +229,20 @@ def test_pure_drift_translation_is_exact():
 
 def test_single_step_drift():
     dt = 0.25
-    cfg = dyn.IntegratorConfig(dt=dt, schedule=dyn.TemperatureSchedule(4.0, 4.0))
     state = make_state([1.0], [2.0])
-    out = step_at(state, lambda x: np.zeros_like(x), cfg, 4.0)
+    out = step_at(state, lambda x: np.zeros_like(x), dt, 4.0)
     assert out.positions[0] == 1.0 + dt * 2.0
     assert out.velocities[0] == 2.0
 
 
 def test_run_nhc_equals_repeated_steps():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7)
     r = np.random.default_rng(0)
     state = dyn.PhaseState(r.normal(size=4), r.normal(size=4), 1.0, dyn.ThermostatChain.rest(4))
-    fast = dyn.run_trajectory(state, harmonic_grad, cfg, 25)[0]
+    fast = dyn.run_trajectory(state, harmonic_grad, dt, sch, 25)[0]
     slow = state
     for _ in range(25):
-        slow = step_at(slow, harmonic_grad, cfg, cfg.schedule.at(slow.step_index))
+        slow = step_at(slow, harmonic_grad, dt, sch.at(slow.step_index))
     np.testing.assert_array_equal(fast.positions, slow.positions)
     np.testing.assert_array_equal(fast.velocities, slow.velocities)
     np.testing.assert_array_equal(fast.chain.positions, slow.chain.positions)
@@ -268,32 +251,32 @@ def test_run_nhc_equals_repeated_steps():
 
 
 def test_run_nhc_resumes_schedule():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 10))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 10)
     state = make_state([1.0], [0.5])
-    once = dyn.run_trajectory(state, harmonic_grad, cfg, 30)[0]
-    half = dyn.run_trajectory(state, harmonic_grad, cfg, 13)[0]
-    twice = dyn.run_trajectory(half, harmonic_grad, cfg, 17)[0]
+    once = dyn.run_trajectory(state, harmonic_grad, dt, sch, 30)[0]
+    half = dyn.run_trajectory(state, harmonic_grad, dt, sch, 13)[0]
+    twice = dyn.run_trajectory(half, harmonic_grad, dt, sch, 17)[0]
     np.testing.assert_array_equal(once.positions, twice.positions)
     np.testing.assert_array_equal(once.velocities, twice.velocities)
 
 
 def test_odd_chain_length_supported():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5), chain_length=3)
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.5, 0.5)
     state = make_state([1.0], [0.2], n_chain=3)
-    out = dyn.run_trajectory(state, harmonic_grad, cfg, 100)[0]
+    out = dyn.run_trajectory(state, harmonic_grad, dt, sch, 100)[0]
     assert np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.chain.velocities))
 
 
 def test_nonfinite_state_aborts_with_step_index():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
+    dt = 0.002
     state = make_state([1.0], [np.inf])
     state.step_index = 41
     with pytest.raises(NonFiniteError, match="41"):
-        step_at(state, harmonic_grad, cfg, 0.5)
+        step_at(state, harmonic_grad, dt, 0.5)
 
 
 def test_nonfinite_errors_name_quantity_and_step():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.5, 0.5))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.5, 0.5)
     state = make_state([1.0], [0.5])
     state.step_index = 7
 
@@ -301,19 +284,19 @@ def test_nonfinite_errors_name_quantity_and_step():
         raise NonFiniteError("boom")
 
     with pytest.raises(NonFiniteError, match="non-finite gradient in step 7: boom"):
-        dyn.run_trajectory(state, broken, cfg, 3)[0]
+        dyn.run_trajectory(state, broken, dt, sch, 3)[0]
     with pytest.raises(NonFiniteError, match="non-finite train loss in step 7$"):
-        dyn.run_trajectory(state, harmonic_grad, cfg, 3, lambda x: math.inf)
+        dyn.run_trajectory(state, harmonic_grad, dt, sch, 3, lambda x: math.inf)
     with pytest.raises(NonFiniteError, match="non-finite test loss in step 7: boom"):
-        dyn.run_trajectory(state, harmonic_grad, cfg, 3, harmonic_potential, broken)
+        dyn.run_trajectory(state, harmonic_grad, dt, sch, 3, harmonic_potential, broken)
 
 
 def test_exploding_gradient_caught_during_run():
-    cfg = dyn.IntegratorConfig(dt=0.5, schedule=dyn.TemperatureSchedule(0.5, 0.5))
+    dt, sch = 0.5, dyn.TemperatureSchedule(0.5, 0.5)
     state = make_state([2.0], [0.0])
     # steep cubic-force potential diverges fast at dt=0.5
     with pytest.raises(NonFiniteError):
-        dyn.run_trajectory(state, lambda x: x**3 * 1e3, cfg, 10_000, lambda x: float(x @ x))
+        dyn.run_trajectory(state, lambda x: x**3 * 1e3, dt, sch, 10_000, lambda x: float(x @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +304,10 @@ def test_exploding_gradient_caught_during_run():
 
 
 def test_trajectory_records_and_snapshots():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7)
     state = make_state([1.0, 0.5], [0.1, -0.2])
     out, traj = dyn.run_trajectory(
-        state, harmonic_grad, cfg, 20, harmonic_potential,
+        state, harmonic_grad, dt, sch, 20, harmonic_potential,
         loss_test_fn=lambda x: 2.0 * harmonic_potential(x),
         snapshot_steps=range(5, 20, 3),
     )
@@ -332,7 +315,7 @@ def test_trajectory_records_and_snapshots():
     np.testing.assert_array_equal(traj.iterations, np.arange(1, 21))
     np.testing.assert_array_equal(traj.snapshot_positions, [5, 8, 11, 14, 17])
     assert traj.snapshots.shape == (5, 2)
-    np.testing.assert_array_equal(traj.temperature, [cfg.schedule.at(i) for i in range(20)])
+    np.testing.assert_array_equal(traj.temperature, [sch.at(i) for i in range(20)])
     np.testing.assert_allclose(traj.loss_test, 2.0 * traj.loss_train, rtol=1e-15)
     # last snapshot cannot be after the final state
     assert traj.snapshot_positions[-1] <= len(traj) - 1
@@ -340,32 +323,32 @@ def test_trajectory_records_and_snapshots():
 
 
 def test_trajectory_snapshot_matches_stepwise_state():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.3, 0.3)
     state = make_state([0.7], [0.4])
-    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 6, harmonic_potential)
+    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 6, harmonic_potential)
     stepwise = state
     for i in range(4):
-        stepwise = step_at(stepwise, harmonic_grad, cfg, 0.3)
+        stepwise = step_at(stepwise, harmonic_grad, dt, 0.3)
     np.testing.assert_array_equal(traj.snapshots[3], stepwise.positions)
 
 
 def test_trajectory_without_snapshots():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.3, 0.3)
     _, traj = dyn.run_trajectory(
-        make_state([1.0], [0.0]), harmonic_grad, cfg, 10, harmonic_potential, snapshot_steps=()
+        make_state([1.0], [0.0]), harmonic_grad, dt, sch, 10, harmonic_potential, snapshot_steps=()
     )
     assert traj.snapshots.shape[0] == 0 and len(traj) == 10
 
 
 def test_snapshot_steps_keep_only_their_rows():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7)
     state = make_state([1.0, 0.5, -0.25], [0.1, -0.2, 0.3])
-    _, full = dyn.run_trajectory(state, harmonic_grad, cfg, 20, harmonic_potential)
+    _, full = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20, harmonic_potential)
     assert full.snapshots.shape == (20, 3)
     np.testing.assert_array_equal(full.snapshot_positions, np.arange(20))
     for steps in ([0, 3, 4, 10, 19], range(2, 20, 5), [7], ()):
         out, traj = dyn.run_trajectory(
-            state, harmonic_grad, cfg, 20, harmonic_potential, snapshot_steps=steps
+            state, harmonic_grad, dt, sch, 20, harmonic_potential, snapshot_steps=steps
         )
         assert traj.snapshots.shape == (len(steps), 3)
         np.testing.assert_array_equal(traj.snapshot_positions, list(steps))
@@ -380,10 +363,10 @@ def test_snapshot_steps_keep_only_their_rows():
     "steps", [[3, 1], [2, 2], [-1, 4], [5, 20], [[1, 2]], [0, 5, 5, 9]]
 )
 def test_snapshot_steps_validated(steps):
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.3, 0.3))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.3, 0.3)
     with pytest.raises(ValueError, match="snapshot_steps"):
         dyn.run_trajectory(
-            make_state([1.0], [0.0]), harmonic_grad, cfg, 20, harmonic_potential,
+            make_state([1.0], [0.0]), harmonic_grad, dt, sch, 20, harmonic_potential,
             snapshot_steps=steps,
         )
 
@@ -408,14 +391,14 @@ def test_evaluator_trajectory_equals_plain_net_closures():
     state = dyn.PhaseState(
         params, dyn.initial_velocities(params.size, 0.05, 4), 1.0, dyn.ThermostatChain.rest(2)
     )
-    integ = runner._integrator_config(cfg)
+    simmer = cfg.simmer
     bound_grad, bound_train, bound_test = runner._loss_fns(cfg, top, prep)
     bound = dyn.run_trajectory(
-        state, bound_grad, integ, 300, bound_train, bound_test,
+        state, bound_grad, simmer.dt, simmer.schedule, 300, bound_train, bound_test,
         snapshot_steps=range(100, 300, 7),
     )
     plain = dyn.run_trajectory(
-        state, grad_fn, integ, 300, loss_train_fn, loss_test_fn,
+        state, grad_fn, simmer.dt, simmer.schedule, 300, loss_train_fn, loss_test_fn,
         snapshot_steps=range(100, 300, 7),
     )
     for got, want in zip(bound, plain):
@@ -434,15 +417,15 @@ def test_evaluator_trajectory_equals_plain_net_closures():
 
 def test_harmonic_equipartition_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(t_target, t_target))
+    dt, sch = 0.002, dyn.TemperatureSchedule(t_target, t_target)
     state = dyn.PhaseState(
         np.array([0.0]),
         dyn.initial_velocities(1, t_target, 1),
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000)[0]
-    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 400_000, harmonic_potential)
+    state = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000)[0]
+    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 400_000, harmonic_potential)
     x2 = 2.0 * traj.loss_train.mean()
     v2 = traj.kinetic_temperature.mean()
     assert abs(x2 - t_target) / t_target < 0.10
@@ -451,17 +434,17 @@ def test_harmonic_equipartition_smoke():
 
 def test_harmonic_position_distribution_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(t_target, t_target))
+    dt, sch = 0.002, dyn.TemperatureSchedule(t_target, t_target)
     state = dyn.PhaseState(
         np.array([0.0]),
         dyn.initial_velocities(1, t_target, 1),
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000)[0]
+    state = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000)[0]
     # thin to roughly independent samples; KS assumes iid
     _, traj = dyn.run_trajectory(
-        state, harmonic_grad, cfg, 400_000, harmonic_potential,
+        state, harmonic_grad, dt, sch, 400_000, harmonic_potential,
         snapshot_steps=range(0, 400_000, 2000),
     )
     xs = traj.snapshots[:, 0]
@@ -471,7 +454,7 @@ def test_harmonic_position_distribution_smoke():
 
 def test_extended_energy_conservation_smoke():
     t_target = 0.5
-    cfg = dyn.IntegratorConfig(dt=0.001, schedule=dyn.TemperatureSchedule(t_target, t_target))
+    dt, sch = 0.001, dyn.TemperatureSchedule(t_target, t_target)
     state = dyn.PhaseState(
         np.array([1.0]),
         dyn.initial_velocities(1, t_target, 3),
@@ -479,14 +462,14 @@ def test_extended_energy_conservation_smoke():
         dyn.ThermostatChain.rest(2),
     )
     e0 = extended_energy(state, harmonic_potential(state.positions), t_target)
-    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 20_000, harmonic_potential)
+    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000, harmonic_potential)
     assert np.max(np.abs(traj.extended_energy - e0)) / (abs(e0) + 1.0) < 1e-3
 
 
 def test_zero_temperature_quenches():
-    cfg = dyn.IntegratorConfig(dt=0.002, schedule=dyn.TemperatureSchedule(0.0, 0.0))
+    dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.0)
     state = make_state([1.5], [0.0])
-    _, traj = dyn.run_trajectory(state, harmonic_grad, cfg, 50_000, harmonic_potential)
+    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 50_000, harmonic_potential)
     half = len(traj) // 2
     assert traj.loss_train[half:].mean() < traj.loss_train[:half].mean()
     assert traj.kinetic_temperature[-1] < 0.01

@@ -7,6 +7,7 @@ a tolerance, because that is the contract.
 
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simmering import data, ensemble, net, seeding
+from simmering.config import ConfigError, from_dict
 from simmering.data import ScalerParams
 from simmering.dynamics import (
-    IntegratorConfig,
     PhaseState,
     TemperatureSchedule,
     ThermostatChain,
@@ -57,6 +58,12 @@ def fake_trajectory(n_steps, n_params, seed=0):
     )
 
 
+def kept_only(traj, steps):
+    """``traj`` as the integrator leaves it when asked to keep only ``steps``."""
+    steps = np.asarray(steps, dtype=np.int64)
+    return replace(traj, snapshot_positions=steps, snapshots=traj.snapshots[steps])
+
+
 def scalar_bundle(biases, scaler=None):
     # (1 -> 1) linear nets with zero weight: each member predicts its bias
     topology = Topology((1, 1), ("linear",))
@@ -93,17 +100,33 @@ def class_bundle(preferred_classes, n_classes=3):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(total_iterations=0, burn_in=0),
-        dict(total_iterations=10, burn_in=10),
-        dict(total_iterations=10, burn_in=-1),
-        dict(total_iterations=10, burn_in=0, stride=0),
-        dict(total_iterations=10, burn_in=0, fraction=0.0),
-        dict(total_iterations=10, burn_in=0, fraction=1.5),
+        dict(iterations=0, burn_in=0, where="simmer.iterations"),
+        dict(iterations=10, burn_in=10, where="sampling.burn_in"),
+        dict(iterations=10, burn_in=-1, where="sampling.burn_in"),
+        dict(iterations=10, burn_in=0, stride=0, where="sampling.stride"),
+        dict(iterations=10, burn_in=0, fraction=0.0, where="sampling.fraction"),
+        dict(iterations=10, burn_in=0, fraction=1.5, where="sampling.fraction"),
     ],
 )
 def test_sampling_plan_validation(kwargs):
-    with pytest.raises(ValueError):
-        SamplingPlan(**kwargs)
+    # a plan's ranges are checked once, where the config's sampling section
+    # parses into it
+    sampling = dict(kwargs)
+    iterations, where = sampling.pop("iterations"), sampling.pop("where")
+    raw = {
+        "name": "plan",
+        "seed": 0,
+        "data": {"kind": "noisy_sine", "n_train": 10},
+        "model": {"hidden": [2], "activations": ["tanh", "linear"], "loss": "sse"},
+        "simmer": {
+            "dt": 0.01,
+            "iterations": iterations,
+            "schedule": {"t_initial": 0.1, "t_target": 0.1},
+        },
+        "sampling": sampling,
+    }
+    with pytest.raises(ConfigError, match=f"^{where}:"):
+        from_dict(raw)
 
 
 # ------------------------------------------------------------ collect
@@ -111,8 +134,9 @@ def test_sampling_plan_validation(kwargs):
 
 def test_collect_identity_plan_keeps_everything():
     traj = fake_trajectory(50, 2)
-    plan = SamplingPlan(total_iterations=50, burn_in=0, stride=1, fraction=1.0)
-    bundle = collect(traj, plan, Topology((1, 1), ("linear",)), identity_scaler(1))
+    steps = SamplingPlan(burn_in=0, stride=1, fraction=1.0).steps(50, 0, 0)
+    np.testing.assert_array_equal(steps, np.arange(50))
+    bundle = collect(traj, Topology((1, 1), ("linear",)), identity_scaler(1))
     assert bundle.n_members == 50
     assert np.array_equal(bundle.members, traj.snapshots)
     assert np.array_equal(bundle.iterations, np.arange(1, 51))
@@ -120,72 +144,51 @@ def test_collect_identity_plan_keeps_everything():
 
 def test_collect_burn_in_then_fraction_counts():
     traj = fake_trajectory(10_000, 2)
-    plan = SamplingPlan(total_iterations=10_000, burn_in=3000, stride=1, fraction=0.1, seed=7)
-    bundle = collect(traj, plan, Topology((1, 1), ("linear",)), identity_scaler(1))
+    plan = SamplingPlan(burn_in=3000, stride=1, fraction=0.1)
+    steps = plan.steps(10_000, 7, 0)
+    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
     assert bundle.n_members == 700
     assert bundle.iterations.min() >= 3001
-    again = collect(traj, plan, Topology((1, 1), ("linear",)), identity_scaler(1))
-    assert np.array_equal(bundle.members, again.members)
-    other = collect(
-        traj,
-        SamplingPlan(total_iterations=10_000, burn_in=3000, stride=1, fraction=0.1, seed=8),
-        Topology((1, 1), ("linear",)),
-        identity_scaler(1),
-    )
-    assert not np.array_equal(bundle.iterations, other.iterations)
+    np.testing.assert_array_equal(bundle.iterations, steps + 1)
+    np.testing.assert_array_equal(bundle.members, traj.snapshots[steps])
+    np.testing.assert_array_equal(plan.steps(10_000, 7, 0), steps)
+    assert not np.array_equal(plan.steps(10_000, 8, 0), steps)
 
 
 def test_collect_replicate_index_changes_subsample():
-    traj = fake_trajectory(1000, 2)
-    topo = Topology((1, 1), ("linear",))
-    picks = []
-    for replicate in range(3):
-        plan = SamplingPlan(
-            total_iterations=1000, burn_in=0, fraction=0.25, seed=7, replicate=replicate
-        )
-        picks.append(collect(traj, plan, topo, identity_scaler(1)).iterations)
+    plan = SamplingPlan(burn_in=0, fraction=0.25)
+    picks = [plan.steps(1000, 7, replicate) for replicate in range(3)]
     assert all(p.size == 250 for p in picks)
     assert not np.array_equal(picks[0], picks[1])
     assert not np.array_equal(picks[1], picks[2])
     with pytest.raises(ValueError, match="replicate"):
-        SamplingPlan(total_iterations=10, burn_in=0, replicate=-1)
+        plan.steps(1000, 7, -1)
 
 
 def test_collect_stride_halves_count():
     traj = fake_trajectory(100, 2)
-    plan = SamplingPlan(total_iterations=100, burn_in=0, stride=2)
-    bundle = collect(traj, plan, Topology((1, 1), ("linear",)), identity_scaler(1))
+    steps = SamplingPlan(burn_in=0, stride=2).steps(100, 0, 0)
+    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
     assert bundle.n_members == 50
     assert np.array_equal(bundle.iterations, np.arange(1, 101, 2))
 
 
 def test_collect_records_capture_temperatures():
     traj = fake_trajectory(10, 2)
-    plan = SamplingPlan(total_iterations=10, burn_in=4)
-    bundle = collect(traj, plan, Topology((1, 1), ("linear",)), identity_scaler(1))
+    steps = SamplingPlan(burn_in=4).steps(10, 0, 0)
+    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
     assert np.array_equal(bundle.temperatures, traj.temperature[4:])
     assert np.array_equal(bundle.iterations, np.arange(5, 11))
 
 
-def test_collect_length_mismatch_and_empty_selection():
-    traj = fake_trajectory(10, 2)
-    with pytest.raises(ValueError, match="trajectory has"):
-        collect(traj, SamplingPlan(20, 0), Topology((1, 1), ("linear",)), identity_scaler(1))
-    sparse = fake_trajectory(10, 2)
-    sparse.snapshot_positions = np.arange(3, dtype=np.int64)
-    sparse.snapshots = sparse.snapshots[:3]
-    with pytest.raises(ValueError, match="survive"):
-        collect(sparse, SamplingPlan(10, 5), Topology((1, 1), ("linear",)), identity_scaler(1))
-
-
-def full_capture_selection(plan):
+def full_capture_selection(plan, iterations, seed, replicate):
     """Record indices that collect picked from a trajectory capturing every
     step, before plans chose their steps up front: burn-in, then stride,
     then the seeded subsample."""
-    record_idx = np.arange(plan.total_iterations, dtype=np.int64)[plan.burn_in:][:: plan.stride]
+    record_idx = np.arange(iterations, dtype=np.int64)[plan.burn_in:][:: plan.stride]
     if plan.fraction < 1.0:
         n_keep = int(round(record_idx.size * plan.fraction))
-        rng = seeding.stream(plan.seed, "subsample", plan.replicate)
+        rng = seeding.stream(seed, "subsample", replicate)
         record_idx = record_idx[np.sort(rng.choice(record_idx.size, size=n_keep, replace=False))]
     return record_idx
 
@@ -196,17 +199,17 @@ def test_plan_steps_equal_the_full_capture_selection():
     grid = itertools.product((0, 1, 150, 299), (1, 2, 7), (1.0, 0.5, 0.2, 0.01), (0, 5), (0, 3))
     n_none = 0
     for burn_in, stride, fraction, seed, replicate in grid:
-        plan = SamplingPlan(300, burn_in, stride, fraction, seed, replicate)
-        want = full_capture_selection(plan)
+        plan = SamplingPlan(burn_in, stride, fraction)
+        want = full_capture_selection(plan, 300, seed, replicate)
+        # the count the config parser refuses at 0
+        assert plan.window(300)[1] == want.size
         if want.size == 0:
             n_none += 1
-            with pytest.raises(ValueError, match="keeps none"):
-                plan.steps()
             continue
-        steps = plan.steps()
+        steps = plan.steps(300, seed, replicate)
         assert steps.dtype == np.int64
         np.testing.assert_array_equal(steps, want)
-        bundle = collect(traj, plan, topo, identity_scaler(1))
+        bundle = collect(kept_only(traj, steps), topo, identity_scaler(1))
         np.testing.assert_array_equal(bundle.iterations, want + 1)
         np.testing.assert_array_equal(bundle.members, traj.snapshots[want])
         np.testing.assert_array_equal(bundle.temperatures, traj.temperature[want])
@@ -214,8 +217,8 @@ def test_plan_steps_equal_the_full_capture_selection():
 
 
 def test_collect_takes_the_captured_plan_steps_without_a_copy():
-    plan = SamplingPlan(total_iterations=60, burn_in=20, stride=3, fraction=0.5, seed=4)
-    config = IntegratorConfig(dt=0.01, schedule=TemperatureSchedule(0.1, 0.1))
+    steps = SamplingPlan(burn_in=20, stride=3, fraction=0.5).steps(60, 4, 0)
+    schedule = TemperatureSchedule(0.1, 0.1)
     state = PhaseState(
         positions=np.array([0.25, 3.0]),
         velocities=np.array([0.1, -0.2]),
@@ -227,15 +230,13 @@ def test_collect_takes_the_captured_plan_steps_without_a_copy():
         return 0.5 * float(x @ x)
 
     topo = Topology((1, 1), ("linear",))
-    _, kept = run_trajectory(state, lambda x: x, config, 60, potential, snapshot_steps=plan.steps())
-    _, full = run_trajectory(state, lambda x: x, config, 60, potential)
-    bundle = collect(kept, plan, topo, identity_scaler(1))
+    _, kept = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential, snapshot_steps=steps)
+    _, full = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential)
+    bundle = collect(kept, topo, identity_scaler(1))
     assert bundle.members is kept.snapshots
-    reference = collect(full, plan, topo, identity_scaler(1))
-    assert not np.shares_memory(reference.members, full.snapshots)
-    np.testing.assert_array_equal(bundle.members, reference.members)
-    np.testing.assert_array_equal(bundle.iterations, reference.iterations)
-    np.testing.assert_array_equal(bundle.temperatures, reference.temperatures)
+    np.testing.assert_array_equal(bundle.members, full.snapshots[steps])
+    np.testing.assert_array_equal(bundle.iterations, steps + 1)
+    np.testing.assert_array_equal(bundle.temperatures, full.temperature[steps])
 
 
 # ------------------------------------------------------------ pooling
@@ -480,25 +481,18 @@ def test_distribution_width_tracks_temperature():
 
     spreads = {}
     for temperature in (0.5, 1e-4):
-        config = IntegratorConfig(
-            dt=0.01,
-            schedule=TemperatureSchedule(temperature, temperature),
-            chain_length=2,
-            chain_mass=max(temperature, 1e-4) / 2.0,  # stiffness of (b-3)^2 is 2
-        )
+        chain_mass = max(temperature, 1e-4) / 2.0  # stiffness of (b-3)^2 is 2
         state = PhaseState(
             positions=np.array([0.25, 3.0]),
             velocities=initial_velocities(2, temperature, seeding.child_seed(1, "velocities")),
             masses=1.0,
-            chain=ThermostatChain.rest(2, mass=config.chain_mass),
+            chain=ThermostatChain.rest(2, mass=chain_mass),
         )
-        _, traj = run_trajectory(state, evaluator.gradient, config, 20_000, evaluator.loss)
-        bundle = collect(
-            traj,
-            SamplingPlan(total_iterations=20_000, burn_in=10_000),
-            topology,
-            identity_scaler(1),
+        _, traj = run_trajectory(
+            state, evaluator.gradient, 0.01, TemperatureSchedule(temperature, temperature),
+            20_000, evaluator.loss, snapshot_steps=SamplingPlan(burn_in=10_000).steps(20_000, 0, 0),
         )
+        bundle = collect(traj, topology, identity_scaler(1))
         pooled = evaluate([bundle], means=[x], members=[x])
         spreads[temperature] = pooled.members[0][:, 0, 0].var()
         assert abs(pooled.means[0][0, 0] - 3.0) < 0.5

@@ -201,7 +201,10 @@ def test_velocity_estimate_rejects_bad_inputs():
 def test_retrofit_init_hands_off_bit_for_bit():
     topology, params0, x, y = quadratic_problem()
     report = train_adam(topology, params0, x, y, x, y, "sse", epochs=50, alpha=0.01)
-    state = retrofit_init(report, gamma=0.01, chain_length=3, chain_mass=2.5, particle_mass=1.5)
+    state = retrofit_init(
+        report.final_params, report.penultimate_params, gamma=0.01,
+        chain_length=3, chain_mass=2.5, particle_mass=1.5,
+    )
 
     assert np.array_equal(state.positions, report.final_params)
     assert state.positions is not report.final_params
@@ -220,6 +223,6 @@ def test_retrofit_init_copies_do_not_alias_the_report():
     topology, params0, x, y = quadratic_problem()
     report = train_adam(topology, params0, x, y, x, y, "sse", epochs=10, alpha=0.01)
     pristine = report.final_params.copy()
-    state = retrofit_init(report, gamma=0.01)
+    state = retrofit_init(report.final_params, report.penultimate_params, gamma=0.01)
     state.positions[0] = 99.0
     assert np.array_equal(report.final_params, pristine)
