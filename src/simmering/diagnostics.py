@@ -67,17 +67,17 @@ class MetricReport:
         }
 
 
-def fd_hessian(grad_fn, x: np.ndarray, base_step: float = 1e-4):
+def fd_hessian(grad_fn, x: np.ndarray):
     """Central-difference Hessian of a gradient oracle.
 
     Returns (symmetrized H, max raw asymmetry).  Column j uses the step
-    base_step*(1+|x_j|).
+    1e-4*(1+|x_j|).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     columns = np.empty((n, n))
     for j in range(n):
-        h = base_step * (1.0 + abs(x[j]))
+        h = 1e-4 * (1.0 + abs(x[j]))
         forward = x.copy()
         forward[j] += h
         backward = x.copy()
@@ -93,11 +93,11 @@ class SpectrumReport:
     max_asymmetry: float      # of the raw finite-difference estimate
 
 
-def spectrum_from_gradient(grad_fn, x: np.ndarray, max_params: int = HESSIAN_PARAM_CAP) -> SpectrumReport:
+def spectrum_from_gradient(grad_fn, x: np.ndarray) -> SpectrumReport:
     x = np.asarray(x, dtype=np.float64)
-    if x.size > max_params:
+    if x.size > HESSIAN_PARAM_CAP:
         raise ValueError(
-            f"{x.size} parameters exceeds the dense-Hessian cap of {max_params}"
+            f"{x.size} parameters exceeds the dense-Hessian cap of {HESSIAN_PARAM_CAP}"
         )
     hessian, asymmetry = fd_hessian(grad_fn, x)
     if not np.isfinite(hessian).all():
@@ -112,12 +112,9 @@ def hessian_spectrum(
     inputs: np.ndarray,
     targets: np.ndarray,
     loss_kind: str,
-    max_params: int = HESSIAN_PARAM_CAP,
 ) -> SpectrumReport:
     """Eigenvalues of the loss Hessian at `params`, descending."""
     evaluator = net.Evaluator(topology, loss_kind, inputs, targets)
     # the evaluator overwrites its gradient buffer on every call, and
     # fd_hessian subtracts the results of two calls
-    return spectrum_from_gradient(
-        lambda p: evaluator.gradient(p).copy(), params, max_params=max_params
-    )
+    return spectrum_from_gradient(lambda p: evaluator.gradient(p).copy(), params)

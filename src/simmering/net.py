@@ -22,8 +22,9 @@ The module functions (:func:`forward`, :func:`loss`) validate their
 arguments on every call.  Gradients come from an :class:`Evaluator`, bound
 to one data set for the many evaluations of a loop (the integrator, Adam,
 the Hessian probe): it validates the data once, keeps the layer views of
-the parameter array it is handed and a gradient buffer, and runs the same
-numpy expressions, so its loss equals the module functions' bit for bit.
+the parameter array it is handed, one buffer per hidden layer and a
+gradient buffer, and runs the layer loop of :func:`forward`, so its loss
+equals the module functions' bit for bit.
 """
 
 from __future__ import annotations
@@ -164,18 +165,8 @@ def init_stratified_glorot(topology: Topology, seed) -> np.ndarray:
 # forward pass
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "elu":
-        return np.where(z > 0.0, z, ELU_ALPHA * np.expm1(z))
-    return z  # linear
-
-
 def _activate_in_place(kind: str, z: np.ndarray) -> np.ndarray:
-    """:func:`_apply_activation` computed in ``z`` itself, with the same bits."""
+    """The activation ``kind`` of the pre-activations ``z``, computed in ``z`` itself."""
     if kind == "tanh":
         return np.tanh(z, out=z)
     if kind == "relu":
@@ -187,16 +178,18 @@ def _activate_in_place(kind: str, z: np.ndarray) -> np.ndarray:
     return z  # linear
 
 
-def _activation_slope(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d(activation)/dz, reusing the already-computed activation ``a``."""
+def _activation_slope(kind: str, a: np.ndarray) -> np.ndarray:
+    """d(activation)/dz of a tanh, relu or elu layer, from its activations ``a`` alone.
+
+    ``a > 0`` holds exactly where ``z > 0``: for ``z <= 0`` both ``max(z, 0)``
+    and ``expm1(z)`` are ``<= 0``.
+    """
     if kind == "tanh":
         return 1.0 - a * a
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "elu":
-        # for z <= 0 the slope is alpha*exp(z) == a + alpha
-        return np.where(z > 0.0, 1.0, a + ELU_ALPHA)
-    return np.ones_like(z)
+        return (a > 0.0).astype(np.float64)
+    # elu: for z <= 0 the slope is alpha*exp(z) == a + alpha
+    return np.where(a > 0.0, 1.0, a + ELU_ALPHA)
 
 
 def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
@@ -225,43 +218,33 @@ def forward(
     ``forward(topology, stack[c], x)`` bit for bit.
 
     ``hidden_out``, if given, holds one array per hidden layer, shaped as
-    that layer's output; the hidden layers are then computed in those
-    arrays, with the same bits, instead of in fresh ones.  The output layer
-    is always a fresh array.
+    that layer's output, and the hidden layers are computed in those
+    arrays; otherwise they are computed in arrays allocated here.  The
+    output layer is always a fresh array.
     """
     if hidden_out and len(hidden_out) != topology.n_layers - 1:
         raise ValueError(
             f"expected {topology.n_layers - 1} hidden-layer buffers, got {len(hidden_out)}"
         )
     a = _check_inputs(topology, inputs)
+    if not hidden_out:
+        hidden_out = _hidden_buffers(topology, (*np.shape(params)[:-1], a.shape[0]))
     return _forward(layer_views(topology, params), topology.activations, a, hidden_out)
 
 
-def _forward(views, activations, a, hidden_out=()):
-    """The first ``len(hidden_out)`` layers are computed in place in ``hidden_out``."""
-    # two loops, so that the integrator's unbuffered forwards pay nothing per layer
-    for (w, b), act, z in zip(views, activations, hidden_out):
+def _hidden_buffers(topology: Topology, lead: tuple) -> list[np.ndarray]:
+    """One uninitialised ``(*lead, width)`` array per hidden layer."""
+    return [np.empty((*lead, width)) for width in topology.layer_sizes[1:-1]]
+
+
+def _forward(views, activations, a, hidden):
+    """The one layer loop: hidden layer ``i`` in place in ``hidden[i]``, the output fresh."""
+    for (w, b), act, z in zip(views, activations, hidden):
         np.matmul(a, w.swapaxes(-1, -2), out=z)
         z += b
         a = _activate_in_place(act, z)
-    n = len(hidden_out)
-    for (w, b), act in zip(views[n:], activations[n:]):
-        z = a @ w.swapaxes(-1, -2) + b
-        a = _apply_activation(act, z)
-    return a
-
-
-def _forward_cached(views, activations, inputs):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    a = inputs
-    pre = []
-    post = [a]
-    for (w, b), act in zip(views, activations):
-        z = a @ w.T + b
-        a = _apply_activation(act, z)
-        pre.append(z)
-        post.append(a)
-    return pre, post
+    (w, b), act = views[-1], activations[-1]
+    return _activate_in_place(act, a @ w.swapaxes(-1, -2) + b)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +352,12 @@ class Evaluator:
 
     The loss kind, inputs and targets are checked once, here, with the
     errors :func:`forward` and :func:`loss` raise.  Each call then runs the
-    same numpy expressions as :func:`forward` and :func:`loss`, so losses
-    agree bit for bit, and still raises :class:`NonFiniteError` on
+    layer loop of :func:`forward` and the expressions of :func:`loss`, so
+    losses agree bit for bit, and still raises :class:`NonFiniteError` on
     non-finite outputs, loss or gradient.
 
+    Every call computes the hidden layers in buffers the Evaluator owns,
+    one per layer, and the backward pass reads its activations from them.
     The layer views of the last parameter array seen are kept, so an
     integrator that updates one array in place builds them once.  The array
     :meth:`gradient` returns is a buffer the next call overwrites.
@@ -387,6 +372,7 @@ class Evaluator:
         self.targets = _check_targets(
             loss_kind, targets, (self.inputs.shape[0], topology.layer_sizes[-1])
         )
+        self._hidden = _hidden_buffers(topology, (self.inputs.shape[0],))
         self._grad = np.empty(topology.param_count, dtype=np.float64)
         self._grad_views = layer_views(topology, self._grad)
         self._params = None
@@ -400,7 +386,9 @@ class Evaluator:
 
     def loss(self, params: np.ndarray) -> float:
         """``loss(kind, forward(topology, params, inputs), targets)``."""
-        outputs = _forward(self._views_of(params), self.topology.activations, self.inputs)
+        outputs = _forward(
+            self._views_of(params), self.topology.activations, self.inputs, self._hidden
+        )
         _check_outputs(outputs)
         return _loss_value(self.loss_kind, outputs, self.targets)
 
@@ -408,10 +396,10 @@ class Evaluator:
         """Full-batch loss and exact reverse-mode gradient d(loss)/d(params)."""
         topology, kind, targets = self.topology, self.loss_kind, self.targets
         weight_views = self._views_of(params)
-        pre, post = _forward_cached(weight_views, topology.activations, self.inputs)
-        outputs = post[-1]
+        outputs = _forward(weight_views, topology.activations, self.inputs, self._hidden)
         _check_outputs(outputs)
         value = _loss_value(kind, outputs, targets)
+        post = [self.inputs, *self._hidden, outputs]
 
         grad = self._grad
         delta = _loss_output_grad(kind, outputs, targets)
@@ -421,7 +409,7 @@ class Evaluator:
             if act == "linear":
                 dz = delta
             else:
-                dz = delta * _activation_slope(act, pre[layer], post[layer + 1])
+                dz = delta * _activation_slope(act, post[layer + 1])
             gw, gb = self._grad_views[layer]
             gw[...] = dz.T @ post[layer]
             gb[...] = dz.sum(axis=0)
@@ -434,4 +422,3 @@ class Evaluator:
 
     def gradient(self, params: np.ndarray) -> np.ndarray:
         return self.loss_and_gradient(params)[1]
-

@@ -22,6 +22,12 @@ from .dynamics import PhaseState, ThermostatChain, _named
 from .net import NonFiniteError, Topology
 
 
+# Adam's moment decay rates and denominator guard, the usual defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second gradient moments plus the step counter."""
@@ -30,15 +36,12 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     alpha: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params: int, alpha: float, **kw) -> "AdamState":
+    def fresh(cls, n_params: int, alpha: float) -> "AdamState":
         if alpha <= 0.0:
             raise ValueError("alpha must be > 0")
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0, alpha=alpha, **kw)
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0, alpha=alpha)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
@@ -46,15 +49,12 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[n
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("params, gradient and moment shapes must match")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(
-        m=m, v=v, t=t, alpha=state.alpha, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
-    return new_params, new_state
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new_params = params - state.alpha * m_hat / (np.sqrt(v_hat) + EPS)
+    return new_params, AdamState(m=m, v=v, t=t, alpha=state.alpha)
 
 
 @dataclass

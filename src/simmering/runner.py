@@ -59,9 +59,38 @@ def _write_json(path: str, obj):
         fh.write("\n")
 
 
-def _read_json(path: str):
+def _read_object(path: str, keys) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``keys``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{path} has no {key!r} entry")
+    return obj
+
+
+def _read_rows(path: str, rows: int, param_count: int) -> np.ndarray:
+    """The ``(rows, param_count)`` little-endian float64 matrix stored in ``path``.
+
+    The bytes are read straight into the array, so it is their only copy.
+    """
+    out = np.empty((rows, param_count), dtype="<f8")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != out.nbytes:
+            raise ValueError(
+                f"{path} holds {size} bytes, but {rows} parameter vectors of "
+                f"{param_count} float64 values need {out.nbytes}"
+            )
+        got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise ValueError(f"{path} ended after {got} of {out.nbytes} bytes")
+    return out
 
 
 def _package_version() -> str:
@@ -232,7 +261,7 @@ def load_run_config(run_dir: str) -> tuple[ExperimentConfig, str]:
     path = os.path.join(run_dir, RESOLVED_CONFIG)
     if not os.path.exists(path):
         raise FileNotFoundError(f"not a run directory (no {RESOLVED_CONFIG}): {run_dir}")
-    payload = _read_json(path)
+    payload = _read_object(path, ("config",))
     return from_dict(payload["config"]), payload.get("command", "")
 
 
@@ -266,7 +295,7 @@ def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray
     sidecar_path = os.path.join(rep_dir, "snapshots.json")
     if not os.path.exists(sidecar_path):
         raise FileNotFoundError(f"no parameter snapshots in {rep_dir}")
-    sidecar = _read_json(sidecar_path)
+    sidecar = _read_object(sidecar_path, ("layer_sizes", "files"))
     if list(sidecar["layer_sizes"]) != list(topology.layer_sizes):
         raise ValueError(
             f"snapshot topology {sidecar['layer_sizes']} does not match "
@@ -274,13 +303,8 @@ def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray
         )
     if name not in sidecar["files"]:
         raise FileNotFoundError(f"snapshot {name!r} not present in {rep_dir}")
-    with open(os.path.join(rep_dir, sidecar["files"][name]), "rb") as fh:
-        vec = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    if vec.shape[0] != topology.param_count:
-        raise ValueError(
-            f"snapshot holds {vec.shape[0]} values, expected {topology.param_count}"
-        )
-    return vec
+    path = os.path.join(rep_dir, sidecar["files"][name])
+    return _read_rows(path, 1, topology.param_count)[0]
 
 
 def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle):
@@ -304,27 +328,17 @@ def read_bundle(
     sidecar_path = os.path.join(rep_dir, "ensemble.json")
     if not os.path.exists(sidecar_path):
         raise FileNotFoundError(f"no ensemble bundle in {rep_dir}")
-    sidecar = _read_json(sidecar_path)
+    sidecar = _read_object(
+        sidecar_path, ("layer_sizes", "n_members", "param_count", "iterations", "temperatures")
+    )
     if list(sidecar["layer_sizes"]) != list(topology.layer_sizes):
         raise ValueError(
             f"bundle topology {sidecar['layer_sizes']} does not match "
             f"the configured model {list(topology.layer_sizes)}"
         )
     path = os.path.join(rep_dir, "ensemble_members.bin")
-    members = np.empty((sidecar["n_members"], sidecar["param_count"]), dtype="<f8")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size != members.nbytes:
-            raise ValueError(
-                f"{path} holds {size} bytes, but {sidecar['n_members']} members of "
-                f"{sidecar['param_count']} float64 values need {members.nbytes}"
-            )
-        # straight into the array: the bundle is the only copy of the bytes
-        got = fh.readinto(memoryview(members).cast("B"))
-    if got != members.nbytes:
-        raise ValueError(f"{path} ended after {got} of {members.nbytes} bytes")
     return ensemble.EnsembleBundle(
-        members=members,
+        members=_read_rows(path, sidecar["n_members"], sidecar["param_count"]),
         iterations=np.asarray(sidecar["iterations"], dtype=np.int64),
         temperatures=np.asarray(sidecar["temperatures"], dtype=np.float64),
         topology=topology,

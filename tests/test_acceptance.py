@@ -73,14 +73,23 @@ def _random_case(r, kind):
     return top, params, x, y
 
 
+_ACTIVATIONS = {
+    "tanh": np.tanh,
+    "relu": lambda z: np.maximum(z, 0.0),
+    "elu": lambda z: np.where(z > 0.0, z, net.ELU_ALPHA * np.expm1(z)),
+    "linear": lambda z: z,
+}
+
+
 def _relu_kink_free(top, params, x, margin=1e-3):
-    # a relu pre-activation inside the stencil would invalidate the oracle
-    pre, _ = net._forward_cached(
-        net.layer_views(top, params), top.activations, np.asarray(x, dtype=np.float64)
-    )
-    for z, act in zip(pre, top.activations):
+    # a relu pre-activation inside the stencil would invalidate the oracle;
+    # the layers run in fresh arrays that keep each pre-activation
+    a = np.asarray(x, dtype=np.float64)
+    for (w, b), act in zip(net.layer_views(top, params), top.activations):
+        z = a @ w.T + b
         if act == "relu" and np.any(np.abs(z) < margin):
             return False
+        a = _ACTIVATIONS[act](z)
     return True
 
 

@@ -686,6 +686,36 @@ def test_evaluate_refuses_a_member_file_of_the_wrong_size(tmp_path, capsys, chan
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,name,damage",
+    [
+        ("spectrum", "resolved_config.json", "{}"),
+        ("spectrum", "resolved_config.json", "{not json"),
+        ("spectrum", "snapshots.json", '{"files": {}}'),
+        ("retrofit", "snapshot_final.bin", 3),
+        ("retrofit", "snapshot_final.bin", 8),
+    ],
+)
+def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command, name, damage):
+    cfg_path = write_config(tmp_path)
+    a = str(tmp_path / "a")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    path = os.path.join(a, name if name == "resolved_config.json" else f"replicate_00/{name}")
+    if isinstance(damage, str):
+        with open(path, "w") as fh:
+            fh.write(damage)
+    else:  # cut the last bytes off
+        os.truncate(path, os.path.getsize(path) - damage)
+    flags = ["--config", cfg_path] if command == "retrofit" else []
+    capfd.readouterr()
+    assert main([command, *flags, "--from-run", a, "--out", str(tmp_path / "o")]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError"
+    assert path in payload["message"]
+
+
 # ------------------------------------------------------------ worker processes
 
 

@@ -142,6 +142,43 @@ def test_stratified_glorot_column_means_and_layer_mean():
 # forward pass
 
 
+def apply_activation(kind, z):
+    """The activation of ``z`` in a fresh array."""
+    if kind == "tanh":
+        return np.tanh(z)
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "elu":
+        return np.where(z > 0.0, z, net.ELU_ALPHA * np.expm1(z))
+    return z  # linear
+
+
+def slope_from_pre(kind, z, a):
+    """d(activation)/dz from the pre-activations ``z`` and activations ``a``."""
+    if kind == "tanh":
+        return 1.0 - a * a
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    if kind == "elu":
+        # for z <= 0 the slope is alpha*exp(z) == a + alpha
+        return np.where(z > 0.0, 1.0, a + net.ELU_ALPHA)
+    return np.ones_like(z)
+
+
+def forward_keeping_pre(top, params, x):
+    """Forward pass in fresh arrays: (pre-activations, [x, *activations]).
+
+    It shares no code with net's layer loop, which computes in buffers and
+    keeps no pre-activations, so the tests below compare against it bit for
+    bit.
+    """
+    pre, post = [], [np.asarray(x, dtype=np.float64)]
+    for (w, b), act in zip(net.layer_views(top, params), top.activations):
+        pre.append(post[-1] @ w.T + b)
+        post.append(apply_activation(act, pre[-1]))
+    return pre, post
+
+
 def forward_loop_oracle(top, params, inputs):
     """Per-sample, per-unit forward pass with explicit Python loops."""
 
@@ -381,9 +418,7 @@ def relu_safe(top, params, x, margin=1e-3):
     A kink inside the finite-difference stencil would invalidate the oracle,
     not the analytic gradient.
     """
-    pre, _ = net._forward_cached(
-        net.layer_views(top, params), top.activations, np.asarray(x, dtype=np.float64)
-    )
+    pre, _ = forward_keeping_pre(top, params, x)
     for z, act in zip(pre, top.activations):
         if act == "relu" and np.any(np.abs(z) < margin):
             return False
@@ -444,18 +479,15 @@ def test_gradient_nonfinite_params_flagged():
 
 
 def reference_loss_and_gradient(top, params, x, y, kind):
-    """Backprop through the validated module functions, one call at a time."""
-    pre, post = [], [x]
-    for (w, b), act in zip(net.layer_views(top, params), top.activations):
-        pre.append(post[-1] @ w.T + b)
-        post.append(net._apply_activation(act, pre[-1]))
-    value = net.loss(kind, net.forward(top, params, x), y)
+    """Backprop through fresh arrays and slopes taken from the pre-activations."""
+    pre, post = forward_keeping_pre(top, params, x)
+    value = net.loss(kind, post[-1], y)
     grad = np.empty(top.param_count)
     grad_views = net.layer_views(top, grad)
     weights = net.layer_views(top, params)
     delta = net._loss_output_grad(kind, post[-1], y)
     for layer in range(top.n_layers - 1, -1, -1):
-        dz = delta * net._activation_slope(top.activations[layer], pre[layer], post[layer + 1])
+        dz = delta * slope_from_pre(top.activations[layer], pre[layer], post[layer + 1])
         grad_views[layer][0][...] = dz.T @ post[layer]
         grad_views[layer][1][...] = dz.sum(axis=0)
         if layer > 0:
@@ -490,6 +522,8 @@ def test_evaluator_matches_module_functions_bit_for_bit(kind, act):
         np.testing.assert_array_equal(grad, want_grad)
         np.testing.assert_array_equal(ev.gradient(params), want_grad)
         assert ev.loss(params) == net.loss(kind, net.forward(top, params, x), y)
+        outputs = forward_keeping_pre(top, params, x)[1][-1]
+        assert np.array_equal(net.forward(top, params, x).view(np.int64), outputs.view(np.int64))
         # the integrator updates one array in place; the kept views follow it
         params += 0.01 * r.normal(size=params.shape)
 
@@ -511,6 +545,30 @@ def test_gradient_skips_linear_slope_bit_for_bit(act):
             value, grad = net.Evaluator(top, kind, x, y).loss_and_gradient(params)
             assert value == want_value
             assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+
+
+@pytest.mark.parametrize("act", ["relu", "elu", "tanh"])
+def test_slope_from_activations_equals_slope_from_pre_activations(act):
+    # a > 0 exactly where z > 0, down to signed zeros and subnormals
+    magnitudes = [0.0, 5e-324, 1e-300, 1e-8, 1.0, 40.0, 800.0]
+    z = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+    with np.errstate(over="ignore"):  # expm1(800) in the discarded branch
+        a = apply_activation(act, z)
+    got = net._activation_slope(act, a)
+    assert np.array_equal(got.view(np.int64), slope_from_pre(act, z, a).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["mse", "categorical_cross_entropy"])
+def test_interleaved_calls_share_no_stale_layer(kind):
+    # every call recomputes the hidden buffers it and the backward pass read
+    r = rng(37)
+    top, p1, x, y = bound_case(r, kind, "elu")
+    p2 = p1 + 0.5 * r.normal(size=p1.shape)
+    ev = net.Evaluator(top, kind, x, y)
+    for method, params in (("loss", p1), ("gradient", p2), ("loss", p1), ("gradient", p1)):
+        got = np.array(getattr(ev, method)(params))
+        want = np.array(getattr(net.Evaluator(top, kind, x, y), method)(params))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_evaluator_flags_nonfinite_params():
