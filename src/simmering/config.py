@@ -2,14 +2,22 @@
 
 A config file is a single JSON document with sections ``data``, ``model``,
 and optionally ``adam``, ``simmer`` and ``sampling``, plus top-level
-``name``, ``seed`` and ``replicates``.  Parsing is strict: unknown keys,
-missing required keys, wrong types, and out-of-range values all raise
-:class:`ConfigError` carrying the dotted path of the offending field
-(e.g. ``simmer.schedule.t_step``).  This is the one place the sampler's
-settings are checked: ``simmer.schedule`` parses into
-:class:`dynamics.TemperatureSchedule` and ``sampling`` into
-:class:`ensemble.SamplingPlan`, the types the integrator and the member
-choice run on, and neither type checks its ranges again.
+``name``, ``seed`` and ``replicates``.  Each section is declared once, as a
+table of its keys in the order :func:`to_dict` writes them, each with its
+check (``data`` has one table per ``kind``).  :func:`from_dict` walks the
+tables: a missing key takes the default of the dataclass field it parses
+into, so every default lives on its field and nowhere else.  The rules that
+read two keys (``t_target >= t_initial``, one activation per layer, ...)
+run once their section has parsed.  :func:`to_dict` walks the same tables.
+
+Parsing is strict: unknown keys, missing required keys, wrong types, and
+out-of-range values all raise :class:`ConfigError` carrying the dotted path
+of the offending field (e.g. ``simmer.schedule.t_step``).  ``null`` means
+absent for ``adam``, ``simmer`` and ``sampling`` and fails anywhere else.
+This is the one place the sampler's settings are checked:
+``simmer.schedule`` parses into :class:`dynamics.TemperatureSchedule` and
+``sampling`` into :class:`ensemble.SamplingPlan`, the types the integrator
+and the member choice run on, and neither type checks its ranges again.
 
 ``from_dict``/``to_dict`` round-trip losslessly; ``load_config`` adds one
 normalization on top of that: relative CSV/schema paths in ``data`` are
@@ -19,17 +27,17 @@ usable from any working directory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import net
 from .dynamics import TemperatureSchedule
 from .ensemble import SamplingPlan
 
-DATA_KINDS = ("noisy_sine", "csv")
-INITIALIZERS = ("glorot_normal", "stratified_glorot")
 BUILTIN_PREFIX = "builtin:"
 
 
@@ -45,22 +53,8 @@ def _fail(path: str, message: str):
     raise ConfigError(path, message)
 
 
-def _get(raw: dict, key: str, path: str, required: bool, default=None):
-    if key in raw:
-        return raw[key]
-    if required:
-        _fail(_join(path, key), "required field is missing")
-    return default
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-def _check_unknown(raw: dict, known: tuple, path: str):
-    for key in raw:
-        if key not in known:
-            _fail(_join(path, key), "unknown field")
 
 
 def _as_int(value, path: str, minimum=None) -> int:
@@ -72,7 +66,7 @@ def _as_int(value, path: str, minimum=None) -> int:
     return value
 
 
-def _as_float(value, path: str, minimum=None, exclusive=False) -> float:
+def _as_float(value, path: str, minimum=None, exclusive=False, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     value = float(value)
@@ -81,6 +75,8 @@ def _as_float(value, path: str, minimum=None, exclusive=False) -> float:
             _fail(path, f"must be > {minimum}, got {value}")
         if not exclusive and value < minimum:
             _fail(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -90,6 +86,23 @@ def _as_str(value, path: str, choices=None) -> str:
     if choices is not None and value not in choices:
         _fail(path, f"must be one of {list(choices)}, got {value!r}")
     return value
+
+
+def _as_name(value, path: str) -> str:
+    if not _as_str(value, path):
+        _fail(path, "must be non-empty")
+    return value
+
+
+def _as_list(value, path: str, item, message: str, nonempty=False) -> tuple:
+    if not isinstance(value, list) or (nonempty and not value):
+        _fail(path, message)
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _or_none(check):
+    """``check``, letting ``None`` through (an absent section or schema)."""
+    return lambda value, path: None if value is None else check(value, path)
 
 
 @dataclass(frozen=True)
@@ -142,139 +155,78 @@ class ExperimentConfig:
     replicates: int = 1
 
 
+def _values(cls, raw: dict, path: str, fields) -> dict:
+    """The checked values of ``fields`` present in ``raw``; a missing key
+    whose ``cls`` field has no default is an error."""
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    values = {}
+    for key, check in fields:
+        if key in raw:
+            values[key] = check(raw[key], _join(path, key))
+        elif key in required:
+            _fail(_join(path, key), "required field is missing")
+    return values
+
+
+def _parse(cls, raw, path: str, fields=None):
+    """The object ``raw`` parsed into ``cls`` through ``fields`` (``cls``'s
+    table by default), then checked by ``cls``'s cross-field rule, if any."""
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    fields = fields or _FIELDS[cls]
+    known = {key for key, _ in fields}
+    for key in raw:
+        if key not in known:
+            _fail(_join(path, key), "unknown field")
+    obj = cls(**_values(cls, raw, path, fields))
+    if cls in _RULES:
+        _RULES[cls](obj, path)
+    return obj
+
+
 def _parse_data(raw, path: str) -> DataConfig:
+    """``data``'s kind picks its table; the keys both tables open with are
+    checked before the kind's unknown keys."""
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
-    kind = _as_str(_get(raw, "kind", path, required=True), _join(path, "kind"), DATA_KINDS)
-    n_train = _as_int(_get(raw, "n_train", path, required=True), _join(path, "n_train"), minimum=1)
-    if kind == "noisy_sine":
-        _check_unknown(raw, ("kind", "n_train", "n_points", "noise_amp"), path)
-        n_points = _as_int(_get(raw, "n_points", path, False, 101), _join(path, "n_points"), minimum=2)
-        noise_amp = _as_float(_get(raw, "noise_amp", path, False, 0.1), _join(path, "noise_amp"), minimum=0.0)
-        if n_train >= n_points:
-            _fail(_join(path, "n_train"), f"must leave at least one test point (n_points={n_points})")
-        return DataConfig(kind=kind, n_train=n_train, n_points=n_points, noise_amp=noise_amp)
-    _check_unknown(raw, ("kind", "n_train", "path", "schema"), path)
-    csv_path = _as_str(_get(raw, "path", path, required=True), _join(path, "path"))
-    schema = _get(raw, "schema", path, required=False)
-    if schema is not None:
-        schema = _as_str(schema, _join(path, "schema"))
-    if csv_path.startswith(BUILTIN_PREFIX):
-        if schema is not None:
-            _fail(_join(path, "schema"), "builtin datasets carry their own schema; leave this unset")
-    elif schema is None:
+    kind = _values(DataConfig, raw, path, _DATA_COMMON)["kind"]
+    return _parse(DataConfig, raw, path, _DATA_FIELDS[kind])
+
+
+def _check_data(d: DataConfig, path: str):
+    if d.kind == "noisy_sine":
+        if d.n_train >= d.n_points:
+            _fail(
+                _join(path, "n_train"),
+                f"must leave at least one test point (n_points={d.n_points})",
+            )
+    elif d.path is None:
+        _fail(_join(path, "path"), "required field is missing")
+    elif d.path.startswith(BUILTIN_PREFIX):
+        if d.schema is not None:
+            _fail(
+                _join(path, "schema"), "builtin datasets carry their own schema; leave this unset"
+            )
+    elif d.schema is None:
         _fail(_join(path, "schema"), "required for non-builtin csv datasets")
-    return DataConfig(kind=kind, n_train=n_train, path=csv_path, schema=schema)
 
 
-def _parse_model(raw, path: str) -> ModelConfig:
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    _check_unknown(raw, ("hidden", "activations", "loss", "init"), path)
-    hidden_raw = _get(raw, "hidden", path, required=True)
-    if not isinstance(hidden_raw, list) or not hidden_raw:
-        _fail(_join(path, "hidden"), "expected a non-empty list of layer widths")
-    hidden = tuple(
-        _as_int(h, f"{path}.hidden[{i}]", minimum=1) for i, h in enumerate(hidden_raw)
-    )
-    acts_raw = _get(raw, "activations", path, required=True)
-    if not isinstance(acts_raw, list):
-        _fail(_join(path, "activations"), "expected a list")
-    acts = tuple(
-        _as_str(a, f"{path}.activations[{i}]", net.ACTIVATIONS)
-        for i, a in enumerate(acts_raw)
-    )
-    if len(acts) != len(hidden) + 1:
+def _check_model(m: ModelConfig, path: str):
+    if len(m.activations) != len(m.hidden) + 1:
         _fail(
             _join(path, "activations"),
-            f"need {len(hidden) + 1} entries (one per hidden layer plus output), got {len(acts)}",
+            f"need {len(m.hidden) + 1} entries (one per hidden layer plus output), "
+            f"got {len(m.activations)}",
         )
-    loss = _as_str(_get(raw, "loss", path, required=True), _join(path, "loss"), net.LOSSES)
-    init = _as_str(_get(raw, "init", path, False, "glorot_normal"), _join(path, "init"), INITIALIZERS)
-    return ModelConfig(hidden=hidden, activations=acts, loss=loss, init=init)
 
 
-def _parse_adam(raw, path: str) -> AdamConfig:
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    _check_unknown(raw, ("alpha", "epochs"), path)
-    alpha = _as_float(_get(raw, "alpha", path, required=True), _join(path, "alpha"), minimum=0.0, exclusive=True)
-    epochs = _as_int(_get(raw, "epochs", path, required=True), _join(path, "epochs"), minimum=2)
-    return AdamConfig(alpha=alpha, epochs=epochs)
+def _check_schedule(s: TemperatureSchedule, path: str):
+    if s.t_target < s.t_initial:
+        _fail(_join(path, "t_target"), f"must be >= t_initial ({s.t_initial}), got {s.t_target}")
 
 
-def _parse_schedule(raw, path: str) -> TemperatureSchedule:
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    _check_unknown(raw, ("t_initial", "t_target", "t_step", "hold_iterations"), path)
-    t_initial = _as_float(_get(raw, "t_initial", path, required=True), _join(path, "t_initial"), minimum=0.0)
-    t_target = _as_float(_get(raw, "t_target", path, required=True), _join(path, "t_target"), minimum=0.0)
-    t_step = _as_float(_get(raw, "t_step", path, False, 1.0), _join(path, "t_step"), minimum=0.0, exclusive=True)
-    hold = _as_int(_get(raw, "hold_iterations", path, False, 1), _join(path, "hold_iterations"), minimum=1)
-    if t_target < t_initial:
-        _fail(_join(path, "t_target"), f"must be >= t_initial ({t_initial}), got {t_target}")
-    return TemperatureSchedule(t_initial=t_initial, t_target=t_target, t_step=t_step, hold_iterations=hold)
-
-
-def _parse_simmer(raw, path: str) -> SimmerConfig:
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    _check_unknown(
-        raw, ("dt", "iterations", "schedule", "chain_length", "chain_mass", "particle_mass"), path
-    )
-    dt = _as_float(_get(raw, "dt", path, required=True), _join(path, "dt"), minimum=0.0, exclusive=True)
-    iterations = _as_int(_get(raw, "iterations", path, required=True), _join(path, "iterations"), minimum=1)
-    schedule = _parse_schedule(_get(raw, "schedule", path, required=True), _join(path, "schedule"))
-    chain_length = _as_int(_get(raw, "chain_length", path, False, 2), _join(path, "chain_length"), minimum=1)
-    chain_mass = _as_float(_get(raw, "chain_mass", path, False, 1.0), _join(path, "chain_mass"), minimum=0.0, exclusive=True)
-    particle_mass = _as_float(_get(raw, "particle_mass", path, False, 1.0), _join(path, "particle_mass"), minimum=0.0, exclusive=True)
-    return SimmerConfig(
-        dt=dt,
-        iterations=iterations,
-        schedule=schedule,
-        chain_length=chain_length,
-        chain_mass=chain_mass,
-        particle_mass=particle_mass,
-    )
-
-
-def _parse_sampling(raw, path: str) -> SamplingPlan:
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    _check_unknown(raw, ("burn_in", "stride", "fraction"), path)
-    burn_in = _as_int(_get(raw, "burn_in", path, required=True), _join(path, "burn_in"), minimum=0)
-    stride = _as_int(_get(raw, "stride", path, False, 1), _join(path, "stride"), minimum=1)
-    fraction = _as_float(_get(raw, "fraction", path, False, 1.0), _join(path, "fraction"), minimum=0.0, exclusive=True)
-    if fraction > 1.0:
-        _fail(_join(path, "fraction"), f"must be <= 1, got {fraction}")
-    return SamplingPlan(burn_in=burn_in, stride=stride, fraction=fraction)
-
-
-_TOP_KEYS = ("name", "seed", "data", "model", "adam", "simmer", "sampling", "replicates")
-
-
-def from_dict(raw: dict) -> ExperimentConfig:
-    """Parse and validate a plain dict (e.g. freshly JSON-decoded)."""
-    if not isinstance(raw, dict):
-        _fail("", "config root must be an object")
-    _check_unknown(raw, _TOP_KEYS, "")
-    name = _as_str(_get(raw, "name", "", required=True), "name")
-    if not name:
-        _fail("name", "must be non-empty")
-    seed = _as_int(_get(raw, "seed", "", required=True), "seed", minimum=0)
-    replicates = _as_int(_get(raw, "replicates", "", False, 1), "replicates", minimum=1)
-    data = _parse_data(_get(raw, "data", "", required=True), "data")
-    model = _parse_model(_get(raw, "model", "", required=True), "model")
-    adam = raw.get("adam")
-    if adam is not None:
-        adam = _parse_adam(adam, "adam")
-    simmer = raw.get("simmer")
-    if simmer is not None:
-        simmer = _parse_simmer(simmer, "simmer")
-    sampling = raw.get("sampling")
-    if sampling is not None:
-        sampling = _parse_sampling(sampling, "sampling")
-
+def _check_experiment(cfg: ExperimentConfig, path: str):
+    simmer, sampling = cfg.simmer, cfg.sampling
     if simmer is not None:
         if sampling is None:
             _fail("sampling", "required when a simmer section is present")
@@ -286,65 +238,103 @@ def from_dict(raw: dict) -> ExperimentConfig:
                 "sampling.fraction",
                 f"{sampling.fraction} of the {window.size} steps after burn_in and stride keeps none",
             )
-    if adam is None and simmer is None:
+    if cfg.adam is None and simmer is None:
         _fail("", "config needs at least one of 'adam' or 'simmer'")
-    return ExperimentConfig(
-        name=name,
-        seed=seed,
-        data=data,
-        model=model,
-        adam=adam,
-        simmer=simmer,
-        sampling=sampling,
-        replicates=replicates,
-    )
 
 
-def to_dict(config: ExperimentConfig) -> dict:
+_AT_LEAST_1 = partial(_as_int, minimum=1)
+_NON_NEGATIVE = partial(_as_float, minimum=0.0)
+_POSITIVE = partial(_as_float, minimum=0.0, exclusive=True)
+
+# each section's keys in the order to_dict writes them, each with its check
+_DATA_COMMON = (
+    ("kind", lambda value, path: _as_str(value, path, _DATA_FIELDS)),
+    ("n_train", _AT_LEAST_1),
+)
+_DATA_FIELDS = {
+    "noisy_sine": _DATA_COMMON + (
+        ("n_points", partial(_as_int, minimum=2)),
+        ("noise_amp", _NON_NEGATIVE),
+    ),
+    "csv": _DATA_COMMON + (
+        ("path", _as_str),
+        ("schema", _or_none(_as_str)),
+    ),
+}
+_FIELDS = {
+    ModelConfig: (
+        ("hidden", partial(
+            _as_list, item=_AT_LEAST_1, message="expected a non-empty list of layer widths",
+            nonempty=True,
+        )),
+        ("activations", partial(
+            _as_list, item=partial(_as_str, choices=net.ACTIVATIONS), message="expected a list"
+        )),
+        ("loss", partial(_as_str, choices=net.LOSSES)),
+        ("init", partial(_as_str, choices=net.INITIALIZERS)),
+    ),
+    AdamConfig: (
+        ("alpha", _POSITIVE),
+        ("epochs", partial(_as_int, minimum=2)),
+    ),
+    SimmerConfig: (
+        ("dt", _POSITIVE),
+        ("iterations", _AT_LEAST_1),
+        ("chain_length", _AT_LEAST_1),
+        ("chain_mass", _POSITIVE),
+        ("particle_mass", _POSITIVE),
+        ("schedule", partial(_parse, TemperatureSchedule)),
+    ),
+    TemperatureSchedule: (
+        ("t_initial", _NON_NEGATIVE),
+        ("t_target", _NON_NEGATIVE),
+        ("t_step", _POSITIVE),
+        ("hold_iterations", _AT_LEAST_1),
+    ),
+    SamplingPlan: (
+        ("burn_in", partial(_as_int, minimum=0)),
+        ("stride", _AT_LEAST_1),
+        ("fraction", partial(_as_float, minimum=0.0, exclusive=True, maximum=1)),
+    ),
+    ExperimentConfig: (
+        ("name", _as_name),
+        ("seed", partial(_as_int, minimum=0)),
+        ("replicates", _AT_LEAST_1),
+        ("data", _parse_data),
+        ("model", partial(_parse, ModelConfig)),
+        ("adam", _or_none(partial(_parse, AdamConfig))),
+        ("simmer", _or_none(partial(_parse, SimmerConfig))),
+        ("sampling", _or_none(partial(_parse, SamplingPlan))),
+    ),
+}
+# the rules that read more than one key, run once their section has parsed
+_RULES = {
+    DataConfig: _check_data,
+    ModelConfig: _check_model,
+    TemperatureSchedule: _check_schedule,
+    ExperimentConfig: _check_experiment,
+}
+
+
+def from_dict(raw: dict) -> ExperimentConfig:
+    """Parse and validate a plain dict (e.g. freshly JSON-decoded)."""
+    if not isinstance(raw, dict):
+        _fail("", "config root must be an object")
+    return _parse(ExperimentConfig, raw, "")
+
+
+def to_dict(config) -> dict:
     """Inverse of from_dict; the result is JSON-serializable."""
-    data: dict = {"kind": config.data.kind, "n_train": config.data.n_train}
-    if config.data.kind == "noisy_sine":
-        data["n_points"] = config.data.n_points
-        data["noise_amp"] = config.data.noise_amp
-    else:
-        data["path"] = config.data.path
-        if config.data.schema is not None:
-            data["schema"] = config.data.schema
-    out: dict = {
-        "name": config.name,
-        "seed": config.seed,
-        "replicates": config.replicates,
-        "data": data,
-        "model": {
-            "hidden": list(config.model.hidden),
-            "activations": list(config.model.activations),
-            "loss": config.model.loss,
-            "init": config.model.init,
-        },
-    }
-    if config.adam is not None:
-        out["adam"] = {"alpha": config.adam.alpha, "epochs": config.adam.epochs}
-    if config.simmer is not None:
-        s = config.simmer
-        out["simmer"] = {
-            "dt": s.dt,
-            "iterations": s.iterations,
-            "chain_length": s.chain_length,
-            "chain_mass": s.chain_mass,
-            "particle_mass": s.particle_mass,
-            "schedule": {
-                "t_initial": s.schedule.t_initial,
-                "t_target": s.schedule.t_target,
-                "t_step": s.schedule.t_step,
-                "hold_iterations": s.schedule.hold_iterations,
-            },
-        }
-    if config.sampling is not None:
-        out["sampling"] = {
-            "burn_in": config.sampling.burn_in,
-            "stride": config.sampling.stride,
-            "fraction": config.sampling.fraction,
-        }
+    fields = _DATA_FIELDS[config.kind] if isinstance(config, DataConfig) else _FIELDS[type(config)]
+    out = {}
+    for key, _ in fields:
+        value = getattr(config, key)
+        if dataclasses.is_dataclass(value):
+            value = to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[key] = value
     return out
 
 
@@ -372,4 +362,3 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("data.schema", f"file not found: {schema_path}")
         cfg = replace(cfg, data=replace(cfg.data, path=csv_path, schema=schema_path))
     return cfg
-

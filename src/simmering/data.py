@@ -203,7 +203,7 @@ def load_builtin(name: str) -> Dataset:
         return load_csv(real_path, schema)
 
 
-def gen_noisy_sine(n_points: int = 101, noise_amp: float = 0.1, seed: int = 0) -> Dataset:
+def gen_noisy_sine(n_points: int, noise_amp: float, seed: int) -> Dataset:
     """sin(2*pi*x) on an even grid over [-1, 1] with additive Gaussian noise."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -219,7 +219,6 @@ class Split:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(
@@ -241,7 +240,7 @@ def split(dataset: Dataset, n_train: int, seed: int) -> Split:
     if not 0 < n_train < s:
         raise ValueError(f"n_train must be in (0, {s}), got {n_train}")
     order = seeding.stream(seed, "split").permutation(s)
-    return Split(train_indices=order[:n_train], test_indices=order[n_train:], seed=seed)
+    return Split(train_indices=order[:n_train], test_indices=order[n_train:])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ magnitudes, not large-N performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,13 +58,7 @@ class MetricReport:
     improved: bool | None                 # None when there is no baseline
 
     def to_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "adam_train_metric": self.adam_train_metric,
-            "adam_test_metric": self.adam_test_metric,
-            "ensemble_test_metric": self.ensemble_test_metric,
-            "improved": self.improved,
-        }
+        return asdict(self)
 
 
 def fd_hessian(grad_fn, x: np.ndarray):

@@ -161,6 +161,13 @@ def init_stratified_glorot(topology: Topology, seed) -> np.ndarray:
     return params
 
 
+# the config's model.init names, each with its initialiser
+INITIALIZERS = {
+    "glorot_normal": init_glorot_normal,
+    "stratified_glorot": init_stratified_glorot,
+}
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 

@@ -34,8 +34,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
-    alpha: float = 0.002
+    t: int
+    alpha: float
 
     @classmethod
     def fresh(cls, n_params: int, alpha: float) -> "AdamState":
@@ -65,7 +65,6 @@ class AdamReport:
     test_losses: np.ndarray
     final_params: np.ndarray
     penultimate_params: np.ndarray
-    alpha: float
     epochs: int
 
 
@@ -114,7 +113,6 @@ def train_adam(
         test_losses=test_losses,
         final_params=params,
         penultimate_params=prev,
-        alpha=alpha,
         epochs=epochs,
     )
 
@@ -134,9 +132,9 @@ def retrofit_init(
     final_params: np.ndarray,
     penultimate_params: np.ndarray,
     gamma: float,
-    chain_length: int = 2,
-    chain_mass: float = 1.0,
-    particle_mass: float = 1.0,
+    chain_length: int,
+    chain_mass: float,
+    particle_mass: float,
 ) -> PhaseState:
     """Phase-space start for simmering from an Adam endpoint.
 

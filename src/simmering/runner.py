@@ -43,11 +43,6 @@ RESOLVED_CONFIG = "resolved_config.json"
 METRICS_FILE = "metrics.json"
 BASELINE_DIR = "baseline_adam"
 
-_INITIALIZERS = {
-    "glorot_normal": net.init_glorot_normal,
-    "stratified_glorot": net.init_stratified_glorot,
-}
-
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -179,7 +174,7 @@ def build_topology(cfg: ExperimentConfig, dataset: data.Dataset) -> net.Topology
 
 
 def initial_params(cfg: ExperimentConfig, topology: net.Topology, replicate: int) -> np.ndarray:
-    init_fn = _INITIALIZERS[cfg.model.init]
+    init_fn = net.INITIALIZERS[cfg.model.init]
     return init_fn(topology, seeding.child_seed(cfg.seed, "weights", replicate))
 
 
@@ -588,8 +583,8 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
     if cfg.simmer is None:
         raise ConfigError("simmer", "retrofit needs a simmer section")
     stored, command = load_run_config(adam_run)
-    if stored.adam is None:
-        raise ValueError(f"{adam_run} is not an adam training run")
+    if command != "train-adam":
+        raise ValueError(f"{adam_run} is a {command!r} run, not a 'train-adam' run")
     _check_retrofit_compatibility(cfg, stored)
     if cfg.replicates > stored.replicates:
         raise ValueError(
@@ -653,6 +648,8 @@ def run_evaluate(
                 f"distribution point {p_idx} has {point.size} coordinates, "
                 f"the feature space has {n_features}"
             )
+        if not np.isfinite(point).all():
+            raise ValueError(f"distribution point {p_idx} has a non-finite coordinate")
     bundles = _ReplicateBundles(run_dir, cfg.replicates, topology, prep.scaler)
     more = []
     if prep.task == "classification" and n_features == 2:

@@ -288,7 +288,10 @@ def test_handoff_is_exact():
     y = np.sin(x)
     params0 = net.init_glorot_normal(top, seeding.child_seed(3, "weights"))
     report = optimize.train_adam(top, params0, x, y, x, y, "sse", epochs=50, alpha=0.002)
-    state = optimize.retrofit_init(report.final_params, report.penultimate_params, gamma=0.002)
+    state = optimize.retrofit_init(
+        report.final_params, report.penultimate_params, gamma=0.002,
+        chain_length=2, chain_mass=1.0, particle_mass=1.0,
+    )
     bits_equal = state.positions.tobytes() == report.final_params.tobytes()
 
     worst = 0.0

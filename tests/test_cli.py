@@ -478,6 +478,20 @@ def test_retrofit_from_non_run_dir(tmp_path, capsys):
     assert "resolved_config" in error_line(capsys)["message"]
 
 
+def test_retrofit_refuses_a_run_not_made_by_train_adam(tmp_path, capsys):
+    raw = tiny_config_dict(replicates=1)
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    p = tmp_path / "constant.json"
+    p.write_text(json.dumps(raw))
+    sim, out = tmp_path / "sim", tmp_path / "o"
+    assert main(["simmer", "--config", str(p), "--out", str(sim)]) == 0
+    assert main(["retrofit", "--config", str(p), "--from-run", str(sim), "--out", str(out)]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "ValueError"
+    assert "'simmer' run, not a 'train-adam' run" in payload["message"]
+    assert not out.exists()
+
+
 def test_retrofit_rejects_mismatched_config(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     a = str(tmp_path / "a")
@@ -521,6 +535,14 @@ def test_evaluate_rejects_bad_distribution_point(tmp_path, capsys):
     ) == 1
     assert "point 1 has 2 coordinates" in error_line(capsys)["message"]
     assert not out.exists()  # checked before anything is written
+    for bad in ("nan", "-inf", "1e400"):
+        argv = ["evaluate", "--from-run", r, "--out", str(out), "--at", "0.25", f"--at={bad}"]
+        assert main(argv) == 1
+        assert error_line(capsys) == {
+            "error": "ValueError",
+            "message": "distribution point 1 has a non-finite coordinate",
+        }
+        assert not out.exists()
 
 
 def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):

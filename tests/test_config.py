@@ -5,7 +5,9 @@ import json
 import pytest
 
 from simmering import config
-from simmering.config import ConfigError, from_dict, load_config, to_dict
+from simmering.config import ConfigError, SimmerConfig, from_dict, load_config, to_dict
+from simmering.dynamics import TemperatureSchedule
+from simmering.ensemble import SamplingPlan
 
 
 def sine_dict(**overrides):
@@ -55,21 +57,30 @@ def test_round_trip_survives_json_text():
 
 
 def test_defaults_fill_in():
+    # a config holding only the required keys takes the types' own defaults
     raw = sine_dict()
     del raw["replicates"]
+    del raw["data"]["n_points"]
+    del raw["data"]["noise_amp"]
     del raw["model"]["init"]
     del raw["simmer"]["chain_length"]
     del raw["simmer"]["chain_mass"]
     del raw["simmer"]["particle_mass"]
+    del raw["simmer"]["schedule"]["t_step"]
+    del raw["simmer"]["schedule"]["hold_iterations"]
     del raw["sampling"]["stride"]
     del raw["sampling"]["fraction"]
     cfg = from_dict(raw)
     assert cfg.replicates == 1
+    assert cfg.data.n_points == 101 and cfg.data.noise_amp == 0.1
     assert cfg.model.init == "glorot_normal"
     assert cfg.simmer.chain_length == 2
     assert cfg.simmer.chain_mass == 1.0
     assert cfg.sampling.stride == 1
     assert cfg.sampling.fraction == 1.0
+    assert cfg.simmer.schedule == TemperatureSchedule(0.0, 0.05)
+    assert cfg.sampling == SamplingPlan(7000)
+    assert cfg.simmer == SimmerConfig(0.002, 10000, TemperatureSchedule(0.0, 0.05))
 
 
 def test_adam_only_config_is_valid():
@@ -152,6 +163,12 @@ def test_csv_builtin_config():
             "simmer.particle_mass",
             id="negative-particle-mass",
         ),
+        pytest.param(lambda r: r.update(model=None), "model", id="null-model"),
+        pytest.param(lambda r: r.update(data=None), "data", id="null-data"),
+        pytest.param(
+            lambda r: r["simmer"].update(schedule=None), "simmer.schedule", id="null-schedule"
+        ),
+        pytest.param(lambda r: r.update(seed=None), "seed", id="null-seed"),
     ],
 )
 def test_validation_errors_carry_field_paths(mutate, path_fragment):
@@ -161,6 +178,57 @@ def test_validation_errors_carry_field_paths(mutate, path_fragment):
         from_dict(raw)
     assert path_fragment in str(err.value)
     assert err.value.path == path_fragment
+
+
+def test_null_optional_section_is_absent():
+    cfg = from_dict(sine_dict(adam=None))
+    assert cfg.adam is None
+    assert "adam" not in to_dict(cfg)
+
+
+def _decreasing_schedule(raw):
+    raw["simmer"]["schedule"].update(t_initial=0.5, t_target=0.1)
+
+
+@pytest.mark.parametrize(
+    "first,second,path",
+    [
+        pytest.param(
+            lambda r: r["data"].update(kind="parquet"),
+            lambda r: r["model"].update(loss="huber"),
+            "data.kind",
+            id="data-before-model",
+        ),
+        pytest.param(
+            _decreasing_schedule,
+            lambda r: r["sampling"].update(fraction=1.5),
+            "simmer.schedule.t_target",
+            id="simmer-before-sampling",
+        ),
+        # each section's keys are checked in the order to_dict writes them,
+        # so simmer's chain and masses come before its schedule ...
+        pytest.param(
+            _decreasing_schedule,
+            lambda r: r["simmer"].update(chain_mass=0.0),
+            "simmer.chain_mass",
+            id="chain-before-schedule",
+        ),
+        # ... and a rule reading two keys runs once its section has parsed
+        pytest.param(
+            lambda r: r["model"].update(activations=["tanh", "linear"]),
+            lambda r: r["model"].update(loss="huber"),
+            "model.loss",
+            id="loss-before-activation-count",
+        ),
+    ],
+)
+def test_first_of_two_faults_is_reported(first, second, path):
+    raw = sine_dict()
+    first(raw)
+    second(raw)
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.path == path
 
 
 def test_csv_without_schema_rejected():

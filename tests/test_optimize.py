@@ -110,7 +110,7 @@ def test_quadratic_matches_hand_rolled_recurrence_exactly():
     assert report.final_params[0] == 0.25  # zero-gradient direction never moves
     assert abs(report.final_params[1] - 3.0) < 1e-3
     assert report.train_losses.shape == (5000,)
-    assert report.epochs == 5000 and report.alpha == 0.002
+    assert report.epochs == 5000
 
 
 def test_losses_are_recorded_after_each_update():
@@ -223,6 +223,9 @@ def test_retrofit_init_copies_do_not_alias_the_report():
     topology, params0, x, y = quadratic_problem()
     report = train_adam(topology, params0, x, y, x, y, "sse", epochs=10, alpha=0.01)
     pristine = report.final_params.copy()
-    state = retrofit_init(report.final_params, report.penultimate_params, gamma=0.01)
+    state = retrofit_init(
+        report.final_params, report.penultimate_params, gamma=0.01,
+        chain_length=2, chain_mass=1.0, particle_mass=1.0,
+    )
     state.positions[0] = 99.0
     assert np.array_equal(report.final_params, pristine)
