@@ -236,7 +236,7 @@ def _check_experiment(cfg: ExperimentConfig, path: str):
         if n_keep < 1:
             _fail(
                 "sampling.fraction",
-                f"{sampling.fraction} of the {window.size} steps after burn_in and stride keeps none",
+                f"{sampling.fraction} of the {len(window)} steps after burn_in and stride keeps none",
             )
     if cfg.adam is None and simmer is None:
         _fail("", "config needs at least one of 'adam' or 'simmer'")

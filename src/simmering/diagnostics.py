@@ -95,7 +95,7 @@ def spectrum_from_gradient(grad_fn, x: np.ndarray) -> SpectrumReport:
         )
     hessian, asymmetry = fd_hessian(grad_fn, x)
     if not np.isfinite(hessian).all():
-        raise ArithmeticError("finite-difference Hessian contains non-finite entries")
+        raise net.NonFiniteError("finite-difference Hessian contains non-finite entries")
     eigenvalues = np.linalg.eigvalsh(hessian)[::-1]
     return SpectrumReport(eigenvalues=eigenvalues, max_asymmetry=asymmetry)
 

@@ -5,24 +5,26 @@ The member choice is made once, before integrating:
 captures only those states, and :func:`collect` turns what it captured
 into a bundle.
 
-A bundle stores raw parameter snapshots, never predictions; members are
-re-evaluated on demand.  Every prediction takes a sequence of bundles (one
-per replicate, in replicate order) and reduces over one walk of their
+A bundle stores raw parameter snapshots, never predictions, and nothing
+else: a run has one topology and one scaler, which every prediction takes
+once.  Every prediction takes a sequence of ``(M, N)`` member matrices
+(one per replicate, in replicate order; a single parameter vector is the
+one-member matrix ``params[None]``) and reduces over one walk of their
 members in storage order.  The walk evaluates consecutive members a chunk
 at a time, one stacked :func:`net.forward` per chunk, whose size is fixed
 by the input row count and the topology alone.  A stacked forward gives
 each member the bits its own forward would, and regression sums still add
 one member at a time into a single running total, so results are
 bit-stable and depend neither on the chunking nor on whether the members
-sit in one bundle or several.
+sit in one matrix or several.
 
 Memory: the walk computes every chunk's hidden layers in buffers it
-allocates once, and it takes the bundles one at a time, so bundles read
+allocates once, and it takes the matrices one at a time, so matrices read
 lazily from a run directory are held one at a time.  :func:`evaluate`
-computes all of a run's predictions in one pass over its bundles.
+computes all of a run's predictions in one pass over its matrices.
 
 Vote tallies and member rows are exact in any split of the members, so
-:func:`evaluate` gives each bundle of a sequence its own
+:func:`evaluate` gives each matrix of a sequence its own
 :func:`parallel.map_in_order` job when it takes no means; means stay in
 one process, in walk order.
 
@@ -68,30 +70,31 @@ class SamplingPlan:
     stride: int = 1
     fraction: float = 1.0
 
-    def window(self, iterations: int) -> tuple[np.ndarray, int]:
+    def window(self, iterations: int) -> tuple[range, int]:
         """The record indices left after burn-in and stride, and how many
         of them :meth:`steps` keeps."""
-        window = np.arange(self.burn_in, iterations, self.stride, dtype=np.int64)
-        return window, int(round(window.size * self.fraction))
+        window = range(self.burn_in, iterations, self.stride)
+        # counted here: len() of a range raises past sys.maxsize members
+        size = max(0, (iterations - self.burn_in + self.stride - 1) // self.stride)
+        return window, int(round(size * self.fraction))
 
     def steps(self, iterations: int, seed: int, replicate: int) -> np.ndarray:
         """Sorted 0-based record indices of the members of one run."""
         window, n_keep = self.window(iterations)
+        steps = np.arange(window.start, window.stop, window.step, dtype=np.int64)
         if self.fraction == 1.0:
-            return window
+            return steps
         rng = seeding.stream(seed, "subsample", replicate)
-        return window[np.sort(rng.choice(window.size, size=n_keep, replace=False))]
+        return steps[np.sort(rng.choice(steps.size, size=n_keep, replace=False))]
 
 
 @dataclass
 class EnsembleBundle:
-    """Sampled parameter vectors plus everything needed to predict."""
+    """The sampled parameter vectors of one run, as the run records them."""
 
     members: np.ndarray        # (M, N) parameter vectors
     iterations: np.ndarray     # (M,) 1-based capture iteration
     temperatures: np.ndarray   # (M,) target temperature at capture
-    topology: Topology
-    scaler: ScalerParams
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=np.float64)
@@ -99,11 +102,6 @@ class EnsembleBundle:
         self.temperatures = np.asarray(self.temperatures, dtype=np.float64)
         if self.members.ndim != 2 or self.members.shape[0] < 1:
             raise ValueError("a bundle needs at least one member")
-        if self.members.shape[1] != self.topology.param_count:
-            raise ValueError(
-                f"member length {self.members.shape[1]} does not match "
-                f"topology parameter count {self.topology.param_count}"
-            )
         m = self.members.shape[0]
         if self.iterations.shape != (m,) or self.temperatures.shape != (m,):
             raise ValueError("iterations and temperatures must align with members")
@@ -115,7 +113,7 @@ class EnsembleBundle:
         return int(self.members.shape[0])
 
 
-def collect(trajectory: Trajectory, topology: Topology, scaler: ScalerParams) -> EnsembleBundle:
+def collect(trajectory: Trajectory) -> EnsembleBundle:
     """The bundle of the members ``trajectory`` kept.
 
     The trajectory captured only the members' states, at the records
@@ -127,8 +125,6 @@ def collect(trajectory: Trajectory, topology: Topology, scaler: ScalerParams) ->
         members=trajectory.snapshots,
         iterations=positions + 1,
         temperatures=trajectory.temperature[positions],
-        topology=topology,
-        scaler=scaler,
     )
 
 
@@ -142,62 +138,45 @@ def chunk_size(topology: Topology, n_rows: int) -> int:
     return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
 
 
-def _member_outputs(bundles, input_sets):
-    """Yield ``(bundle, k, outputs)`` per chunk of members, bundle by bundle.
+def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_sets):
+    """Yield ``(k, outputs)`` per chunk of members, matrix by matrix.
 
-    The one walk behind every ensemble prediction.  ``bundles`` is taken in
-    order and consumed once, and the walk drops each bundle before it takes
-    the next, so replicate bundles read lazily are held one at a time.
-    They must share one topology and one scaler; every input set is scaled
-    once, by that scaler.  Each bundle's members are walked over input set
-    ``k = 0, 1, ...`` in turn, in storage order, and ``outputs`` is the
-    ``(chunk, samples, outputs)`` array of one stacked :func:`net.forward`
-    over consecutive members on set ``k``.
+    The one walk behind every ensemble prediction.  ``matrices`` holds
+    ``(M, N)`` member matrices of ``topology``; it is taken in order and
+    consumed once, and the walk drops each matrix before it takes the
+    next, so replicate matrices read lazily are held one at a time.  Every
+    input set is scaled once, by ``scaler``.  Each matrix's members are
+    walked over input set ``k = 0, 1, ...`` in turn, in storage order, and
+    ``outputs`` is the ``(chunk, samples, outputs)`` array of one stacked
+    :func:`net.forward` over consecutive members on set ``k``.
 
     Each set's hidden layers are computed in buffers allocated once per
     walk for ``min(chunk, members)`` members (and again, larger, only if a
-    later bundle has more), so no chunk allocates hidden-layer arrays of
+    later matrix has more), so no chunk allocates hidden-layer arrays of
     its own.  The output layer is a fresh array, so no two yielded
     ``outputs`` share memory.
     """
-    pool = None
-    for bundle in bundles:
-        if pool is None:
-            pool = bundle.topology, bundle.scaler
-            scaled = [_scaled_inputs(bundle, inputs) for inputs in input_sets]
-            steps = [chunk_size(bundle.topology, x.shape[0]) for x in scaled]
-            hidden = [(0, []) for _ in scaled]
-        else:
-            _check_poolable(*pool, bundle)
+    scaled = [_scaled_inputs(scaler, inputs) for inputs in input_sets]
+    steps = [chunk_size(topology, x.shape[0]) for x in scaled]
+    hidden = [(0, []) for _ in scaled]
+    for matrix in matrices:
         for k, x in enumerate(scaled):
-            for lo in range(0, bundle.n_members, steps[k]):
-                members = bundle.members[lo : lo + steps[k]]
+            for lo in range(0, len(matrix), steps[k]):
+                members = matrix[lo : lo + steps[k]]
                 c = members.shape[0]
                 if hidden[k][0] < c:
-                    widths = bundle.topology.layer_sizes[1:-1]
+                    widths = topology.layer_sizes[1:-1]
                     hidden[k] = c, [np.empty((c, x.shape[0], w)) for w in widths]
                 buffers = [h[:c] for h in hidden[k][1]]
-                yield bundle, k, net.forward(bundle.topology, members, x, buffers)
-        bundle = members = None  # hold no bundle while the next one is read
-    if pool is None:
-        raise ValueError("nothing to pool")
+                yield k, net.forward(topology, members, x, buffers)
+        matrix = members = None  # hold no matrix while the next one is read
 
 
-def _check_poolable(topology, scaler, other):
-    """Refuse to pool ``other`` (it has a topology and a scaler) with the rest."""
-    if other.topology != topology:
-        raise ValueError("cannot pool bundles with different topologies")
-    if not all(
-        np.array_equal(value, getattr(scaler, name)) for name, value in vars(other.scaler).items()
-    ):
-        raise ValueError("cannot pool bundles with different scalers")
-
-
-def _scaled_inputs(bundle: EnsembleBundle, inputs) -> np.ndarray:
+def _scaled_inputs(scaler: ScalerParams, inputs) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ValueError("inputs must be a 2-D (samples, features) array")
-    return data.scale_features(bundle.scaler, inputs)
+    return data.scale_features(scaler, inputs)
 
 
 def n_vote_classes(topology: Topology) -> int:
@@ -210,75 +189,69 @@ def n_vote_classes(topology: Topology) -> int:
 class Evaluation:
     """An ensemble's predictions on input sets, one entry per requested set."""
 
-    topology: Topology
-    scaler: ScalerParams
     n_members: int
     means: list    # (samples, outputs) pointwise member mean, original target units
     members: list  # (members, samples, outputs) every member's rows, original target units
     votes: list    # (samples, classes) integer tally of member argmax votes
 
 
-def evaluate(bundles, means=(), members=(), votes=()) -> Evaluation:
-    """Pool ``bundles`` (one per replicate, in replicate order) on input sets.
+def evaluate(
+    topology: Topology, scaler: ScalerParams, matrices, means=(), members=(), votes=()
+) -> Evaluation:
+    """Pool ``matrices`` (one per replicate, in replicate order) on input sets.
 
-    ``means``, ``members`` and ``votes`` are lists of 2-D input arrays.
-    For each set the result holds the pointwise mean of the members'
-    predictions, every member's predictions, or the integer tally of their
-    votes.  A classifier's targets are not scaled, so its member rows are
-    the raw outputs that :func:`net.class_labels_from_outputs` turns into
-    labels.
+    ``matrices`` holds ``(M, N)`` member matrices of ``topology``, whose
+    inputs and targets ``scaler`` scales.  ``means``, ``members`` and
+    ``votes`` are lists of 2-D input arrays.  For each set the result
+    holds the pointwise mean of the members' predictions, every member's
+    predictions, or the integer tally of their votes.  A classifier's
+    targets are not scaled, so its member rows are the raw outputs that
+    :func:`net.class_labels_from_outputs` turns into labels.
 
     Member rows and vote tallies are exact in any split of the members, so
-    without means a sequence of bundles is split: each bundle is one
+    without means a sequence of matrices is split: each matrix is one
     :func:`parallel.map_in_order` job, looked up by the worker that
-    evaluates it (a sequence that reads bundles on demand reads each one
+    evaluates it (a sequence that reads matrices on demand reads each one
     there), and the parent concatenates the rows and sums the tallies.
     Means add one member at a time into one running total, whose rounding
     thus depends neither on the chunking nor on how the members are split
-    into bundles; with means, and for any other iterable, the bundles are
-    one serial walk in storage order.  Either way each bundle is walked
-    once per input set.
+    into matrices; with means, and for any other iterable, the matrices
+    are one serial walk in storage order.  Either way each matrix is
+    walked once per input set.
     """
     sets = (list(means), list(members), list(votes))
     if not any(sets):
         raise ValueError("nothing to evaluate")
-    if means or not isinstance(bundles, Sequence):
-        pooled = _walk(bundles, *sets)
+    if means or not isinstance(matrices, Sequence):
+        pooled = _walk(topology, scaler, matrices, *sets)
     else:
-        parts = parallel.map_in_order(functools.partial(_evaluate_one, sets), bundles)
-        if not parts:
+        if not matrices:
             raise ValueError("nothing to pool")
-        first = parts[0]
-        for part in parts[1:]:
-            _check_poolable(first.topology, first.scaler, part)
+        walk = functools.partial(_evaluate_one, topology, scaler, sets)
+        parts = parallel.map_in_order(walk, matrices)
         pooled = Evaluation(
-            first.topology,
-            first.scaler,
             sum(part.n_members for part in parts),
             [],
             [np.concatenate([part.members[k] for part in parts]) for k in range(len(members))],
             [sum(part.votes[k] for part in parts) for k in range(len(votes))],
         )
-    # member rows are unscaled once every bundle is known to share the scaler
-    pooled.members = [data.unscale_targets(pooled.scaler, rows) for rows in pooled.members]
+    pooled.members = [data.unscale_targets(scaler, rows) for rows in pooled.members]
     return pooled
 
 
-def _evaluate_one(sets, bundle: EnsembleBundle) -> Evaluation:
-    return _walk([bundle], *sets)
+def _evaluate_one(topology, scaler, sets, matrix) -> Evaluation:
+    return _walk(topology, scaler, [matrix], *sets)
 
 
-def _walk(bundles, means, members, votes) -> Evaluation:
+def _walk(topology, scaler, matrices, means, members, votes) -> Evaluation:
     """:func:`evaluate` in one serial walk, with member rows still in model units."""
     n_means, n_rows = len(means), len(means) + len(members)
+    one_hot = np.eye(n_vote_classes(topology), dtype=np.int64)
     totals = [0.0] * len(means)
     rows = [[] for _ in members]
     tallies = [0] * len(votes)
     n = 0
-    for bundle, k, outputs in _member_outputs(bundles, [*means, *members, *votes]):
-        if n == 0:
-            topology, scaler = bundle.topology, bundle.scaler
-            one_hot = np.eye(n_vote_classes(topology), dtype=np.int64)
+    for k, outputs in _member_outputs(topology, scaler, matrices, [*means, *members, *votes]):
         if k == 0:
             n += outputs.shape[0]
         if k < n_means:
@@ -289,10 +262,9 @@ def _walk(bundles, means, members, votes) -> Evaluation:
         else:
             labels = net.class_labels_from_outputs(outputs)
             tallies[k - n_rows] = tallies[k - n_rows] + one_hot[labels].sum(axis=0)
-        del bundle  # hold no bundle while the walk reads the next one
+    if n == 0:
+        raise ValueError("nothing to pool")
     return Evaluation(
-        topology,
-        scaler,
         n,
         [total / n for total in totals],
         [np.concatenate(chunks) for chunks in rows],

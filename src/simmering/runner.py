@@ -20,6 +20,13 @@ All floating-point text output goes through repr(), the shortest string
 that round-trips to the identical double, so reruns with the same config
 and seed reproduce byte-identical CSV/JSON artifacts.  Output directories
 must be empty: a run directory has exactly one writer.
+
+Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
+replicates' member matrices, and an Adam endpoint is the one-member
+matrix ``final[None]``, both pooled by :func:`ensemble.evaluate` under
+the run's one topology and scaler.  A bundle on disk carries no topology
+of its own; :func:`read_bundle` reads it as the configured model's, and
+a file of another width is refused by its size.
 """
 
 from __future__ import annotations
@@ -54,8 +61,13 @@ def _write_json(path: str, obj):
         fh.write("\n")
 
 
-def _read_object(path: str, keys) -> dict:
-    """The JSON object in ``path``, which must hold every key in ``keys``."""
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _read_object(path: str, keys: dict) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``keys``,
+    each a value of the JSON type its entry names (``dict``, ``list`` or
+    ``int``)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -63,9 +75,12 @@ def _read_object(path: str, keys) -> dict:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path} does not hold a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in obj:
             raise ValueError(f"{path} has no {key!r} entry")
+        # a JSON true/false loads as a bool, which Python counts as an int
+        if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+            raise ValueError(f"{path}: {key!r} is not {_JSON_TYPES[kind]}, got {obj[key]!r}")
     return obj
 
 
@@ -182,48 +197,36 @@ def initial_params(cfg: ExperimentConfig, topology: net.Topology, replicate: int
 # metrics
 
 
-def _true_labels(one_hot: np.ndarray) -> np.ndarray:
-    return np.argmax(one_hot, axis=1)
+def _pooled(topology, prep: PreparedData, matrices, more=(), points=()) -> ensemble.Evaluation:
+    """The ensemble pooled from member ``matrices`` on the test set, then ``more`` sets.
 
-
-def _params_metric(topology, params, prep: PreparedData, inputs, raw_targets) -> float:
-    """Metric of one parameter vector on model-space ``inputs``, in raw target units."""
-    outputs = net.forward(topology, params, inputs)
-    if prep.task == "classification":
-        return diagnostics.accuracy(
-            net.class_labels_from_outputs(outputs), _true_labels(raw_targets)
-        )
-    return diagnostics.mse(data.unscale_targets(prep.scaler, outputs), raw_targets)
-
-
-def _train_test_metrics(topology, params, prep: PreparedData) -> tuple[float, float]:
-    """(train, test) metrics of one parameter vector."""
-    return (
-        _params_metric(topology, params, prep, prep.train_inputs, prep.raw_train_targets),
-        _params_metric(topology, params, prep, prep.test_inputs, prep.raw_test_targets),
-    )
-
-
-def _pooled(bundles, prep: PreparedData, more=(), points=()) -> ensemble.Evaluation:
-    """The ensemble pooled from ``bundles`` on the test set, then ``more`` sets.
-
-    A classifier's sets are vote tallies, a regression's member means;
-    ``points`` are the inputs at which every member's rows are kept.  One
-    pass over the bundles, each walked once per set (see
-    :func:`ensemble.evaluate`).
+    The one scorer: a run's ensemble and an Adam endpoint (the one-member
+    matrix ``params[None]``) both go through it.  A classifier's sets are
+    vote tallies, a regression's member means; ``points`` are the inputs
+    at which every member's rows are kept.  One pass over the matrices,
+    each walked once per set (see :func:`ensemble.evaluate`).
     """
     sets = [prep.dataset.features[prep.split.test_indices], *more]
     if prep.task == "classification":
-        return ensemble.evaluate(bundles, members=points, votes=sets)
-    return ensemble.evaluate(bundles, means=sets, members=points)
+        return ensemble.evaluate(topology, prep.scaler, matrices, members=points, votes=sets)
+    return ensemble.evaluate(topology, prep.scaler, matrices, means=sets, members=points)
 
 
-def _pooled_test_metric(prep: PreparedData, pooled: ensemble.Evaluation) -> float:
-    """Test metric of a :func:`_pooled` ensemble, in raw target units."""
+def _pooled_metric(prep: PreparedData, pooled: ensemble.Evaluation, k=0, targets=None) -> float:
+    """Metric of a :func:`_pooled` ensemble on its set ``k`` against raw
+    ``targets``; by default, on the test set."""
+    targets = prep.raw_test_targets if targets is None else targets
     if prep.task == "classification":
-        labels = np.argmax(pooled.votes[0], axis=1)  # ties go to the lowest class
-        return diagnostics.accuracy(labels, _true_labels(prep.raw_test_targets))
-    return diagnostics.mse(pooled.means[0], prep.raw_test_targets)
+        labels = np.argmax(pooled.votes[k], axis=1)  # ties go to the lowest class
+        return diagnostics.accuracy(labels, np.argmax(targets, axis=1))
+    return diagnostics.mse(pooled.means[k], targets)
+
+
+def _endpoint_metrics(topology, prep: PreparedData, params) -> tuple[float, float]:
+    """(train, test) metrics of one parameter vector, scored as a one-member ensemble."""
+    train = prep.dataset.features[prep.split.train_indices]
+    pooled = _pooled(topology, prep, [params[None]], [train])
+    return _pooled_metric(prep, pooled, 1, prep.raw_train_targets), _pooled_metric(prep, pooled)
 
 
 def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> Optional[bool]:
@@ -256,7 +259,7 @@ def load_run_config(run_dir: str) -> tuple[ExperimentConfig, str]:
     path = os.path.join(run_dir, RESOLVED_CONFIG)
     if not os.path.exists(path):
         raise FileNotFoundError(f"not a run directory (no {RESOLVED_CONFIG}): {run_dir}")
-    payload = _read_object(path, ("config",))
+    payload = _read_object(path, {"config": dict})
     return from_dict(payload["config"]), payload.get("command", "")
 
 
@@ -290,23 +293,25 @@ def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray
     sidecar_path = os.path.join(rep_dir, "snapshots.json")
     if not os.path.exists(sidecar_path):
         raise FileNotFoundError(f"no parameter snapshots in {rep_dir}")
-    sidecar = _read_object(sidecar_path, ("layer_sizes", "files"))
-    if list(sidecar["layer_sizes"]) != list(topology.layer_sizes):
+    sidecar = _read_object(sidecar_path, {"layer_sizes": list, "files": dict})
+    if sidecar["layer_sizes"] != list(topology.layer_sizes):
         raise ValueError(
             f"snapshot topology {sidecar['layer_sizes']} does not match "
             f"the configured model {list(topology.layer_sizes)}"
         )
     if name not in sidecar["files"]:
         raise FileNotFoundError(f"snapshot {name!r} not present in {rep_dir}")
+    if not isinstance(sidecar["files"][name], str):
+        raise ValueError(f"{sidecar_path}: 'files' entry {name!r} is not a string")
     path = os.path.join(rep_dir, sidecar["files"][name])
     return _read_rows(path, 1, topology.param_count)[0]
 
 
-def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle):
+def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle, topology: net.Topology):
     members = np.ascontiguousarray(bundle.members, dtype="<f8")
     with open(os.path.join(rep_dir, "ensemble_members.bin"), "wb") as fh:
         fh.write(memoryview(members))  # the array's own buffer, not a copy
-    sidecar = _layout_sidecar(bundle.topology)
+    sidecar = _layout_sidecar(topology)
     sidecar["layout"] = (
         "row-major (n_members, param_count) matrix; each row is one flat "
         "parameter vector laid out as in snapshots"
@@ -317,51 +322,50 @@ def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle):
     _write_json(os.path.join(rep_dir, "ensemble.json"), sidecar)
 
 
-def read_bundle(
-    rep_dir: str, topology: net.Topology, scaler: data.ScalerParams
-) -> ensemble.EnsembleBundle:
+def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
+    """The bundle in ``rep_dir``; its members file must hold ``n_members``
+    vectors of ``topology.param_count`` values."""
     sidecar_path = os.path.join(rep_dir, "ensemble.json")
     if not os.path.exists(sidecar_path):
         raise FileNotFoundError(f"no ensemble bundle in {rep_dir}")
     sidecar = _read_object(
-        sidecar_path, ("layer_sizes", "n_members", "param_count", "iterations", "temperatures")
+        sidecar_path,
+        {"layer_sizes": list, "n_members": int, "iterations": list, "temperatures": list},
     )
-    if list(sidecar["layer_sizes"]) != list(topology.layer_sizes):
+    if sidecar["layer_sizes"] != list(topology.layer_sizes):
         raise ValueError(
             f"bundle topology {sidecar['layer_sizes']} does not match "
             f"the configured model {list(topology.layer_sizes)}"
         )
     path = os.path.join(rep_dir, "ensemble_members.bin")
     return ensemble.EnsembleBundle(
-        members=_read_rows(path, sidecar["n_members"], sidecar["param_count"]),
+        members=_read_rows(path, sidecar["n_members"], topology.param_count),
         iterations=np.asarray(sidecar["iterations"], dtype=np.int64),
         temperatures=np.asarray(sidecar["temperatures"], dtype=np.float64),
-        topology=topology,
-        scaler=scaler,
     )
 
 
 class _ReplicateBundles(Sequence):
-    """The ensemble bundles of replicates 0..n-1, each read when looked up.
+    """The member matrices of replicates 0..n-1, each read when looked up.
 
     Iterating reads one bundle at a time and keeps none; a job of
-    :func:`ensemble.evaluate` looks its bundle up in the worker that runs
+    :func:`ensemble.evaluate` looks its matrix up in the worker that runs
     it, so bundles never travel between processes.
     """
 
-    def __init__(self, run_dir: str, n: int, topology: net.Topology, scaler: data.ScalerParams):
-        self.run_dir, self.n, self.topology, self.scaler = run_dir, n, topology, scaler
+    def __init__(self, run_dir: str, n: int, topology: net.Topology):
+        self.run_dir, self.n, self.topology = run_dir, n, topology
 
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, replicate: int) -> ensemble.EnsembleBundle:
+    def __getitem__(self, replicate: int) -> np.ndarray:
         if not 0 <= replicate < self.n:
             raise IndexError(replicate)
-        return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology, self.scaler)
+        return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology).members
 
     def __iter__(self):
-        # unlike Sequence.__iter__, hold no reference to the bundle handed out
+        # unlike Sequence.__iter__, hold no reference to the matrix handed out
         for replicate in range(self.n):
             yield self[replicate]
 
@@ -422,7 +426,7 @@ def _write_adam_replicate(rep_dir, topology, prep, report) -> diagnostics.Metric
         topology,
         {"final": report.final_params, "penultimate": report.penultimate_params},
     )
-    adam_train, adam_test = _train_test_metrics(topology, report.final_params, prep)
+    adam_train, adam_test = _endpoint_metrics(topology, prep, report.final_params)
     metrics = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=adam_train,
@@ -491,14 +495,14 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
     except net.NonFiniteError as exc:
         raise net.NonFiniteError(f"replicate {replicate}: {exc}") from exc
     _write_trajectory_csv(os.path.join(rep_dir, "trajectory.csv"), traj)
-    bundle = ensemble.collect(traj, topology, prep.scaler)
-    write_bundle(rep_dir, bundle)
+    bundle = ensemble.collect(traj)
+    write_bundle(rep_dir, bundle, topology)
     return bundle
 
 
-def _write_ensemble_metrics(out_dir, prep, bundles, adam_train=None, adam_test=None):
-    """Write ``out_dir``'s metrics.json for the ensemble pooled from ``bundles``."""
-    ens = _pooled_test_metric(prep, _pooled(bundles, prep))
+def _write_ensemble_metrics(out_dir, topology, prep, matrices, adam_train=None, adam_test=None):
+    """Write ``out_dir``'s metrics.json for the ensemble pooled from member ``matrices``."""
+    ens = _pooled_metric(prep, _pooled(topology, prep, matrices))
     metrics = diagnostics.MetricReport(
         metric_kind=prep.metric_kind,
         adam_train_metric=adam_train,
@@ -513,8 +517,8 @@ def _write_ensemble_metrics(out_dir, prep, bundles, adam_train=None, adam_test=N
 def _finish_sampling_run(out_dir, cfg, command, topology, prep, adam_train, adam_test) -> str:
     """The pooled metrics.json of a simmer or retrofit run, then its resolved config."""
     # the bundles just written, read back one at a time as evaluate reads them
-    bundles = _ReplicateBundles(out_dir, cfg.replicates, topology, prep.scaler)
-    _write_ensemble_metrics(out_dir, prep, bundles, adam_train, adam_test)
+    matrices = _ReplicateBundles(out_dir, cfg.replicates, topology)
+    _write_ensemble_metrics(out_dir, topology, prep, matrices, adam_train, adam_test)
     _write_resolved_config(out_dir, cfg, command)
     return out_dir
 
@@ -554,7 +558,7 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
         )
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        return _write_ensemble_metrics(rep_dir, prep, [bundle])
+        return _write_ensemble_metrics(rep_dir, topology, prep, [bundle.members])
 
     n_jobs = cfg.replicates + (cfg.adam is not None)
     reports = parallel.map_in_order(job, range(n_jobs))
@@ -609,8 +613,10 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
         )
         rep_dir = _replicate_dir(out_dir, r)
         bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        adam_train, adam_test = _train_test_metrics(topology, final, prep)
-        return _write_ensemble_metrics(rep_dir, prep, [bundle], adam_train, adam_test)
+        adam_train, adam_test = _endpoint_metrics(topology, prep, final)
+        return _write_ensemble_metrics(
+            rep_dir, topology, prep, [bundle.members], adam_train, adam_test
+        )
 
     reports = parallel.map_in_order(replicate, range(cfg.replicates))
     adam_train = sum(m.adam_train_metric for m in reports) / len(reports)
@@ -650,7 +656,7 @@ def run_evaluate(
             )
         if not np.isfinite(point).all():
             raise ValueError(f"distribution point {p_idx} has a non-finite coordinate")
-    bundles = _ReplicateBundles(run_dir, cfg.replicates, topology, prep.scaler)
+    matrices = _ReplicateBundles(run_dir, cfg.replicates, topology)
     more = []
     if prep.task == "classification" and n_features == 2:
         lo = prep.dataset.features.min(axis=0)
@@ -664,12 +670,12 @@ def run_evaluate(
         grid = np.linspace(lo, hi, 101).reshape(-1, 1)
         more.append(grid)
     # one pass: each bundle is read once, and a process holds one at a time
-    pooled = _pooled(bundles, prep, more, [point.reshape(1, -1) for point in points])
+    pooled = _pooled(topology, prep, matrices, more, [point.reshape(1, -1) for point in points])
     _prepare_out_dir(out_dir)
 
     summary = {
         "metric_kind": prep.metric_kind,
-        "ensemble_test_metric": _pooled_test_metric(prep, pooled),
+        "ensemble_test_metric": _pooled_metric(prep, pooled),
         "n_members": pooled.n_members,
         "n_replicates": cfg.replicates,
     }
@@ -738,8 +744,7 @@ def run_spectrum(run_dir: str, out_dir: str) -> str:
         params = read_snapshot(rep0, "final", topology)
         source = "adam_final"
     elif os.path.exists(os.path.join(rep0, "ensemble.json")):
-        bundle = read_bundle(rep0, topology, prep.scaler)
-        params = bundle.members[-1].copy()
+        params = read_bundle(rep0, topology).members[-1].copy()
         source = "ensemble_last_member"
     else:
         raise FileNotFoundError(f"no parameter snapshot found in {rep0}")

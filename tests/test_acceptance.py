@@ -222,10 +222,10 @@ def test_sine_retrofit_improves_on_adam_endpoint(tmp_path):
         metrics = _read_json(os.path.join(rep_dir, "metrics.json"))
         adam_test, ens_test = metrics["adam_test_metric"], metrics["ensemble_test_metric"]
         final = runner.read_snapshot(runner._replicate_dir(adam_dir, r), "final", topo)
-        bundle = runner.read_bundle(rep_dir, topo, prep.scaler)
+        members = runner.read_bundle(rep_dir, topo).members
         adam_curve = float(np.mean((data.unscale_targets(
             prep.scaler, net.forward(topo, final, scaled_xs))[:, 0] - truth) ** 2))
-        ens_mean = ensemble.evaluate([bundle], means=[xs]).means[0]
+        ens_mean = ensemble.evaluate(topo, prep.scaler, [members], means=[xs]).means[0]
         ens_curve = float(np.mean((ens_mean[:, 0] - truth) ** 2))
         test_wins += ens_test < adam_test
         curve_wins += ens_curve < adam_curve

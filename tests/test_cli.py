@@ -13,6 +13,7 @@ import pytest
 from simmering import data, net, runner, seeding
 from simmering.cli import main
 from simmering.config import from_dict
+from simmering.diagnostics import accuracy, mse
 from simmering.dynamics import PhaseState, ThermostatChain, initial_velocities, run_trajectory
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -135,6 +136,32 @@ def test_metrics_json_fixed_fields(tmp_path):
     adam_m = json.load(open(os.path.join(adam_out, "metrics.json")))
     assert adam_m["ensemble_test_metric"] is None
     assert adam_m["improved"] is None
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_adam_metrics_equal_a_plain_forward_of_the_endpoint(tmp_path, task):
+    # the endpoint is scored as a one-member ensemble; its metrics keep the
+    # bits of one plain forward of the final vector on the prepared rows
+    raw = tiny_config_dict() if task == "regression" else classification_config_dict()
+    cfg = from_dict(raw)
+    out = str(tmp_path / "a")
+    runner.run_train_adam(cfg, out)
+    prep = runner.prepare_data(cfg)
+    topology = runner.build_topology(cfg, prep.dataset)
+    for r in range(cfg.replicates):
+        rep_dir = os.path.join(out, f"replicate_{r:02d}")
+        final = runner.read_snapshot(rep_dir, "final", topology)
+        want = []
+        for inputs, targets in ((prep.train_inputs, prep.raw_train_targets),
+                                (prep.test_inputs, prep.raw_test_targets)):
+            outputs = net.forward(topology, final, inputs)
+            if task == "regression":
+                want.append(mse(data.unscale_targets(prep.scaler, outputs), targets))
+            else:
+                labels = net.class_labels_from_outputs(outputs)
+                want.append(accuracy(labels, np.argmax(targets, axis=1)))
+        m = json.load(open(os.path.join(rep_dir, "metrics.json")))
+        assert [m["adam_train_metric"], m["adam_test_metric"]] == want
 
 
 def test_trajectory_csv_header_and_rows(tmp_path):
@@ -260,7 +287,7 @@ def test_simmer_classification_and_evaluate_grid(tmp_path):
         member_index = 0
         for r in range(2):
             rep_dir = os.path.join(out, f"replicate_{r:02d}")
-            bundle = runner.read_bundle(rep_dir, topology, prep.scaler)
+            bundle = runner.read_bundle(rep_dir, topology)
             for member in bundle.members:
                 label = net.class_labels_from_outputs(net.forward(topology, member, scaled))[0]
                 expected.append((p_idx, member_index, int(label)))
@@ -716,26 +743,47 @@ def test_evaluate_refuses_a_member_file_of_the_wrong_size(tmp_path, capsys, chan
         ("spectrum", "snapshots.json", '{"files": {}}'),
         ("retrofit", "snapshot_final.bin", 3),
         ("retrofit", "snapshot_final.bin", 8),
+        # a dict: these entries replace the file's own, each of the wrong JSON type
+        pytest.param("evaluate", "ensemble.json", {"n_members": "50"}, id="string-count"),
+        pytest.param("evaluate", "ensemble.json", {"n_members": True}, id="bool-count"),
+        pytest.param("evaluate", "ensemble.json", {"layer_sizes": 7}, id="number-sizes"),
+        pytest.param(
+            "spectrum", "snapshots.json", {"files": ["snapshot_final.bin"]}, id="array-files"
+        ),
+        pytest.param("spectrum", "snapshots.json", {"files": 7}, id="number-files"),
+        pytest.param("spectrum", "snapshots.json", {"files": {"final": 7}}, id="number-file-name"),
+        pytest.param("spectrum", "resolved_config.json", {"config": []}, id="array-config"),
     ],
 )
 def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command, name, damage):
     cfg_path = write_config(tmp_path)
     a = str(tmp_path / "a")
     assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
-    path = os.path.join(a, name if name == "resolved_config.json" else f"replicate_00/{name}")
-    if isinstance(damage, str):
+    run = a
+    if name == "ensemble.json":
+        run = str(tmp_path / "r")
+        assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", run]) == 0
+    path = os.path.join(run, name if name == "resolved_config.json" else f"replicate_00/{name}")
+    if isinstance(damage, dict):
+        with open(path) as fh:
+            obj = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump({**obj, **damage}, fh)
+    elif isinstance(damage, str):
         with open(path, "w") as fh:
             fh.write(damage)
     else:  # cut the last bytes off
         os.truncate(path, os.path.getsize(path) - damage)
     flags = ["--config", cfg_path] if command == "retrofit" else []
     capfd.readouterr()
-    assert main([command, *flags, "--from-run", a, "--out", str(tmp_path / "o")]) == 1
+    assert main([command, *flags, "--from-run", run, "--out", str(tmp_path / "o")]) == 1
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == "ValueError"
     assert path in payload["message"]
+    for key in damage if isinstance(damage, dict) else ():
+        assert repr(key) in payload["message"]
 
 
 # ------------------------------------------------------------ worker processes
@@ -830,12 +878,12 @@ def test_evaluate_reads_each_bundle_once(tmp_path, monkeypatch, use_cores, forks
     log = tmp_path / "reads.log"
     real_read_bundle = runner.read_bundle
 
-    def read_bundle(rep_dir, topology, scaler):
+    def read_bundle(rep_dir, topology):
         # an appended line per read, so reads in forked workers count too
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, (os.path.basename(rep_dir) + "\n").encode())
         os.close(fd)
-        return real_read_bundle(rep_dir, topology, scaler)
+        return real_read_bundle(rep_dir, topology)
 
     monkeypatch.setattr(runner, "read_bundle", read_bundle)
     trees = []

@@ -1,6 +1,8 @@
 """Config parsing, validation paths, and JSON round-trips."""
 
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,8 @@ from simmering import config
 from simmering.config import ConfigError, SimmerConfig, from_dict, load_config, to_dict
 from simmering.dynamics import TemperatureSchedule
 from simmering.ensemble import SamplingPlan
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 
 def sine_dict(**overrides):
@@ -264,6 +268,21 @@ def test_neither_adam_nor_simmer_rejected():
     del raw["sampling"]
     with pytest.raises(ConfigError, match="adam|simmer"):
         from_dict(raw)
+
+
+def test_parse_memory_does_not_grow_with_iterations():
+    # the "keeps none" rule counts the sampling window; it builds no array
+    with open(os.path.join(CONFIGS, "sine_retrofit.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["simmer"]["iterations"] = 10**7
+    from_dict(raw)  # warm up: imports and caches are not the parse's
+    tracemalloc.start()
+    try:
+        from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bool_is_not_an_int():

@@ -84,6 +84,16 @@ def test_single_parameter_quadratic():
     assert report.eigenvalues[0] == pytest.approx(3.5, abs=1e-6)
 
 
+def test_non_finite_hessian_is_a_non_finite_error():
+    # the central difference across a jump of 2e308 overflows to inf; the
+    # CLI reports a NonFiniteError as one JSON error line
+    def grad_fn(p):
+        return np.where(p > 0.3, 1e308, -1e308)
+
+    with np.errstate(over="ignore"), pytest.raises(net.NonFiniteError, match="non-finite"):
+        spectrum_from_gradient(grad_fn, np.array([0.3]))
+
+
 def test_rotated_quadratic_against_analytic_spectrum():
     # H = R diag(2, 50) R^T for a rotation R: eigenvalues survive rotation
     theta = 0.4

@@ -26,7 +26,6 @@ from simmering.dynamics import (
     run_trajectory,
 )
 from simmering.ensemble import (
-    EnsembleBundle,
     SamplingPlan,
     collect,
     evaluate,
@@ -64,34 +63,32 @@ def kept_only(traj, steps):
     return replace(traj, snapshot_positions=steps, snapshots=traj.snapshots[steps])
 
 
-def scalar_bundle(biases, scaler=None):
+SCALAR = Topology((1, 1), ("linear",))
+
+
+def scalar_members(biases):
     # (1 -> 1) linear nets with zero weight: each member predicts its bias
-    topology = Topology((1, 1), ("linear",))
-    members = np.column_stack([np.zeros(len(biases)), np.asarray(biases, dtype=float)])
-    return EnsembleBundle(
-        members=members,
-        iterations=np.arange(1, len(biases) + 1),
-        temperatures=np.zeros(len(biases)),
-        topology=topology,
-        scaler=scaler if scaler is not None else identity_scaler(1),
-    )
+    return np.column_stack([np.zeros(len(biases)), np.asarray(biases, dtype=float)])
 
 
-def class_bundle(preferred_classes, n_classes=3):
+def scalar_evaluate(matrices, **sets):
+    return evaluate(SCALAR, identity_scaler(1), matrices, **sets)
+
+
+def class_members(preferred_classes, n_classes=3):
     # (1 -> C) linear nets with zero weights: bias one-hot picks the vote
-    topology = Topology((1, n_classes), ("linear",))
     members = []
     for c in preferred_classes:
         bias = np.zeros(n_classes)
         bias[c] = 1.0
         members.append(np.concatenate([np.zeros(n_classes), bias]))
-    return EnsembleBundle(
-        members=np.array(members),
-        iterations=np.arange(1, len(members) + 1),
-        temperatures=np.zeros(len(members)),
-        topology=topology,
-        scaler=identity_scaler(1, scale_targets=False),
-    )
+    return np.array(members)
+
+
+def class_votes(matrices, x, n_classes=3):
+    topology = Topology((1, n_classes), ("linear",))
+    scaler = identity_scaler(1, scale_targets=False)
+    return evaluate(topology, scaler, matrices, votes=[x]).votes[0]
 
 
 # ------------------------------------------------------------ sampling plan
@@ -136,7 +133,7 @@ def test_collect_identity_plan_keeps_everything():
     traj = fake_trajectory(50, 2)
     steps = SamplingPlan(burn_in=0, stride=1, fraction=1.0).steps(50, 0, 0)
     np.testing.assert_array_equal(steps, np.arange(50))
-    bundle = collect(traj, Topology((1, 1), ("linear",)), identity_scaler(1))
+    bundle = collect(traj)
     assert bundle.n_members == 50
     assert np.array_equal(bundle.members, traj.snapshots)
     assert np.array_equal(bundle.iterations, np.arange(1, 51))
@@ -146,7 +143,7 @@ def test_collect_burn_in_then_fraction_counts():
     traj = fake_trajectory(10_000, 2)
     plan = SamplingPlan(burn_in=3000, stride=1, fraction=0.1)
     steps = plan.steps(10_000, 7, 0)
-    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
+    bundle = collect(kept_only(traj, steps))
     assert bundle.n_members == 700
     assert bundle.iterations.min() >= 3001
     np.testing.assert_array_equal(bundle.iterations, steps + 1)
@@ -168,7 +165,7 @@ def test_collect_replicate_index_changes_subsample():
 def test_collect_stride_halves_count():
     traj = fake_trajectory(100, 2)
     steps = SamplingPlan(burn_in=0, stride=2).steps(100, 0, 0)
-    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
+    bundle = collect(kept_only(traj, steps))
     assert bundle.n_members == 50
     assert np.array_equal(bundle.iterations, np.arange(1, 101, 2))
 
@@ -176,7 +173,7 @@ def test_collect_stride_halves_count():
 def test_collect_records_capture_temperatures():
     traj = fake_trajectory(10, 2)
     steps = SamplingPlan(burn_in=4).steps(10, 0, 0)
-    bundle = collect(kept_only(traj, steps), Topology((1, 1), ("linear",)), identity_scaler(1))
+    bundle = collect(kept_only(traj, steps))
     assert np.array_equal(bundle.temperatures, traj.temperature[4:])
     assert np.array_equal(bundle.iterations, np.arange(5, 11))
 
@@ -195,7 +192,6 @@ def full_capture_selection(plan, iterations, seed, replicate):
 
 def test_plan_steps_equal_the_full_capture_selection():
     traj = fake_trajectory(300, 2)
-    topo = Topology((1, 1), ("linear",))
     grid = itertools.product((0, 1, 150, 299), (1, 2, 7), (1.0, 0.5, 0.2, 0.01), (0, 5), (0, 3))
     n_none = 0
     for burn_in, stride, fraction, seed, replicate in grid:
@@ -209,7 +205,7 @@ def test_plan_steps_equal_the_full_capture_selection():
         steps = plan.steps(300, seed, replicate)
         assert steps.dtype == np.int64
         np.testing.assert_array_equal(steps, want)
-        bundle = collect(kept_only(traj, steps), topo, identity_scaler(1))
+        bundle = collect(kept_only(traj, steps))
         np.testing.assert_array_equal(bundle.iterations, want + 1)
         np.testing.assert_array_equal(bundle.members, traj.snapshots[want])
         np.testing.assert_array_equal(bundle.temperatures, traj.temperature[want])
@@ -229,10 +225,9 @@ def test_collect_takes_the_captured_plan_steps_without_a_copy():
     def potential(x):
         return 0.5 * float(x @ x)
 
-    topo = Topology((1, 1), ("linear",))
     _, kept = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential, snapshot_steps=steps)
     _, full = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential)
-    bundle = collect(kept, topo, identity_scaler(1))
+    bundle = collect(kept)
     assert bundle.members is kept.snapshots
     np.testing.assert_array_equal(bundle.members, full.snapshots[steps])
     np.testing.assert_array_equal(bundle.iterations, steps + 1)
@@ -243,11 +238,11 @@ def test_collect_takes_the_captured_plan_steps_without_a_copy():
 
 
 def test_votes_over_bundles_are_order_invariant():
-    a = class_bundle([0, 0, 1])
-    b = class_bundle([2, 1])
+    a = class_members([0, 0, 1])
+    b = class_members([2, 1])
     x = np.zeros((3, 1))
-    ab = evaluate([a, b], votes=[x]).votes[0]
-    ba = evaluate([b, a], votes=[x]).votes[0]
+    ab = class_votes([a, b], x)
+    ba = class_votes([b, a], x)
     assert np.array_equal(ab, [[2, 2, 1]] * 3)
     assert np.array_equal(ab, ba)
     assert np.array_equal(proportions(ab), proportions(ba))
@@ -258,55 +253,42 @@ def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
     rng = seeding.generator(5)
     scaler = ScalerParams(np.array([-2.0]), np.array([2.0]), np.array([10.0]), np.array([30.0]))
 
-    def bundle(members):
-        n = members.shape[0]
-        return EnsembleBundle(members, np.arange(1, n + 1), np.zeros(n), topology, scaler)
+    def pool(matrices, **sets):
+        return evaluate(topology, scaler, matrices, **sets)
 
     first = rng.normal(size=(7, topology.param_count))
     second = rng.normal(size=(5, topology.param_count))
-    both = bundle(np.concatenate([first, second]))
+    both = np.concatenate([first, second])
     x = rng.normal(size=(9, 1))
-    mean = evaluate([both], means=[x]).means[0]
-    assert np.array_equal(evaluate([bundle(first), bundle(second)], means=[x]).means[0], mean)
-    # lazily produced bundles (as replicates read from disk) give the same bits
-    lazy = (bundle(m) for m in (first, second))
-    assert np.array_equal(evaluate(lazy, means=[x]).means[0], mean)
-    assert np.array_equal(evaluate([bundle(first), bundle(second)], members=[x]).members[0],
-                          evaluate([both], members=[x]).members[0])
+    mean = pool([both], means=[x]).means[0]
+    assert np.array_equal(pool([first, second], means=[x]).means[0], mean)
+    # lazily produced matrices (as replicates read from disk) give the same bits
+    lazy = (m for m in (first, second))
+    assert np.array_equal(pool(lazy, means=[x]).means[0], mean)
+    assert np.array_equal(pool([first, second], members=[x]).members[0],
+                          pool([both], members=[x]).members[0])
 
 
 def test_pool_rejects_mismatches():
+    # a run has one topology and one scaler, passed once; only an empty
+    # pool is left to refuse, split or walked serially
     x = np.zeros((1, 1))
     with pytest.raises(ValueError, match="nothing to pool"):
-        evaluate([], votes=[x])
-    a = class_bundle([0])
-    b = class_bundle([0], n_classes=4)
-    with pytest.raises(ValueError, match="cannot pool bundles with different topologies"):
-        evaluate([a, b], votes=[x])
-    c = class_bundle([0])
-    c.scaler = identity_scaler(1)  # now scales targets, unlike a's scaler
-    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        evaluate([a, c], votes=[x])
-    d = class_bundle([0])
-    d.scaler = ScalerParams(np.array([-2.0]), np.array([1.0]))  # other feature bounds
-    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        evaluate([a, d], means=[x])
-    with pytest.raises(ValueError, match="cannot pool bundles with different scalers"):
-        evaluate([a, class_bundle([1]), c], members=[x])
+        class_votes([], x)
+    with pytest.raises(ValueError, match="nothing to pool"):
+        scalar_evaluate(iter([]), means=[x])
 
 
 # ------------------------------------------------------------ regression
 
 
 def test_two_member_bundle_averages_to_zero():
-    bundle = scalar_bundle([1.0, -1.0])
-    out = evaluate([bundle], means=[np.array([[0.0], [0.5]])]).means[0]
+    out = scalar_evaluate([scalar_members([1.0, -1.0])], means=[np.array([[0.0], [0.5]])]).means[0]
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_identical_members_average_to_themselves():
-    bundle = scalar_bundle([0.7, 0.7, 0.7])
-    out = evaluate([bundle], means=[np.array([[0.3]])]).means[0]
+    out = scalar_evaluate([scalar_members([0.7, 0.7, 0.7])], means=[np.array([[0.3]])]).means[0]
     assert out[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
@@ -317,7 +299,6 @@ def test_regression_mean_matches_naive_loop_oracle():
     scaler = ScalerParams(
         np.array([-2.0, 0.0]), np.array([2.0, 5.0]), np.array([10.0]), np.array([30.0])
     )
-    bundle = EnsembleBundle(members, np.arange(1, 51), np.full(50, 0.1), topology, scaler)
     inputs = rng.normal(size=(20, 2))
 
     from simmering import data as data_mod
@@ -327,7 +308,7 @@ def test_regression_mean_matches_naive_loop_oracle():
         data_mod.unscale_targets(scaler, net.forward(topology, p, scaled)) for p in members
     ]
     oracle = sum(preds) / len(preds)
-    got = evaluate([bundle], means=[inputs]).means[0]
+    got = evaluate(topology, scaler, [members], means=[inputs]).means[0]
     np.testing.assert_allclose(got, oracle, rtol=1e-12)
     assert (got >= np.min(preds, axis=0) - 1e-12).all()
     assert (got <= np.max(preds, axis=0) + 1e-12).all()
@@ -337,11 +318,9 @@ def test_distribution_mean_equals_regression_mean_bitwise():
     topology = Topology((1, 4, 1), ("tanh", "linear"))
     rng = seeding.generator(3)
     members = rng.normal(size=(17, topology.param_count))
-    bundle = EnsembleBundle(
-        members, np.arange(1, 18), np.zeros(17), topology, identity_scaler(1)
-    )
+    scaler = identity_scaler(1)
     point = np.array([[0.25]])
-    pooled = evaluate([bundle], means=[point], members=[point])
+    pooled = evaluate(topology, scaler, [members], means=[point], members=[point])
     spread = pooled.members[0]
     assert spread.shape == (17, 1, 1)
     running = np.zeros((1, 1))
@@ -351,14 +330,13 @@ def test_distribution_mean_equals_regression_mean_bitwise():
     from simmering import data as data_mod
 
     for m in range(17):
-        outputs = net.forward(topology, members[m], data_mod.scale_features(bundle.scaler, point))
-        assert np.array_equal(spread[m], data_mod.unscale_targets(bundle.scaler, outputs))
+        outputs = net.forward(topology, members[m], data_mod.scale_features(scaler, point))
+        assert np.array_equal(spread[m], data_mod.unscale_targets(scaler, outputs))
 
 
 def test_single_member_distribution():
-    bundle = scalar_bundle([2.5])
     x = np.array([[0.0]])
-    pooled = evaluate([bundle], means=[x], members=[x])
+    pooled = scalar_evaluate([scalar_members([2.5])], means=[x], members=[x])
     spread, mean = pooled.members[0], pooled.means[0]
     assert spread.shape == (1, 1, 1)
     assert spread[0, 0, 0] == mean[0, 0] == pytest.approx(2.5, abs=1e-15)
@@ -373,7 +351,7 @@ def test_majority_vote_and_tie_break():
     for preferred, tally, majority in (([0, 0, 1], [2, 1, 0], 0),
                                        ([1, 0], [1, 1, 0], 0),
                                        ([2, 2, 1], [0, 1, 2], 2)):
-        counts = evaluate([class_bundle(preferred)], votes=[x]).votes[0]
+        counts = class_votes([class_members(preferred)], x)
         assert np.array_equal(counts, [tally])
         assert np.argmax(counts, axis=1)[0] == np.argmax(proportions(counts), axis=1)[0] == majority
 
@@ -383,7 +361,6 @@ def test_vote_counts_match_brute_force_tally():
     rng = seeding.generator(9)
     members = rng.normal(size=(31, topology.param_count))
     scaler = identity_scaler(2, scale_targets=False)
-    bundle = EnsembleBundle(members, np.arange(1, 32), np.zeros(31), topology, scaler)
     inputs = rng.uniform(-1, 1, size=(12, 2))
 
     tally = np.zeros((12, 3), dtype=np.int64)
@@ -391,16 +368,16 @@ def test_vote_counts_match_brute_force_tally():
         outputs = net.forward(topology, p, inputs)  # identity scaler: same coords
         for i, label in enumerate(np.argmax(outputs, axis=1)):
             tally[i, label] += 1
-    assert np.array_equal(evaluate([bundle], votes=[inputs]).votes[0], tally)
+    assert np.array_equal(evaluate(topology, scaler, [members], votes=[inputs]).votes[0], tally)
 
 
 def test_unanimous_proportions_are_exactly_one_hot():
-    props = proportions(evaluate([class_bundle([1, 1, 1, 1])], votes=[np.zeros((1, 1))]).votes[0])
+    props = proportions(class_votes([class_members([1, 1, 1, 1])], np.zeros((1, 1))))
     assert np.array_equal(props, [[0.0, 1.0, 0.0]])
 
 
 def test_three_way_split_proportions():
-    props = proportions(evaluate([class_bundle([0, 1, 2])], votes=[np.zeros((1, 1))]).votes[0])
+    props = proportions(class_votes([class_members([0, 1, 2])], np.zeros((1, 1))))
     assert props.sum() == 1.0  # exact, not approximate
     np.testing.assert_allclose(props, [[1 / 3, 1 / 3, 1 / 3]], rtol=1e-15)
 
@@ -408,8 +385,7 @@ def test_three_way_split_proportions():
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_proportions_sum_exactly_to_one(votes):
-    bundle = class_bundle(votes, n_classes=5)
-    counts = evaluate([bundle], votes=[np.zeros((2, 1))]).votes[0]
+    counts = class_votes([class_members(votes, n_classes=5)], np.zeros((2, 1)), n_classes=5)
     props = proportions(counts)
     for row in props:
         assert row.sum() == 1.0
@@ -420,12 +396,8 @@ def test_proportions_sum_exactly_to_one(votes):
 
 def test_binary_logit_votes_use_two_classes():
     # single-logit members: sign of the bias picks class 1 vs 0
-    topology = Topology((1, 1), ("linear",))
     members = np.array([[0.0, 2.0], [0.0, -1.0], [0.0, 3.0]])
-    bundle = EnsembleBundle(
-        members, np.arange(1, 4), np.zeros(3), topology, identity_scaler(1, scale_targets=False)
-    )
-    counts = evaluate([bundle], votes=[np.zeros((1, 1))]).votes[0]
+    counts = class_votes([members], np.zeros((1, 1)), n_classes=1)
     assert counts.shape == (1, 2)
     assert np.array_equal(counts, [[1, 2]])
 
@@ -437,14 +409,16 @@ def test_decision_grid_matches_direct_calls():
     rng = seeding.generator(21)
     topology = Topology((2, 5, 3), ("tanh", "linear"))
     members = rng.normal(size=(9, topology.param_count))
-    bundle = EnsembleBundle(
-        members, np.arange(1, 10), np.zeros(9), topology, identity_scaler(2, scale_targets=False)
-    )
+
+    def votes(x):
+        scaler = identity_scaler(2, scale_targets=False)
+        return evaluate(topology, scaler, [members], votes=[x]).votes[0]
+
     xs, ys, nodes = grid_nodes(((-1, 1), (0, 2)), resolution=7)
-    grid = proportions(evaluate([bundle], votes=[nodes]).votes[0]).reshape(7, 7, -1)
+    grid = proportions(votes(nodes)).reshape(7, 7, -1)
     assert xs.shape == (7,) and ys.shape == (7,) and grid.shape == (7, 7, 3)
     for ix, iy in [(0, 0), (3, 5), (6, 6), (2, 1)]:
-        direct = evaluate([bundle], votes=[np.array([[xs[ix], ys[iy]]])]).votes[0]
+        direct = votes(np.array([[xs[ix], ys[iy]]]))
         assert np.array_equal(grid[ix, iy], proportions(direct)[0])
     sums = grid.sum(axis=2)
     assert (sums == 1.0).all()
@@ -455,15 +429,10 @@ def test_decision_grid_resolution_one():
         grid_nodes(((-1, 1), (-1, 1)), 0)
     rng = seeding.generator(2)
     topology = Topology((2, 3), ("linear",))
-    wide = EnsembleBundle(
-        rng.normal(size=(4, topology.param_count)),
-        np.arange(1, 5),
-        np.zeros(4),
-        topology,
-        identity_scaler(2, scale_targets=False),
-    )
+    wide = rng.normal(size=(4, topology.param_count))
     xs, ys, nodes = grid_nodes(((0.5, 1.0), (2.0, 3.0)), resolution=1)
-    grid = proportions(evaluate([wide], votes=[nodes]).votes[0]).reshape(1, 1, -1)
+    scaler = identity_scaler(2, scale_targets=False)
+    grid = proportions(evaluate(topology, scaler, [wide], votes=[nodes]).votes[0]).reshape(1, 1, -1)
     assert xs[0] == 0.5 and ys[0] == 2.0 and grid.shape == (1, 1, 3)
 
 
@@ -492,8 +461,8 @@ def test_distribution_width_tracks_temperature():
             state, evaluator.gradient, 0.01, TemperatureSchedule(temperature, temperature),
             20_000, evaluator.loss, snapshot_steps=SamplingPlan(burn_in=10_000).steps(20_000, 0, 0),
         )
-        bundle = collect(traj, topology, identity_scaler(1))
-        pooled = evaluate([bundle], means=[x], members=[x])
+        bundle = collect(traj)
+        pooled = evaluate(topology, identity_scaler(1), [bundle.members], means=[x], members=[x])
         spreads[temperature] = pooled.members[0][:, 0, 0].var()
         assert abs(pooled.means[0][0, 0] - 3.0) < 0.5
 
@@ -503,7 +472,7 @@ def test_distribution_width_tracks_temperature():
 # ------------------------------------------------------------ stacked chunks
 
 # topologies the chunked walk was sized on; member counts per pooled
-# bundle are chosen so that no budget below divides them
+# matrix are chosen so that no budget below divides them
 CHUNK_TOPOLOGIES = [
     (1, 10, 1), (1, 20, 20, 1), (2, 100, 50, 50, 3), (2, 5, 1), (3, 7, 4), (4, 33, 17, 2),
 ]
@@ -517,7 +486,8 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def chunk_bundles(sizes, activation, seed):
+def chunk_pool(sizes, activation, seed):
+    """(topology, scaler, member matrices) of a pool of ``POOLED_MEMBERS`` replicates."""
     topology = Topology(sizes, (activation,) * (len(sizes) - 1))
     rng = seeding.generator(seed)
     n_in, n_out = sizes[0], sizes[-1]
@@ -525,60 +495,60 @@ def chunk_bundles(sizes, activation, seed):
         rng.uniform(-3.0, -1.0, n_in), rng.uniform(1.0, 3.0, n_in),
         rng.uniform(-20.0, -10.0, n_out), rng.uniform(10.0, 20.0, n_out),
     )
-    return [
-        EnsembleBundle(
-            rng.normal(scale=0.5, size=(m, topology.param_count)),
-            np.arange(1, m + 1), np.zeros(m), topology, scaler,
-        )
-        for m in POOLED_MEMBERS
+    return topology, scaler, [
+        rng.normal(scale=0.5, size=(m, topology.param_count)) for m in POOLED_MEMBERS
     ]
 
 
-def per_member_outputs(bundles, inputs):
+def per_member_outputs(topology, scaler, matrices, inputs):
     """Reference walk: one plain ``net.forward`` per member."""
-    scaled = data.scale_features(bundles[0].scaler, inputs)
-    return [(b, net.forward(b.topology, member, scaled)) for b in bundles for member in b.members]
+    scaled = data.scale_features(scaler, inputs)
+    return [net.forward(topology, member, scaled) for m in matrices for member in m]
 
 
-def reference_votes(bundles, inputs):
+def reference_votes(topology, scaler, matrices, inputs):
     counts = 0
-    one_hot = np.eye(ensemble.n_vote_classes(bundles[0].topology), dtype=np.int64)
-    for _, outputs in per_member_outputs(bundles, inputs):
+    one_hot = np.eye(ensemble.n_vote_classes(topology), dtype=np.int64)
+    for outputs in per_member_outputs(topology, scaler, matrices, inputs):
         counts = counts + one_hot[net.class_labels_from_outputs(outputs)]
     return counts
+
+
+def chunk_sizes(matrices, step):
+    """Members per chunk of a walk over ``matrices`` ``step`` members at a time."""
+    return [min(step, len(m) - lo) for m in matrices for lo in range(0, len(m), step)]
 
 
 @pytest.mark.parametrize("activation", net.ACTIVATIONS)
 @pytest.mark.parametrize("sizes", CHUNK_TOPOLOGIES, ids=str)
 def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monkeypatch):
-    bundles = chunk_bundles(sizes, activation, seed=len(sizes) * 10 + len(activation))
+    pool = chunk_pool(sizes, activation, seed=len(sizes) * 10 + len(activation))
+    topology, scaler, matrices = pool
     rng = seeding.generator(3)
     for n_rows in CHUNK_ROWS:
         x = rng.uniform(-2.0, 2.0, size=(n_rows, sizes[0]))
-        ref = per_member_outputs(bundles, x)
-        ref_outputs = np.array([out for _, out in ref])
-        ref_rows = np.array([data.unscale_targets(b.scaler, out) for b, out in ref])
+        ref_outputs = np.array(per_member_outputs(*pool, x))
+        ref_rows = np.array([data.unscale_targets(scaler, out) for out in ref_outputs])
         ref_mean = 0.0
         for row in ref_rows:
             ref_mean = ref_mean + row
         ref_mean = ref_mean / len(ref_rows)
-        ref_counts = reference_votes(bundles, x)
+        ref_counts = reference_votes(*pool, x)
         ref_props = np.array(
-            [ensemble._exact_fraction_row(row, len(ref)) for row in ref_counts]
+            [ensemble._exact_fraction_row(row, len(ref_outputs)) for row in ref_counts]
         )
         for budget in CHUNK_BUDGETS:
             monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
-            chunks = list(ensemble._member_outputs(bundles, [x]))
-            assert [(b, k) for b, k, _ in chunks] == [
-                (b, 0) for b in bundles
-                for _ in range(0, b.n_members, ensemble.chunk_size(b.topology, n_rows))
-            ]
-            outputs = np.concatenate([out for _, _, out in chunks])
+            chunks = list(ensemble._member_outputs(*pool, [x]))
+            step = ensemble.chunk_size(topology, n_rows)
+            assert [k for k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
+            assert [out.shape[0] for _, out in chunks] == chunk_sizes(matrices, step)
+            outputs = np.concatenate([out for _, out in chunks])
             assert np.array_equal(bits(outputs), bits(ref_outputs))
-            # member rows and votes split one job per bundle; means walk serially
-            split = evaluate(bundles, members=[x], votes=[x])
+            # member rows and votes split one job per matrix; means walk serially
+            split = evaluate(*pool, members=[x], votes=[x])
             assert np.array_equal(bits(split.members[0]), bits(ref_rows))
-            assert np.array_equal(bits(evaluate(bundles, means=[x]).means[0]), bits(ref_mean))
+            assert np.array_equal(bits(evaluate(*pool, means=[x]).means[0]), bits(ref_mean))
             counts = split.votes[0]
             assert counts.dtype == np.int64 and np.array_equal(counts, ref_counts)
             assert np.array_equal(bits(proportions(counts)), bits(ref_props))
@@ -587,18 +557,18 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
 @pytest.mark.parametrize("activation", net.ACTIVATIONS)
 @pytest.mark.parametrize("sizes", [s for s in CHUNK_TOPOLOGIES if s[0] == 2], ids=str)
 def test_chunked_decision_grid_equals_per_member_votes_bitwise(sizes, activation, monkeypatch):
-    bundles = chunk_bundles(sizes, activation, seed=7)
+    pool = chunk_pool(sizes, activation, seed=7)
     xs, ys, nodes = grid_nodes(((-1.5, 2.0), (-2.0, 1.0)), 60)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
     assert np.array_equal(nodes, points)
     n = sum(POOLED_MEMBERS)
     ref = np.array(
-        [ensemble._exact_fraction_row(row, n) for row in reference_votes(bundles, points)]
+        [ensemble._exact_fraction_row(row, n) for row in reference_votes(*pool, points)]
     )
     for budget in CHUNK_BUDGETS:
         monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
-        grid = proportions(evaluate(bundles, votes=[nodes]).votes[0])
+        grid = proportions(evaluate(*pool, votes=[nodes]).votes[0])
         assert np.array_equal(bits(grid), bits(ref))
 
 
@@ -613,10 +583,8 @@ def test_chunk_size_depends_only_on_rows_and_topology():
     step = ensemble.chunk_size(mpg, 92)
     for n_members, seed in ((1, 0), (step, 1), (2 * step + 3, 2)):
         members = seeding.generator(seed).normal(size=(n_members, mpg.param_count))
-        bundle = EnsembleBundle(
-            members, np.arange(1, n_members + 1), np.zeros(n_members), mpg, identity_scaler(1)
-        )
-        sizes = [out.shape[0] for _, _, out in ensemble._member_outputs([bundle], [x])]
+        chunks = ensemble._member_outputs(mpg, identity_scaler(1), [members], [x])
+        sizes = [out.shape[0] for _, out in chunks]
         assert sizes == [min(step, n_members - lo) for lo in range(0, n_members, step)]
 
 
@@ -628,13 +596,8 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     scaler = ScalerParams(
         np.array([-2.0, -1.0]), np.array([1.0, 3.0]), np.array([-5.0] * 3), np.array([5.0] * 3)
     )
-    bundles = [
-        EnsembleBundle(
-            rng.normal(scale=1.5, size=(m, topology.param_count)),
-            np.arange(1, m + 1), np.zeros(m), topology, scaler,
-        )
-        for m in (8, 8)
-    ]
+    matrices = [rng.normal(scale=1.5, size=(m, topology.param_count)) for m in (8, 8)]
+    pool = topology, scaler, matrices
     x = rng.uniform(-3.0, 3.0, size=(13, 2))
     y = rng.uniform(-3.0, 3.0, size=(4, 2))
     monkeypatch.setattr(ensemble, "CHUNK_VALUES", 3 * 13 * 9)
@@ -649,7 +612,7 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
 
     monkeypatch.setattr(net, "forward", forward)
     kept = []
-    for bundle, k, outputs in ensemble._member_outputs(bundles, [x]):
+    for k, outputs in ensemble._member_outputs(*pool, [x]):
         # no earlier chunk changes while later ones run
         assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
         kept.append((outputs, outputs.copy()))
@@ -661,33 +624,32 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     assert all(b == buffers[0] for b in buffers)
     monkeypatch.setattr(net, "forward", real_forward)
 
-    ref = per_member_outputs(bundles, x)
-    assert np.array_equal(bits(np.concatenate([out for out, _ in kept])),
-                          bits(np.array([out for _, out in ref])))
-    ref_rows = np.array([data.unscale_targets(scaler, out) for _, out in ref])
+    ref = per_member_outputs(*pool, x)
+    assert np.array_equal(bits(np.concatenate([out for out, _ in kept])), bits(np.array(ref)))
+    ref_rows = np.array([data.unscale_targets(scaler, out) for out in ref])
     ref_mean = 0.0
     for row in ref_rows:
         ref_mean = ref_mean + row
     ref_mean = ref_mean / len(ref_rows)
-    assert np.array_equal(bits(evaluate(bundles, members=[x]).members[0]), bits(ref_rows))
-    assert np.array_equal(bits(evaluate(bundles, means=[x]).means[0]), bits(ref_mean))
+    assert np.array_equal(bits(evaluate(*pool, members=[x]).members[0]), bits(ref_rows))
+    assert np.array_equal(bits(evaluate(*pool, means=[x]).means[0]), bits(ref_mean))
 
     # several input sets in one pass give each set's own bits, serial
-    # (lazily produced bundles) or split into one job per bundle
-    y_rows = np.array([data.unscale_targets(scaler, out) for _, out in per_member_outputs(bundles, y)])
-    both = evaluate(bundles, means=[x, y], members=[y, x])
+    # (lazily produced matrices) or split into one job per matrix
+    y_rows = np.array([data.unscale_targets(scaler, out) for out in per_member_outputs(*pool, y)])
+    both = evaluate(*pool, means=[x, y], members=[y, x])
     assert both.n_members == 16
     assert np.array_equal(bits(both.means[0]), bits(ref_mean))
-    assert np.array_equal(bits(both.means[1]), bits(evaluate(bundles, means=[y]).means[0]))
+    assert np.array_equal(bits(both.means[1]), bits(evaluate(*pool, means=[y]).means[0]))
     assert np.array_equal(bits(both.members[0]), bits(y_rows))
     assert np.array_equal(bits(both.members[1]), bits(ref_rows))
-    split = evaluate(bundles, members=[y, x], votes=[x])
-    serial = evaluate(iter(bundles), members=[y, x], votes=[x])
+    split = evaluate(*pool, members=[y, x], votes=[x])
+    serial = evaluate(topology, scaler, iter(matrices), members=[y, x], votes=[x])
     for pooled in (split, serial):
         assert pooled.n_members == 16
         assert np.array_equal(bits(pooled.members[0]), bits(y_rows))
         assert np.array_equal(bits(pooled.members[1]), bits(ref_rows))
-        assert np.array_equal(pooled.votes[0], reference_votes(bundles, x))
+        assert np.array_equal(pooled.votes[0], reference_votes(*pool, x))
 
 
 def test_walk_holds_one_lazily_read_bundle_at_a_time():
@@ -699,11 +661,11 @@ def test_walk_holds_one_lazily_read_bundle_at_a_time():
         for seed in range(4):
             members = seeding.generator(seed).normal(size=(5, topology.param_count))
             alive.append(weakref.ref(members))
-            yield EnsembleBundle(members, np.arange(1, 6), np.zeros(5), topology, scaler)
+            yield members
 
     x = np.zeros((3, 1))
-    for _, _, _ in ensemble._member_outputs(lazily(), [x, x]):
+    for _, _ in ensemble._member_outputs(topology, scaler, lazily(), [x, x]):
         assert sum(ref() is not None for ref in alive) == 1
     assert len(alive) == 4
-    evaluate(lazily(), means=[x], members=[x])
+    evaluate(topology, scaler, lazily(), means=[x], members=[x])
     assert all(ref() is None for ref in alive)
