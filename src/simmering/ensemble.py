@@ -105,7 +105,7 @@ class EnsembleBundle:
         m = self.members.shape[0]
         if self.iterations.shape != (m,) or self.temperatures.shape != (m,):
             raise ValueError("iterations and temperatures must align with members")
-        if (self.temperatures < 0).any():
+        if not (self.temperatures >= 0).all():  # NaN fails too
             raise ValueError("capture temperatures must be >= 0")
 
     @property

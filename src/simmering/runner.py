@@ -16,10 +16,19 @@ Each subcommand writes one self-describing run directory:
         ensemble.json           sidecar with capture iterations + temperatures
         metrics.json            per-replicate metric report
 
-All floating-point text output goes through repr(), the shortest string
-that round-trips to the identical double, so reruns with the same config
-and seed reproduce byte-identical CSV/JSON artifacts.  Output directories
-must be empty: a run directory has exactly one writer.
+Every CSV goes through :func:`_write_csv` and every number in it through
+repr(), the shortest string that round-trips to the identical double, so
+reruns with the same config and seed reproduce byte-identical CSV/JSON
+artifacts.  Output directories must be empty: a run directory has
+exactly one writer.
+
+``train-adam``, ``simmer`` and ``retrofit`` check their own
+preconditions, then hand a job function and a job count to
+:func:`_run_stage`, the one stage skeleton: data and topology, ``--out``,
+the jobs through :func:`parallel.map_in_order`, each job's metrics.json,
+the top-level metrics.json by one rule, and ``resolved_config.json``
+last.  Parameter files are written by :func:`_write_rows` and read by
+:func:`_read_rows`, under sidecars checked by :func:`_read_sidecar`.
 
 Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
 replicates' member matrices, and an Adam endpoint is the one-member
@@ -31,12 +40,12 @@ a file of another width is refused by its size.
 
 from __future__ import annotations
 
+import functools
 import importlib.metadata
 import json
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,21 +53,32 @@ from . import data, diagnostics, ensemble, net, optimize, parallel, seeding
 from .config import BUILTIN_PREFIX, ConfigError, ExperimentConfig, from_dict, to_dict
 from .dynamics import PhaseState, ThermostatChain, initial_velocities, run_trajectory
 
-TRAJECTORY_HEADER = "iteration,T_target,T_kinetic,loss_train,loss_test,extended_energy"
-LOSSES_HEADER = "epoch,loss_train,loss_test"
 RESOLVED_CONFIG = "resolved_config.json"
 METRICS_FILE = "metrics.json"
 BASELINE_DIR = "baseline_adam"
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+CSV_BLOCK_ROWS = 1 << 10
 
 
 def _write_json(path: str, obj):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: str, header, columns):
+    """Write equal-length ``columns`` under the ``header`` names.
+
+    Each number is repr() of its Python int or float, the shortest text
+    that reads back to it, from ``.tolist()`` of ``CSV_BLOCK_ROWS`` rows at
+    a time: a whole 20 000-row trajectory as Python numbers adds megabytes
+    to the peak.
+    """
+    columns = [np.asarray(column) for column in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, max(map(len, columns)), CSV_BLOCK_ROWS):
+            cells = [map(repr, column[lo : lo + CSV_BLOCK_ROWS].tolist()) for column in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
@@ -87,20 +107,29 @@ def _read_object(path: str, keys: dict) -> dict:
 def _read_rows(path: str, rows: int, param_count: int) -> np.ndarray:
     """The ``(rows, param_count)`` little-endian float64 matrix stored in ``path``.
 
-    The bytes are read straight into the array, so it is their only copy.
+    The file's size is checked before the array is allocated, and the
+    bytes are read straight into it, so it is their only copy.
     """
-    out = np.empty((rows, param_count), dtype="<f8")
+    need = rows * param_count * 8
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != out.nbytes:
+        if size != need:
             raise ValueError(
                 f"{path} holds {size} bytes, but {rows} parameter vectors of "
-                f"{param_count} float64 values need {out.nbytes}"
+                f"{param_count} float64 values need {need}"
             )
+        out = np.empty((rows, param_count), dtype="<f8")
         got = fh.readinto(memoryview(out).cast("B"))
-    if got != out.nbytes:
-        raise ValueError(f"{path} ended after {got} of {out.nbytes} bytes")
+    if got != need:
+        raise ValueError(f"{path} ended after {got} of {need} bytes")
     return out
+
+
+def _write_rows(path: str, rows):
+    """Write ``rows`` as little-endian float64 values, row-major."""
+    rows = np.ascontiguousarray(rows, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(memoryview(rows))  # the array's own buffer, not a copy
 
 
 def _package_version() -> str:
@@ -229,13 +258,17 @@ def _endpoint_metrics(topology, prep: PreparedData, params) -> tuple[float, floa
     return _pooled_metric(prep, pooled, 1, prep.raw_train_targets), _pooled_metric(prep, pooled)
 
 
-def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> Optional[bool]:
-    # regression: strictly lower error counts; classification: no worse
-    if adam is None or ens is None:
-        return None
-    if metric_kind == "accuracy":
-        return ens >= adam
-    return ens < adam
+def _write_metrics(out_dir: str, prep: PreparedData, adam, ens) -> diagnostics.MetricReport:
+    """Write ``out_dir``'s metrics.json: ``adam`` is an Adam endpoint's
+    (train, test) metrics and ``ens`` an ensemble's test metric, each None
+    when there is none."""
+    improved = None
+    if adam[1] is not None and ens is not None:
+        # regression: strictly lower error counts; classification: no worse
+        improved = ens >= adam[1] if prep.metric_kind == "accuracy" else ens < adam[1]
+    report = diagnostics.MetricReport(prep.metric_kind, *adam, ens, improved)
+    _write_json(os.path.join(out_dir, METRICS_FILE), report.to_dict())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +276,7 @@ def _improved(metric_kind: str, adam: Optional[float], ens: Optional[float]) -> 
 
 
 def _write_resolved_config(out_dir: str, cfg: ExperimentConfig, command: str):
-    """Callers write this last: only a finished run has it, and
+    """Written last by every stage: only a finished run has it, and
     :func:`load_run_config` requires it."""
     payload = {
         "command": command,
@@ -263,8 +296,9 @@ def load_run_config(run_dir: str) -> tuple[ExperimentConfig, str]:
     return from_dict(payload["config"]), payload.get("command", "")
 
 
-def _layout_sidecar(topology: net.Topology) -> dict:
-    return {
+def _write_sidecar(path: str, topology: net.Topology, **entries):
+    """Write the layout sidecar of ``topology``'s parameter files, then ``entries``."""
+    sidecar = {
         "dtype": "float64",
         "byte_order": "little",
         "layout": (
@@ -275,74 +309,92 @@ def _layout_sidecar(topology: net.Topology) -> dict:
         "layer_sizes": list(topology.layer_sizes),
         "activations": list(topology.activations),
     }
+    _write_json(path, {**sidecar, **entries})
+
+
+def _read_sidecar(rep_dir: str, name: str, what: str, topology: net.Topology, keys: dict):
+    """(path, object) of sidecar ``name`` in ``rep_dir``, written for
+    ``topology`` and holding ``keys`` (as :func:`_read_object` takes them)."""
+    path = os.path.join(rep_dir, name)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no {what} in {rep_dir}")
+    sidecar = _read_object(path, {"layer_sizes": list, **keys})
+    if sidecar["layer_sizes"] != list(topology.layer_sizes):
+        raise ValueError(
+            f"{path}: 'layer_sizes' {sidecar['layer_sizes']} does not match "
+            f"the configured model {list(topology.layer_sizes)}"
+        )
+    return path, sidecar
 
 
 def write_snapshots(rep_dir: str, topology: net.Topology, named: dict):
-    sidecar = _layout_sidecar(topology)
-    sidecar["files"] = {}
-    for name in named:
-        fname = f"snapshot_{name}.bin"
-        vec = np.ascontiguousarray(named[name], dtype="<f8")
-        with open(os.path.join(rep_dir, fname), "wb") as fh:
-            fh.write(vec.tobytes())
-        sidecar["files"][name] = fname
-    _write_json(os.path.join(rep_dir, "snapshots.json"), sidecar)
+    files = {name: f"snapshot_{name}.bin" for name in named}
+    for name, vector in named.items():
+        _write_rows(os.path.join(rep_dir, files[name]), vector)
+    _write_sidecar(os.path.join(rep_dir, "snapshots.json"), topology, files=files)
 
 
 def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray:
-    sidecar_path = os.path.join(rep_dir, "snapshots.json")
-    if not os.path.exists(sidecar_path):
-        raise FileNotFoundError(f"no parameter snapshots in {rep_dir}")
-    sidecar = _read_object(sidecar_path, {"layer_sizes": list, "files": dict})
-    if sidecar["layer_sizes"] != list(topology.layer_sizes):
-        raise ValueError(
-            f"snapshot topology {sidecar['layer_sizes']} does not match "
-            f"the configured model {list(topology.layer_sizes)}"
-        )
+    path, sidecar = _read_sidecar(
+        rep_dir, "snapshots.json", "parameter snapshots", topology, {"files": dict}
+    )
     if name not in sidecar["files"]:
         raise FileNotFoundError(f"snapshot {name!r} not present in {rep_dir}")
     if not isinstance(sidecar["files"][name], str):
-        raise ValueError(f"{sidecar_path}: 'files' entry {name!r} is not a string")
-    path = os.path.join(rep_dir, sidecar["files"][name])
-    return _read_rows(path, 1, topology.param_count)[0]
+        raise ValueError(f"{path}: 'files' entry {name!r} is not a string")
+    return _read_rows(os.path.join(rep_dir, sidecar["files"][name]), 1, topology.param_count)[0]
 
 
 def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle, topology: net.Topology):
-    members = np.ascontiguousarray(bundle.members, dtype="<f8")
-    with open(os.path.join(rep_dir, "ensemble_members.bin"), "wb") as fh:
-        fh.write(memoryview(members))  # the array's own buffer, not a copy
-    sidecar = _layout_sidecar(topology)
-    sidecar["layout"] = (
-        "row-major (n_members, param_count) matrix; each row is one flat "
-        "parameter vector laid out as in snapshots"
+    _write_rows(os.path.join(rep_dir, "ensemble_members.bin"), bundle.members)
+    _write_sidecar(
+        os.path.join(rep_dir, "ensemble.json"),
+        topology,
+        layout=(
+            "row-major (n_members, param_count) matrix; each row is one flat "
+            "parameter vector laid out as in snapshots"
+        ),
+        n_members=bundle.n_members,
+        iterations=bundle.iterations.tolist(),
+        temperatures=bundle.temperatures.tolist(),
     )
-    sidecar["n_members"] = bundle.n_members
-    sidecar["iterations"] = [int(i) for i in bundle.iterations]
-    sidecar["temperatures"] = [float(t) for t in bundle.temperatures]
-    _write_json(os.path.join(rep_dir, "ensemble.json"), sidecar)
+
+
+def _per_member(path: str, sidecar: dict, key: str, dtype) -> np.ndarray:
+    """Sidecar entry ``key``: one JSON integer (or, for a float ``dtype``,
+    number) per member."""
+    values, n = sidecar[key], sidecar["n_members"]
+    if len(values) != n:
+        raise ValueError(f"{path}: {key!r} has {len(values)} entries, but 'n_members' is {n}")
+    kinds = (int,) if dtype is np.int64 else (int, float)
+    if all(type(v) in kinds for v in values):  # a bool or null is refused
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:  # an integer past int64
+            pass
+    raise ValueError(f"{path}: {key!r} holds an entry that is not {dtype.__name__}")
 
 
 def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
     """The bundle in ``rep_dir``; its members file must hold ``n_members``
     vectors of ``topology.param_count`` values."""
-    sidecar_path = os.path.join(rep_dir, "ensemble.json")
-    if not os.path.exists(sidecar_path):
-        raise FileNotFoundError(f"no ensemble bundle in {rep_dir}")
-    sidecar = _read_object(
-        sidecar_path,
-        {"layer_sizes": list, "n_members": int, "iterations": list, "temperatures": list},
+    path, sidecar = _read_sidecar(
+        rep_dir,
+        "ensemble.json",
+        "ensemble bundle",
+        topology,
+        {"n_members": int, "iterations": list, "temperatures": list},
     )
-    if sidecar["layer_sizes"] != list(topology.layer_sizes):
-        raise ValueError(
-            f"bundle topology {sidecar['layer_sizes']} does not match "
-            f"the configured model {list(topology.layer_sizes)}"
-        )
-    path = os.path.join(rep_dir, "ensemble_members.bin")
-    return ensemble.EnsembleBundle(
-        members=_read_rows(path, sidecar["n_members"], topology.param_count),
-        iterations=np.asarray(sidecar["iterations"], dtype=np.int64),
-        temperatures=np.asarray(sidecar["temperatures"], dtype=np.float64),
+    if sidecar["n_members"] < 1:
+        raise ValueError(f"{path}: 'n_members' is {sidecar['n_members']}, not >= 1")
+    iterations = _per_member(path, sidecar, "iterations", np.int64)
+    temperatures = _per_member(path, sidecar, "temperatures", np.float64)
+    if not (temperatures >= 0).all():
+        raise ValueError(f"{path}: 'temperatures' holds a NaN or negative entry")
+    members = _read_rows(
+        os.path.join(rep_dir, "ensemble_members.bin"), sidecar["n_members"], topology.param_count
     )
+    return ensemble.EnsembleBundle(members, iterations, temperatures)
 
 
 class _ReplicateBundles(Sequence):
@@ -370,99 +422,89 @@ class _ReplicateBundles(Sequence):
             yield self[replicate]
 
 
-def _write_losses_csv(path: str, report: optimize.AdamReport):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(LOSSES_HEADER + "\n")
-        for epoch in range(report.epochs):
-            fh.write(
-                f"{epoch + 1},{_fmt(report.train_losses[epoch])},"
-                f"{_fmt(report.test_losses[epoch])}\n"
-            )
-
-
-def _write_trajectory_csv(path: str, traj):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for i in range(len(traj)):
-            fh.write(
-                f"{int(traj.iterations[i])},{_fmt(traj.temperature[i])},"
-                f"{_fmt(traj.kinetic_temperature[i])},{_fmt(traj.loss_train[i])},"
-                f"{_fmt(traj.loss_test[i])},{_fmt(traj.extended_energy[i])}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# train-adam / simmer / retrofit
 
 
-def _train_one_adam(cfg, topology, prep, replicate: int, label=None) -> optimize.AdamReport:
-    """Adam from the replicate's initialization.
+def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, job, n_jobs: int) -> str:
+    """Run a stage's ``n_jobs`` jobs into ``out_dir``, then write its top-level files.
 
-    A non-finite error is prefixed with ``label``, ``replicate N`` by default.
+    The one stage skeleton of ``train-adam``, ``simmer`` and ``retrofit``,
+    each of which checks its own preconditions first.  Job ``j`` below
+    ``cfg.replicates`` is replicate ``j``; the one after them is the Adam
+    baseline of ``simmer``.  ``job(topology, prep, j, job_dir)`` writes
+    the job's files into its directory and returns ``(endpoint,
+    members)``: the Adam endpoint it trained or started from and the
+    member matrix it sampled, each None if it has none.  The jobs run
+    through :func:`parallel.map_in_order`, and a non-finite error is
+    prefixed with the job's name.  Each job scores itself into its own
+    metrics.json; the top-level one takes the mean of the Adam metrics
+    over the jobs that report an endpoint, and pools the replicate
+    bundles when the replicates sample.  ``resolved_config.json`` comes
+    last.
     """
-    label = label or f"replicate {replicate}"
-    params0 = initial_params(cfg, topology, replicate)
-    try:
-        return optimize.train_adam(
-            topology,
-            params0,
-            prep.train_inputs,
-            prep.train_targets,
-            prep.test_inputs,
-            prep.test_targets,
-            cfg.model.loss,
-            cfg.adam.epochs,
-            cfg.adam.alpha,
-        )
-    except net.NonFiniteError as exc:
-        raise net.NonFiniteError(f"{label}: {exc}") from exc
+    prep = prepare_data(cfg)
+    topology = build_topology(cfg, prep.dataset)
+    _prepare_out_dir(out_dir)
+
+    def run(j: int) -> diagnostics.MetricReport:
+        if j < cfg.replicates:
+            name, job_dir = f"replicate {j}", _replicate_dir(out_dir, j)
+        else:
+            name, job_dir = BASELINE_DIR, os.path.join(out_dir, BASELINE_DIR)
+        os.makedirs(job_dir)
+        try:
+            endpoint, members = job(topology, prep, j, job_dir)
+        except net.NonFiniteError as exc:
+            raise net.NonFiniteError(f"{name}: {exc}") from exc
+        adam = (None, None) if endpoint is None else _endpoint_metrics(topology, prep, endpoint)
+        ens = None if members is None else _pooled_metric(prep, _pooled(topology, prep, [members]))
+        return _write_metrics(job_dir, prep, adam, ens)
+
+    reports = parallel.map_in_order(run, range(n_jobs))
+    adam = [(m.adam_train_metric, m.adam_test_metric) for m in reports]
+    adam = [pair for pair in adam if pair[1] is not None]  # the jobs with an Adam endpoint
+    mean = tuple(sum(values) / len(adam) for values in zip(*adam)) if adam else (None, None)
+    ens = None
+    if any(m.ensemble_test_metric is not None for m in reports):
+        # the bundles just written, read back one at a time as evaluate reads them
+        matrices = _ReplicateBundles(out_dir, cfg.replicates, topology)
+        ens = _pooled_metric(prep, _pooled(topology, prep, matrices))
+    _write_metrics(out_dir, prep, mean, ens)
+    _write_resolved_config(out_dir, cfg, command)
+    return out_dir
 
 
-def _write_adam_replicate(rep_dir, topology, prep, report) -> diagnostics.MetricReport:
-    os.makedirs(rep_dir, exist_ok=True)
-    _write_losses_csv(os.path.join(rep_dir, "losses.csv"), report)
-    write_snapshots(
-        rep_dir,
+def _adam_job(cfg, topology, prep, replicate: int, job_dir: str):
+    """Adam from the replicate's initialization; writes its losses and snapshots."""
+    report = optimize.train_adam(
         topology,
-        {"final": report.final_params, "penultimate": report.penultimate_params},
+        initial_params(cfg, topology, replicate),
+        prep.train_inputs,
+        prep.train_targets,
+        prep.test_inputs,
+        prep.test_targets,
+        cfg.model.loss,
+        cfg.adam.epochs,
+        cfg.adam.alpha,
     )
-    adam_train, adam_test = _endpoint_metrics(topology, prep, report.final_params)
-    metrics = diagnostics.MetricReport(
-        metric_kind=prep.metric_kind,
-        adam_train_metric=adam_train,
-        adam_test_metric=adam_test,
-        ensemble_test_metric=None,
-        improved=None,
+    _write_csv(
+        os.path.join(job_dir, "losses.csv"),
+        ("epoch", "loss_train", "loss_test"),
+        (np.arange(1, report.epochs + 1), report.train_losses, report.test_losses),
     )
-    _write_json(os.path.join(rep_dir, METRICS_FILE), metrics.to_dict())
-    return metrics
+    write_snapshots(
+        job_dir, topology, {"final": report.final_params, "penultimate": report.penultimate_params}
+    )
+    return report.final_params, None
 
 
 def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
     """Train the Adam baseline for every replicate; write losses and snapshots."""
     if cfg.adam is None:
         raise ConfigError("adam", "train-adam needs an adam section")
-    prep = prepare_data(cfg)
-    topology = build_topology(cfg, prep.dataset)
-    _prepare_out_dir(out_dir)
-
-    def replicate(r: int) -> diagnostics.MetricReport:
-        report = _train_one_adam(cfg, topology, prep, r)
-        return _write_adam_replicate(_replicate_dir(out_dir, r), topology, prep, report)
-
-    reports = parallel.map_in_order(replicate, range(cfg.replicates))
-    train_vals = [m.adam_train_metric for m in reports]
-    test_vals = [m.adam_test_metric for m in reports]
-    summary = diagnostics.MetricReport(
-        metric_kind=prep.metric_kind,
-        adam_train_metric=sum(train_vals) / len(train_vals),
-        adam_test_metric=sum(test_vals) / len(test_vals),
-        ensemble_test_metric=None,
-        improved=None,
-    )
-    _write_json(os.path.join(out_dir, METRICS_FILE), summary.to_dict())
-    _write_resolved_config(out_dir, cfg, "train-adam")
-    return out_dir
+    job = functools.partial(_adam_job, cfg)
+    return _run_stage(cfg, out_dir, "train-adam", job, cfg.replicates)
 
 
 def _loss_fns(cfg, topology, prep):
@@ -472,55 +514,39 @@ def _loss_fns(cfg, topology, prep):
     return train.gradient, train.loss, test.loss
 
 
-def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
-    """Integrate one replicate, write its trajectory and bundle, return the bundle.
+def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) -> np.ndarray:
+    """Integrate one replicate, write its trajectory and bundle, return its members.
 
     The members are chosen before integrating, and only their states are
     captured.
     """
     simmer = cfg.simmer
-    os.makedirs(rep_dir, exist_ok=True)
     grad_fn, loss_train_fn, loss_test_fn = _loss_fns(cfg, topology, prep)
-    try:
-        _, traj = run_trajectory(
-            state,
-            grad_fn,
-            simmer.dt,
-            simmer.schedule,
-            simmer.iterations,
-            loss_train_fn,
-            loss_test_fn,
-            cfg.sampling.steps(simmer.iterations, cfg.seed, replicate),
-        )
-    except net.NonFiniteError as exc:
-        raise net.NonFiniteError(f"replicate {replicate}: {exc}") from exc
-    _write_trajectory_csv(os.path.join(rep_dir, "trajectory.csv"), traj)
+    _, traj = run_trajectory(
+        state,
+        grad_fn,
+        simmer.dt,
+        simmer.schedule,
+        simmer.iterations,
+        loss_train_fn,
+        loss_test_fn,
+        cfg.sampling.steps(simmer.iterations, cfg.seed, replicate),
+    )
+    _write_csv(
+        os.path.join(rep_dir, "trajectory.csv"),
+        ("iteration", "T_target", "T_kinetic", "loss_train", "loss_test", "extended_energy"),
+        (
+            traj.iterations,
+            traj.temperature,
+            traj.kinetic_temperature,
+            traj.loss_train,
+            traj.loss_test,
+            traj.extended_energy,
+        ),
+    )
     bundle = ensemble.collect(traj)
     write_bundle(rep_dir, bundle, topology)
-    return bundle
-
-
-def _write_ensemble_metrics(out_dir, topology, prep, matrices, adam_train=None, adam_test=None):
-    """Write ``out_dir``'s metrics.json for the ensemble pooled from member ``matrices``."""
-    ens = _pooled_metric(prep, _pooled(topology, prep, matrices))
-    metrics = diagnostics.MetricReport(
-        metric_kind=prep.metric_kind,
-        adam_train_metric=adam_train,
-        adam_test_metric=adam_test,
-        ensemble_test_metric=ens,
-        improved=_improved(prep.metric_kind, adam_test, ens),
-    )
-    _write_json(os.path.join(out_dir, METRICS_FILE), metrics.to_dict())
-    return metrics
-
-
-def _finish_sampling_run(out_dir, cfg, command, topology, prep, adam_train, adam_test) -> str:
-    """The pooled metrics.json of a simmer or retrofit run, then its resolved config."""
-    # the bundles just written, read back one at a time as evaluate reads them
-    matrices = _ReplicateBundles(out_dir, cfg.replicates, topology)
-    _write_ensemble_metrics(out_dir, topology, prep, matrices, adam_train, adam_test)
-    _write_resolved_config(out_dir, cfg, command)
-    return out_dir
+    return bundle.members
 
 
 def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -538,34 +564,21 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
             "simmer.schedule", "ab initio simmering uses a constant temperature "
             f"(t_initial={s.t_initial} != t_target={s.t_target})"
         )
-    prep = prepare_data(cfg)
-    topology = build_topology(cfg, prep.dataset)
-    _prepare_out_dir(out_dir)
 
-    def job(r: int) -> diagnostics.MetricReport:
+    def job(topology, prep, r: int, job_dir: str):
         if r == cfg.replicates:  # the Adam baseline, after every replicate
-            report = _train_one_adam(cfg, topology, prep, 0, BASELINE_DIR)
-            baseline_dir = os.path.join(out_dir, BASELINE_DIR)
-            return _write_adam_replicate(baseline_dir, topology, prep, report)
-        v0 = initial_velocities(
-            topology.param_count, s.t_initial, seeding.child_seed(cfg.seed, "velocities", r)
-        )
+            return _adam_job(cfg, topology, prep, 0, job_dir)
         state = PhaseState(
             positions=initial_params(cfg, topology, r),
-            velocities=v0,
+            velocities=initial_velocities(
+                topology.param_count, s.t_initial, seeding.child_seed(cfg.seed, "velocities", r)
+            ),
             masses=cfg.simmer.particle_mass,
             chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
         )
-        rep_dir = _replicate_dir(out_dir, r)
-        bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        return _write_ensemble_metrics(rep_dir, topology, prep, [bundle.members])
+        return None, _simmer_replicate(cfg, topology, prep, state, r, job_dir)
 
-    n_jobs = cfg.replicates + (cfg.adam is not None)
-    reports = parallel.map_in_order(job, range(n_jobs))
-    adam_train = adam_test = None
-    if cfg.adam is not None:
-        adam_train, adam_test = reports[-1].adam_train_metric, reports[-1].adam_test_metric
-    return _finish_sampling_run(out_dir, cfg, "simmer", topology, prep, adam_train, adam_test)
+    return _run_stage(cfg, out_dir, "simmer", job, cfg.replicates + (cfg.adam is not None))
 
 
 def _check_retrofit_compatibility(cfg: ExperimentConfig, stored: ExperimentConfig):
@@ -595,33 +608,21 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
             f"retrofit wants {cfg.replicates} replicates but the adam run "
             f"has {stored.replicates}"
         )
-    prep = prepare_data(cfg)
-    topology = build_topology(cfg, prep.dataset)
-    _prepare_out_dir(out_dir)
 
-    def replicate(r: int) -> diagnostics.MetricReport:
+    def job(topology, prep, r: int, job_dir: str):
         adam_rep = _replicate_dir(adam_run, r)
         final = read_snapshot(adam_rep, "final", topology)
-        penultimate = read_snapshot(adam_rep, "penultimate", topology)
         state = optimize.retrofit_init(
             final,
-            penultimate,
+            read_snapshot(adam_rep, "penultimate", topology),
             gamma=stored.adam.alpha,
             chain_length=cfg.simmer.chain_length,
             chain_mass=cfg.simmer.chain_mass,
             particle_mass=cfg.simmer.particle_mass,
         )
-        rep_dir = _replicate_dir(out_dir, r)
-        bundle = _simmer_replicate(cfg, topology, prep, state, r, rep_dir)
-        adam_train, adam_test = _endpoint_metrics(topology, prep, final)
-        return _write_ensemble_metrics(
-            rep_dir, topology, prep, [bundle.members], adam_train, adam_test
-        )
+        return final, _simmer_replicate(cfg, topology, prep, state, r, job_dir)
 
-    reports = parallel.map_in_order(replicate, range(cfg.replicates))
-    adam_train = sum(m.adam_train_metric for m in reports) / len(reports)
-    adam_test = sum(m.adam_test_metric for m in reports) / len(reports)
-    return _finish_sampling_run(out_dir, cfg, "retrofit", topology, prep, adam_train, adam_test)
+    return _run_stage(cfg, out_dir, "retrofit", job, cfg.replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +663,7 @@ def run_evaluate(
         lo = prep.dataset.features.min(axis=0)
         hi = prep.dataset.features.max(axis=0)
         bounds = ((lo[0], hi[0]), (lo[1], hi[1]))
-        xs, ys, nodes = ensemble.grid_nodes(bounds, grid_resolution)
+        _, _, nodes = ensemble.grid_nodes(bounds, grid_resolution)
         more.append(nodes)
     if prep.task == "regression" and n_features == 1:
         lo = float(prep.dataset.features.min())
@@ -681,50 +682,39 @@ def run_evaluate(
     }
 
     if prep.task == "classification" and n_features == 2:
+        # a node per row, x varying slowest, then its per-class vote proportions
         props = ensemble.proportions(pooled.votes[1])
-        props = props.reshape(grid_resolution, grid_resolution, -1)
-        grid_path = os.path.join(out_dir, "decision_grid.csv")
-        class_names = list(prep.dataset.target_names)
-        with open(grid_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(list(feature_names) + class_names) + "\n")
-            for ix in range(xs.shape[0]):
-                for iy in range(ys.shape[0]):
-                    cells = [_fmt(xs[ix]), _fmt(ys[iy])]
-                    cells += [_fmt(p) for p in props[ix, iy]]
-                    fh.write(",".join(cells) + "\n")
+        header = [*feature_names, *prep.dataset.target_names]
+        _write_csv(os.path.join(out_dir, "decision_grid.csv"), header, [*nodes.T, *props.T])
         summary["decision_grid"] = {
             "resolution": grid_resolution,
             "bounds": [[float(lo[0]), float(hi[0])], [float(lo[1]), float(hi[1])]],
         }
 
     if prep.task == "regression" and n_features == 1:
-        curve = pooled.means[1]
-        with open(os.path.join(out_dir, "prediction_curve.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{feature_names[0]},ensemble_mean\n")
-            for i in range(grid.shape[0]):
-                fh.write(f"{_fmt(grid[i, 0])},{_fmt(curve[i, 0])}\n")
+        header = (feature_names[0], "ensemble_mean")
+        curve = (grid[:, 0], pooled.means[1][:, 0])
+        _write_csv(os.path.join(out_dir, "prediction_curve.csv"), header, curve)
         summary["prediction_curve"] = {"points": 101, "bounds": [lo, hi]}
 
     if points:
-        dist_path = os.path.join(out_dir, "prediction_distribution.csv")
-        with open(dist_path, "w", encoding="utf-8", newline="") as fh:
-            if prep.task == "regression":
-                value_header = "prediction"
-            else:
-                value_header = "predicted_class"
-            fh.write(
-                "point_index," + ",".join(feature_names) + f",member_index,{value_header}\n"
-            )
-            for p_idx, point in enumerate(points):
-                coords = ",".join(_fmt(c) for c in point)
-                rows = pooled.members[p_idx][:, 0]
-                if prep.task == "regression":
-                    values = [_fmt(v) for v in rows[:, 0]]
-                else:
-                    values = [str(label) for label in net.class_labels_from_outputs(rows)]
-                for m, value in enumerate(values):
-                    fh.write(f"{p_idx},{coords},{m},{value}\n")
-        summary["prediction_distribution"] = {"points": len(points)}
+        # a row per member per point, the members in pooled order
+        rows = [pooled.members[p_idx][:, 0] for p_idx in range(len(points))]
+        if prep.task == "regression":
+            value_header, values = "prediction", [r[:, 0] for r in rows]
+        else:
+            value_header = "predicted_class"
+            values = [net.class_labels_from_outputs(r) for r in rows]
+        m, n_points = pooled.n_members, len(points)
+        columns = [
+            np.repeat(np.arange(n_points), m),
+            *np.repeat(np.array(points), m, axis=0).T,
+            np.tile(np.arange(m), n_points),
+            np.concatenate(values),
+        ]
+        header = ["point_index", *feature_names, "member_index", value_header]
+        _write_csv(os.path.join(out_dir, "prediction_distribution.csv"), header, columns)
+        summary["prediction_distribution"] = {"points": n_points}
 
     _write_json(os.path.join(out_dir, "evaluation.json"), summary)
     return out_dir
@@ -753,10 +743,9 @@ def run_spectrum(run_dir: str, out_dir: str) -> str:
         topology, params, prep.train_inputs, prep.train_targets, cfg.model.loss
     )
     _prepare_out_dir(out_dir)
-    with open(os.path.join(out_dir, "spectrum.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, val in enumerate(report.eigenvalues):
-            fh.write(f"{i},{_fmt(val)}\n")
+    eigenvalues = report.eigenvalues
+    columns = (np.arange(len(eigenvalues)), eigenvalues)
+    _write_csv(os.path.join(out_dir, "spectrum.csv"), ("index", "eigenvalue"), columns)
     _write_json(
         os.path.join(out_dir, "spectrum.json"),
         {

@@ -82,6 +82,14 @@ def read_bytes(path):
         return fh.read()
 
 
+def tree_bytes(root):
+    return {
+        os.path.relpath(os.path.join(d, name), root): read_bytes(os.path.join(d, name))
+        for d, _, names in os.walk(root)
+        for name in names
+    }
+
+
 def test_train_adam_run_directory_layout(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "run_adam")
@@ -199,23 +207,46 @@ def test_retrofit_positions_start_at_adam_endpoint(tmp_path):
 
 def test_rerun_is_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path)
-    a1, a2 = str(tmp_path / "a1"), str(tmp_path / "a2")
-    main(["train-adam", "--config", cfg_path, "--out", a1])
-    main(["train-adam", "--config", cfg_path, "--out", a2])
-    r1, r2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    main(["retrofit", "--config", cfg_path, "--from-run", a1, "--out", r1])
-    main(["retrofit", "--config", cfg_path, "--from-run", a2, "--out", r2])
-    for rel in (
-        "metrics.json",
-        "replicate_00/trajectory.csv",
-        "replicate_01/trajectory.csv",
-        "replicate_00/ensemble_members.bin",
-        "replicate_01/ensemble.json",
-        "replicate_00/metrics.json",
-    ):
-        assert read_bytes(os.path.join(r1, rel)) == read_bytes(os.path.join(r2, rel)), rel
-    for rel in ("metrics.json", "replicate_00/losses.csv", "replicate_00/snapshot_final.bin"):
-        assert read_bytes(os.path.join(a1, rel)) == read_bytes(os.path.join(a2, rel)), rel
+    iris = tmp_path / "iris.json"
+    iris.write_text(json.dumps(classification_config_dict()))
+    trees = []
+    for k in (1, 2):
+        root = tmp_path / f"run_{k}"
+        a, r, s = str(root / "a"), str(root / "r"), str(root / "s")
+        for argv in (
+            ["train-adam", "--config", cfg_path, "--out", a],
+            ["retrofit", "--config", cfg_path, "--from-run", a, "--out", r],
+            ["evaluate", "--from-run", r, "--out", str(root / "ev_r"), "--at=0.25", "--at=-0.5"],
+            ["spectrum", "--from-run", a, "--out", str(root / "sp_a")],
+            ["spectrum", "--from-run", r, "--out", str(root / "sp_r")],
+            ["simmer", "--config", str(iris), "--out", s],
+            [
+                "evaluate", "--from-run", s, "--out", str(root / "ev_s"),
+                "--grid-resolution", "7", "--at", "3.0,1.0",
+            ],
+        ):
+            assert main(argv) == 0
+        trees.append(tree_bytes(root))
+    # every CSV writer ran
+    names = {os.path.basename(name) for name in trees[0] if name.endswith(".csv")}
+    assert names == {
+        "losses.csv", "trajectory.csv", "decision_grid.csv", "prediction_curve.csv",
+        "prediction_distribution.csv", "spectrum.csv",
+    }
+    assert sorted(trees[0]) == sorted(trees[1])
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], name
+
+
+def test_csv_writer_matches_a_row_by_row_format(tmp_path):
+    n = 2 * runner.CSV_BLOCK_ROWS + 5  # rows past two block boundaries
+    rng = np.random.default_rng(0)
+    ints = np.arange(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    path = tmp_path / "t.csv"
+    runner._write_csv(str(path), ("i", "x"), (ints, floats))
+    want = "i,x\n" + "".join(f"{int(i)},{float(x)!r}\n" for i, x in zip(ints, floats))
+    assert path.read_text() == want
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -380,6 +411,40 @@ def test_pooled_regression_metric_matches_evaluate(tmp_path, seed):
     evaluation = json.load(open(os.path.join(ev, "evaluation.json")))
     assert evaluation["n_replicates"] == 2
     assert run_metric == evaluation["ensemble_test_metric"]
+
+
+def test_top_level_metrics_follow_one_rule(tmp_path):
+    def metrics(run_dir, *parts):
+        return json.load(open(os.path.join(run_dir, *parts, "metrics.json")))
+
+    def evaluated(run_dir):
+        out = str(tmp_path / (os.path.basename(run_dir) + "_eval"))
+        assert main(["evaluate", "--from-run", run_dir, "--out", out]) == 0
+        return json.load(open(os.path.join(out, "evaluation.json")))["ensemble_test_metric"]
+
+    cfg_path = write_config(tmp_path, replicates=3)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    for run in (a, r):
+        reps = [metrics(run, f"replicate_{k:02d}") for k in range(3)]
+        top = metrics(run)
+        for key in ("adam_train_metric", "adam_test_metric"):
+            assert top[key] == sum(rep[key] for rep in reps) / 3, (run, key)
+    assert metrics(a)["ensemble_test_metric"] is None and metrics(a)["improved"] is None
+    top = metrics(r)
+    assert top["ensemble_test_metric"] == evaluated(r)
+    assert top["improved"] == (top["ensemble_test_metric"] < top["adam_test_metric"])
+
+    iris = tmp_path / "iris.json"
+    iris.write_text(json.dumps(classification_config_dict()))
+    s = str(tmp_path / "s")
+    assert main(["simmer", "--config", str(iris), "--out", s]) == 0
+    top, baseline = metrics(s), metrics(s, runner.BASELINE_DIR)
+    assert top["adam_train_metric"] == baseline["adam_train_metric"]
+    assert top["adam_test_metric"] == baseline["adam_test_metric"]
+    assert top["ensemble_test_metric"] == evaluated(s)
+    assert top["improved"] == (top["ensemble_test_metric"] >= top["adam_test_metric"])
 
 
 def test_spectrum_outputs(tmp_path):
@@ -572,35 +637,45 @@ def test_evaluate_rejects_bad_distribution_point(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):
+def blown_up_run(tmp_path, command, section="simmer", field="dt", value=2.0):
+    """The argv, all but ``--out``, of a ``command`` whose ``section.field``
+    is ``value``; a retrofit starts from a finished Adam run of the tiny config."""
     raw = tiny_config_dict()
-    raw["simmer"]["dt"] = 2.0
     raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    raw[section][field] = value
     p = tmp_path / "blows_up.json"
     p.write_text(json.dumps(raw))
-    with np.errstate(all="ignore"):
-        assert main(["simmer", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
-    payload = error_line(capsys)
-    assert payload["error"] == "NonFiniteError"
-    assert re.match(
-        r"replicate 0: non-finite "
-        r"(velocities entering|gradient in|train loss in|test loss in|extended energy in) "
-        r"step \d+",
-        payload["message"],
-    )
+    argv = [command, "--config", str(p)]
+    if command == "retrofit":
+        adam = str(tmp_path / "adam")
+        assert main(["train-adam", "--config", write_config(tmp_path), "--out", adam]) == 0
+        argv += ["--from-run", adam]
+    return argv
+
+
+def test_nonfinite_error_names_replicate_step_and_quantity(tmp_path, capsys):
+    for command in ("simmer", "retrofit"):
+        (tmp_path / command).mkdir()
+        argv = blown_up_run(tmp_path / command, command)
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out", str(tmp_path / command / "o")]) == 1
+        payload = error_line(capsys)
+        assert payload["error"] == "NonFiniteError"
+        assert re.match(
+            r"replicate 0: non-finite "
+            r"(velocities entering|gradient in|train loss in|test loss in|extended energy in) "
+            r"step \d+",
+            payload["message"],
+        ), command
 
 
 @pytest.mark.parametrize(
     "command,prefix", [("train-adam", "replicate 0"), ("simmer", "baseline_adam")]
 )
 def test_adam_nonfinite_error_names_epoch_and_quantity(tmp_path, capsys, command, prefix):
-    raw = tiny_config_dict()
-    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
-    raw["adam"]["alpha"] = 1e200
-    p = tmp_path / "blows_up.json"
-    p.write_text(json.dumps(raw))
+    argv = blown_up_run(tmp_path, command, "adam", "alpha", 1e200)
     with np.errstate(all="ignore"):
-        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     payload = error_line(capsys)
     assert payload["error"] == "NonFiniteError"
     assert re.match(
@@ -610,21 +685,21 @@ def test_adam_nonfinite_error_names_epoch_and_quantity(tmp_path, capsys, command
 
 @pytest.mark.parametrize(
     "command,section,field,value",
-    [("train-adam", "adam", "alpha", 1e200), ("simmer", "simmer", "dt", 2.0)],
+    [
+        ("train-adam", "adam", "alpha", 1e200),
+        ("simmer", "simmer", "dt", 2.0),
+        ("retrofit", "simmer", "dt", 2.0),
+    ],
 )
 def test_failed_run_is_not_a_run_directory(tmp_path, capsys, command, section, field, value):
-    raw = tiny_config_dict()
-    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
-    raw[section][field] = value
-    p = tmp_path / "blows_up.json"
-    p.write_text(json.dumps(raw))
+    argv = blown_up_run(tmp_path, command, section, field, value)
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
-        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert main(argv + ["--out", str(out)]) == 1
     assert error_line(capsys)["error"] == "NonFiniteError"
     assert out.is_dir() and not (out / "resolved_config.json").exists()
     if command == "train-adam":
-        after = ["retrofit", "--config", str(p), "--from-run", str(out)]
+        after = ["retrofit", "--config", argv[2], "--from-run", str(out)]
     else:
         after = ["evaluate", "--from-run", str(out)]
     assert main(after + ["--out", str(tmp_path / "after")]) == 1
@@ -753,6 +828,30 @@ def test_evaluate_refuses_a_member_file_of_the_wrong_size(tmp_path, capsys, chan
         pytest.param("spectrum", "snapshots.json", {"files": 7}, id="number-files"),
         pytest.param("spectrum", "snapshots.json", {"files": {"final": 7}}, id="number-file-name"),
         pytest.param("spectrum", "resolved_config.json", {"config": []}, id="array-config"),
+        # the right JSON type but a wrong value; a function maps the file's own entry to it
+        pytest.param("evaluate", "ensemble.json", {"n_members": 0}, id="no-members"),
+        pytest.param("evaluate", "ensemble.json", {"n_members": 10**12}, id="huge-count"),
+        pytest.param("evaluate", "ensemble.json", {"iterations": [1]}, id="short-iterations"),
+        pytest.param(
+            "evaluate", "ensemble.json", {"temperatures": lambda t: t + [0.05]},
+            id="long-temperatures",
+        ),
+        pytest.param(
+            "evaluate", "ensemble.json", {"iterations": lambda i: [None] * len(i)},
+            id="null-iterations",
+        ),
+        pytest.param(
+            "evaluate", "ensemble.json", {"temperatures": lambda t: [None] * len(t)},
+            id="null-temperatures",
+        ),
+        pytest.param(
+            "evaluate", "ensemble.json", {"temperatures": lambda t: t[:-1] + [float("nan")]},
+            id="nan-temperature",
+        ),
+        pytest.param(
+            "evaluate", "ensemble.json", {"temperatures": lambda t: [-0.5] + t[1:]},
+            id="negative-temperature",
+        ),
     ],
 )
 def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command, name, damage):
@@ -767,8 +866,10 @@ def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command
     if isinstance(damage, dict):
         with open(path) as fh:
             obj = json.load(fh)
+        for key, value in damage.items():
+            obj[key] = value(obj[key]) if callable(value) else value
         with open(path, "w") as fh:
-            json.dump({**obj, **damage}, fh)
+            json.dump(obj, fh)
     elif isinstance(damage, str):
         with open(path, "w") as fh:
             fh.write(damage)
@@ -787,14 +888,6 @@ def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command
 
 
 # ------------------------------------------------------------ worker processes
-
-
-def tree_bytes(root):
-    return {
-        os.path.relpath(os.path.join(d, name), root): read_bytes(os.path.join(d, name))
-        for d, _, names in os.walk(root)
-        for name in names
-    }
 
 
 def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, forks):

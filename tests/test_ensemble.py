@@ -178,6 +178,12 @@ def test_collect_records_capture_temperatures():
     assert np.array_equal(bundle.iterations, np.arange(5, 11))
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan])
+def test_bundle_refuses_a_negative_or_nan_temperature(bad):
+    with pytest.raises(ValueError, match="temperatures must be >= 0"):
+        ensemble.EnsembleBundle(np.zeros((2, 3)), [1, 2], [0.1, bad])
+
+
 def full_capture_selection(plan, iterations, seed, replicate):
     """Record indices that collect picked from a trajectory capturing every
     step, before plans chose their steps up front: burn-in, then stride,
