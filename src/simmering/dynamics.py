@@ -27,10 +27,14 @@ velocity of the next link up (zero past the end of the chain).
 step and a :class:`TemperatureSchedule`, the type a config's
 ``simmer.schedule`` section parses into; the config parser checks the
 schedule's ranges, once, and this module trusts them.  The loop records one
-row per step, and the parameter vectors of the steps it is asked to keep,
-when given a train-loss function, and nothing otherwise.  A non-finite
-quantity aborts the loop with a :class:`~simmering.net.NonFiniteError`
-naming the quantity and the step index.
+row per step, and the parameter vectors of the steps it is asked to keep.
+The recorded losses depend only on positions the loop has passed, so a
+:class:`LossBlock`, the one loss recorder (Adam's too), holds a block of
+positions and evaluates them with one stacked call per data set; the
+records, and the order in which errors are raised, are those of a loop
+that evaluates every step on its own.  A non-finite quantity aborts the
+loop with a :class:`~simmering.net.NonFiniteError` naming the quantity and
+the step index.
 
 All state is float64.  Steps are deterministic; the only randomness in the
 module is the Maxwell-Boltzmann draw in :func:`initial_velocities`.
@@ -217,7 +221,74 @@ def _named(fn, x, quantity: str, index: int, unit: str = "step"):
     try:
         return fn(x)
     except NonFiniteError as exc:
+        _raise_named(exc, quantity, index, unit)
+
+
+def _raise_named(exc, quantity: str, index: int, unit: str = "step"):
+    """Raise ``exc``, unless it is None, as the error :func:`_named` raises."""
+    if exc is not None:
         raise NonFiniteError(f"non-finite {quantity} in {unit} {index}: {exc}") from exc
+
+
+class LossBlock:
+    """The one loss recorder: positions held until one stacked call per loss function.
+
+    The integrator and Adam :meth:`push` the positions of each step (or
+    epoch).  When ``rows`` are held, and on :meth:`flush`, each function
+    of ``fns`` maps the held ``(C, N)`` stack to ``(C,)`` losses in one
+    call, and ``fill(start, results)`` fills those records in step order:
+    ``start`` is the loop index of the first held row, and ``results``
+    one ``(values, errors)`` pair per function, where ``errors`` maps a
+    row to the :class:`NonFiniteError` the function raised on it.  A
+    function that raises on the stack is called again on each row alone
+    (a row's loss does not depend on its stack), which finds those rows;
+    their values are NaN.  Only ``rows`` positions are ever held.
+    """
+
+    def __init__(self, fns, n_params: int, rows: int, fill):
+        self._fns = fns
+        self._fill = fill
+        self._stack = np.empty((rows, n_params))
+        self._start = 0  # loop index of the first held row
+        self.size = 0
+
+    def push(self, x):
+        """Hold a copy of ``x``, and record the block once it is full."""
+        self._stack[self.size] = x
+        self.size += 1
+        if self.size == self._stack.shape[0]:
+            self.flush()
+
+    def flush(self):
+        """Record the held rows, if any, and empty the block."""
+        if not self.size:
+            return
+        stack = self._stack[: self.size]
+        start = self._start
+        self._start += self.size
+        self.size = 0
+        self._fill(start, [_stacked_losses(fn, stack) for fn in self._fns])
+
+
+def _stacked_losses(fn, stack):
+    """``(values, errors)`` of ``fn`` over ``stack``; see :class:`LossBlock`."""
+    try:
+        return np.asarray(fn(stack), dtype=np.float64), {}
+    except NonFiniteError:
+        pass
+    values = np.full(stack.shape[0], np.nan)
+    errors = {}
+    for j in range(stack.shape[0]):
+        try:
+            values[j] = fn(stack[j : j + 1])[0]
+        except NonFiniteError as exc:
+            errors[j] = exc
+    return values, errors
+
+
+def _no_test_set(stack):
+    """The test losses recorded without a test set: NaN."""
+    return np.full(stack.shape[0], np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +326,34 @@ def run_trajectory(
     dt: float,
     schedule: TemperatureSchedule,
     n_steps: int,
-    loss_train_fn=None,
+    loss_train_fn,
     loss_test_fn=None,
     snapshot_steps=None,
-) -> tuple[PhaseState, Trajectory | None]:
-    """Advance ``n_steps``; the one integrator loop; pure.
+    *,
+    block: int,
+) -> tuple[PhaseState, Trajectory]:
+    """Advance ``n_steps`` and record them; the one integrator loop; pure.
 
     Each step advances by ``dt``, and the target temperature follows
     ``schedule`` evaluated at the state's running step index, so a ramp
     continues correctly across calls.
 
-    Without ``loss_train_fn`` nothing is recorded and the trajectory is
-    ``None``.  With it, one row per step is recorded: ``loss_train_fn(x)``
-    supplies the potential entering the extended energy; ``loss_test_fn``
-    is optional (NaN recorded when absent).  Parameter snapshots are kept
-    for the record positions in ``snapshot_steps``, a strictly increasing
-    sequence in ``[0, n_steps)`` (``None`` keeps every step, ``()`` none).
-    Positions are relative to this call.  Only those rows are allocated,
-    and each kept state is written straight into its row.
+    One row per step is recorded.  ``loss_train_fn`` supplies the
+    potential entering the extended energy; ``loss_test_fn`` is optional
+    (NaN recorded when absent).  Both map a ``(C, N)`` stack of positions
+    to ``(C,)`` losses, and a :class:`LossBlock` calls each once per
+    ``block`` steps (:func:`net.chunk_size` of the network and data sets
+    in a run).  Parameter snapshots are kept for the record positions in
+    ``snapshot_steps``, a strictly increasing sequence in ``[0, n_steps)``
+    (``None`` keeps every step, ``()`` none).  Positions are relative to
+    this call.  Only those rows are allocated, and each kept state is
+    written straight into its row.
 
-    A :class:`NonFiniteError` names the quantity (velocities, gradient,
-    train loss, test loss or extended energy) and the step index.
+    A :class:`NonFiniteError` names the quantity and the step index; of
+    each step, in this order: velocities, gradient, train loss (its
+    outputs, then its value), extended energy, test loss.  An error in a
+    later step's advance comes after every error of the steps held before
+    it.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -296,54 +374,72 @@ def run_trajectory(
     x, v, m = out.positions, out.velocities, out.masses
     n = x.shape[0]
     n_c = len(s)
-    record = loss_train_fn is not None
 
-    if record:
-        temperature = np.empty(n_steps)
-        t_kin = np.empty(n_steps)
-        loss_train = np.empty(n_steps)
-        loss_test = np.full(n_steps, np.nan)
-        energy = np.empty(n_steps)
-        snaps = np.empty((snap_positions.size, n))
-        # n_steps closes the list: a mark no step index reaches
-        snap_marks = snap_positions.tolist() + [n_steps]
-        snap_row = 0
-        snap_at = snap_marks[0]
+    temperature = np.empty(n_steps)
+    t_kin = np.empty(n_steps)
+    loss_train = np.empty(n_steps)
+    loss_test = np.empty(n_steps)
+    energy = np.empty(n_steps)
+    snaps = np.empty((snap_positions.size, n))
+    # n_steps closes the list: a mark no step index reaches
+    snap_marks = snap_positions.tolist() + [n_steps]
+    snap_row = 0
+    snap_at = snap_marks[0]
 
+    # the extended energy, conserved while the target temperature is
+    # constant: kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + ...);
+    # the terms other than the loss, for the held steps
+    rows = max(1, min(block, n_steps))
+    kin, chain_kin, bath = np.empty(rows), np.empty(rows), np.empty(rows)
+
+    def fill(lo, results):
+        (train, train_errors), (test, test_errors) = results
+        c = train.shape[0]
+        # a non-finite energy is the error raised below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = kin[:c] + train
+            e += chain_kin[:c]
+            e += bath[:c]
+        if test_errors or not np.isfinite(e).all():
+            # a non-finite train loss makes the energy non-finite too
+            for j in range(c):
+                idx = state.step_index + lo + j
+                _raise_named(train_errors.get(j), "train loss", idx)
+                if not math.isfinite(train[j]):
+                    raise NonFiniteError(f"non-finite train loss in step {idx}")
+                if not math.isfinite(e[j]):
+                    raise NonFiniteError(f"non-finite extended energy in step {idx}")
+                _raise_named(test_errors.get(j), "test loss", idx)
+        loss_train[lo : lo + c] = train
+        energy[lo : lo + c] = e
+        loss_test[lo : lo + c] = test
+
+    losses = LossBlock((loss_train_fn, loss_test_fn or _no_test_set), n, rows, fill)
     sum_mv2 = m * float(v @ v)
     for i in range(n_steps):
         idx = out.step_index + i
         t_now = schedule.at(idx)
-        sum_mv2 = _advance(x, v, m, s, vs, q, dt, t_now, grad_fn, idx, sum_mv2)
-        if not record:
-            continue
-
-        ltrain = float(_named(loss_train_fn, x, "train loss", idx))
-        if not math.isfinite(ltrain):
-            raise NonFiniteError(f"non-finite train loss in step {idx}")
-        # the extended energy, conserved while the target temperature is
-        # constant: kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + ...)
-        chain_kin = 0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c))
-        bath = n * t_now * s[0] + t_now * sum(s[1:])
-        e_now = 0.5 * sum_mv2 + ltrain + chain_kin + bath
-        if not math.isfinite(e_now):
-            raise NonFiniteError(f"non-finite extended energy in step {idx}")
+        try:
+            sum_mv2 = _advance(x, v, m, s, vs, q, dt, t_now, grad_fn, idx, sum_mv2)
+        except Exception:
+            losses.flush()  # the held steps' errors come first
+            raise
         temperature[i] = t_now
         t_kin[i] = sum_mv2 / n
-        loss_train[i] = ltrain
-        energy[i] = e_now
-        if loss_test_fn is not None:
-            loss_test[i] = float(_named(loss_test_fn, x, "test loss", idx))
+        j = losses.size
+        kin[j] = 0.5 * sum_mv2
+        chain_kin[j] = 0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c))
+        bath[j] = n * t_now * s[0] + t_now * sum(s[1:])
         if i == snap_at:
             snaps[snap_row] = x
             snap_row += 1
             snap_at = snap_marks[snap_row]
+        losses.push(x)
+    losses.flush()
 
     out.chain.positions[...] = s
     out.chain.velocities[...] = vs
     out.step_index = state.step_index + n_steps
-    if not record:
-        return out, None
     traj = Trajectory(
         iterations=np.arange(1, n_steps + 1, dtype=np.int64),
         temperature=temperature,

@@ -11,12 +11,12 @@ once.  Every prediction takes a sequence of ``(M, N)`` member matrices
 (one per replicate, in replicate order; a single parameter vector is the
 one-member matrix ``params[None]``) and reduces over one walk of their
 members in storage order.  The walk evaluates consecutive members a chunk
-at a time, one stacked :func:`net.forward` per chunk, whose size is fixed
-by the input row count and the topology alone.  A stacked forward gives
-each member the bits its own forward would, and regression sums still add
-one member at a time into a single running total, so results are
-bit-stable and depend neither on the chunking nor on whether the members
-sit in one matrix or several.
+at a time, one stacked :func:`net.forward` per chunk, whose size
+:func:`net.chunk_size` fixes from the input row count and the topology
+alone.  A stacked forward gives each member the bits its own forward
+would, and regression sums still add one member at a time into a single
+running total, so results are bit-stable and depend neither on the
+chunking nor on whether the members sit in one matrix or several.
 
 Memory: the walk computes every chunk's hidden layers in buffers it
 allocates once, and it takes the matrices one at a time, so matrices read
@@ -48,8 +48,6 @@ from .dynamics import Trajectory
 from .net import Topology
 
 _GRID = 1 << 52
-# float budget of one stacked forward's widest layer output; see chunk_size
-CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,16 +126,6 @@ def collect(trajectory: Trajectory) -> EnsembleBundle:
     )
 
 
-def chunk_size(topology: Topology, n_rows: int) -> int:
-    """Members per stacked forward over ``n_rows`` inputs.
-
-    Fixed by shapes alone, so the chunks, and with them the bytes, never
-    depend on the machine: each chunk's widest layer output holds about
-    ``CHUNK_VALUES`` floats, and at least one member.
-    """
-    return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
-
-
 def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_sets):
     """Yield ``(k, outputs)`` per chunk of members, matrix by matrix.
 
@@ -157,7 +145,7 @@ def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_se
     ``outputs`` share memory.
     """
     scaled = [_scaled_inputs(scaler, inputs) for inputs in input_sets]
-    steps = [chunk_size(topology, x.shape[0]) for x in scaled]
+    steps = [net.chunk_size(topology, x.shape[0]) for x in scaled]
     hidden = [(0, []) for _ in scaled]
     for matrix in matrices:
         for k, x in enumerate(scaled):

@@ -19,12 +19,17 @@ Losses, conventions:
   samples.
 
 The module functions (:func:`forward`, :func:`loss`) validate their
-arguments on every call.  Gradients come from an :class:`Evaluator`, bound
-to one data set for the many evaluations of a loop (the integrator, Adam,
-the Hessian probe): it validates the data once, keeps the layer views of
-the parameter array it is handed, one buffer per hidden layer and a
-gradient buffer, and runs the layer loop of :func:`forward`, so its loss
-equals the module functions' bit for bit.
+arguments on every call.  Gradients and recorded losses come from an
+:class:`Evaluator`, bound to one data set for the many evaluations of a
+loop (the integrator, Adam, the Hessian probe): it validates the data
+once, keeps the layer views of the parameter array it is handed, one
+buffer per hidden layer and a gradient buffer, and runs the layer loop of
+:func:`forward`, so its losses equal the module functions' bit for bit.
+:meth:`Evaluator.losses` takes a ``(C, N)`` stack of parameter vectors,
+the steps a loop records together, in one stacked pass.
+
+Every stacked forward, the ensemble walk's and the loops' loss records,
+holds :func:`chunk_size` vectors: a rule of the shapes alone.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ LOSSES = ("sse", "mse", "categorical_cross_entropy", "binary_cross_entropy_from_
 
 # Fixed ELU knee scale; exposed for tests.
 ELU_ALPHA = 1.0
+# float budget of one stacked forward's widest layer output; see chunk_size
+CHUNK_VALUES = 1 << 16
 
 
 class NonFiniteError(ArithmeticError):
@@ -239,6 +246,18 @@ def forward(
     return _forward(layer_views(topology, params), topology.activations, a, hidden_out)
 
 
+def chunk_size(topology: Topology, n_rows: int) -> int:
+    """Parameter vectors per stacked forward over ``n_rows`` inputs.
+
+    The one size rule of every stacked forward: the ensemble walk's
+    members and the steps whose losses a loop records together.  Fixed by
+    shapes alone, so the chunks, and with them the bytes, never depend on
+    the machine: each chunk's widest layer output holds about
+    ``CHUNK_VALUES`` floats, and at least one vector.
+    """
+    return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
+
+
 def _hidden_buffers(topology: Topology, lead: tuple) -> list[np.ndarray]:
     """One uninitialised ``(*lead, width)`` array per hidden layer."""
     return [np.empty((*lead, width)) for width in topology.layer_sizes[1:-1]]
@@ -295,26 +314,33 @@ def loss(kind: str, outputs: np.ndarray, targets: np.ndarray) -> float:
     outputs = np.asarray(outputs, dtype=np.float64)
     targets = _check_targets(kind, targets, outputs.shape)
     _check_outputs(outputs)
-    return _loss_value(kind, outputs, targets)
+    return float(_loss_value(kind, outputs, targets))
 
 
-def _loss_value(kind: str, outputs: np.ndarray, targets: np.ndarray) -> float:
-    n = outputs.shape[0]
+def _loss_value(kind: str, outputs: np.ndarray, targets: np.ndarray):
+    """The loss, reduced over the trailing ``(samples, outputs)`` axes.
+
+    One network's 2-D outputs give a numpy scalar, a ``(C, samples,
+    outputs)`` stack gives ``(C,)``.  Every reduction runs over trailing
+    axes of a C-contiguous array, so each stack entry is the loss of that
+    network alone, bit for bit.
+    """
+    n = outputs.shape[-2]
     if kind == "sse":
         diff = outputs - targets
-        return float(np.sum(diff * diff))
+        return np.sum(diff * diff, axis=(-2, -1))
     if kind == "mse":
         diff = outputs - targets
-        return float(np.sum(diff * diff) / n)
+        return np.sum(diff * diff, axis=(-2, -1)) / n
     if kind == "categorical_cross_entropy":
-        zmax = outputs.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.sum(np.exp(outputs - zmax), axis=1))
-        picked = np.sum(targets * outputs, axis=1)
-        return float(np.mean(lse - picked))
+        zmax = outputs.max(axis=-1, keepdims=True)
+        lse = zmax[..., 0] + np.log(np.sum(np.exp(outputs - zmax), axis=-1))
+        picked = np.sum(targets * outputs, axis=-1)
+        return np.mean(lse - picked, axis=-1)
     # binary cross-entropy from logits: max(z,0) - z*t + log1p(exp(-|z|))
     z = outputs
     per_elem = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(np.sum(per_elem, axis=1)))
+    return np.mean(np.sum(per_elem, axis=-1), axis=-1)
 
 
 def _loss_output_grad(kind: str, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -364,7 +390,8 @@ class Evaluator:
     non-finite outputs, loss or gradient.
 
     Every call computes the hidden layers in buffers the Evaluator owns,
-    one per layer, and the backward pass reads its activations from them.
+    one per layer (a stack of them for :meth:`losses`), and the backward
+    pass reads its activations from them.
     The layer views of the last parameter array seen are kept, so an
     integrator that updates one array in place builds them once.  The array
     :meth:`gradient` returns is a buffer the next call overwrites.
@@ -380,6 +407,7 @@ class Evaluator:
             loss_kind, targets, (self.inputs.shape[0], topology.layer_sizes[-1])
         )
         self._hidden = _hidden_buffers(topology, (self.inputs.shape[0],))
+        self._stack_hidden = 0, []
         self._grad = np.empty(topology.param_count, dtype=np.float64)
         self._grad_views = layer_views(topology, self._grad)
         self._params = None
@@ -391,11 +419,20 @@ class Evaluator:
             self._params = params
         return self._views
 
-    def loss(self, params: np.ndarray) -> float:
-        """``loss(kind, forward(topology, params, inputs), targets)``."""
-        outputs = _forward(
-            self._views_of(params), self.topology.activations, self.inputs, self._hidden
-        )
+    def losses(self, stack: np.ndarray) -> np.ndarray:
+        """The loss of each row of a ``(C, N)`` stack of parameter vectors, as ``(C,)``.
+
+        One stacked pass of the layer loop, in hidden buffers kept for the
+        largest stack seen; entry ``c`` equals
+        ``loss(kind, forward(topology, stack[c], inputs), targets)`` bit
+        for bit.  Non-finite outputs in any row raise.
+        """
+        c = stack.shape[0]
+        if self._stack_hidden[0] < c:
+            self._stack_hidden = c, _hidden_buffers(self.topology, (c, self.inputs.shape[0]))
+        hidden = [h[:c] for h in self._stack_hidden[1]]
+        views = layer_views(self.topology, stack)
+        outputs = _forward(views, self.topology.activations, self.inputs, hidden)
         _check_outputs(outputs)
         return _loss_value(self.loss_kind, outputs, self.targets)
 
@@ -405,7 +442,7 @@ class Evaluator:
         weight_views = self._views_of(params)
         outputs = _forward(weight_views, topology.activations, self.inputs, self._hidden)
         _check_outputs(outputs)
-        value = _loss_value(kind, outputs, targets)
+        value = float(_loss_value(kind, outputs, targets))
         post = [self.inputs, *self._hidden, outputs]
 
         grad = self._grad

@@ -8,6 +8,8 @@ the velocity read off the last optimizer displacement:
     v = (x_final - x_penultimate) / gamma
 
 where gamma is the Adam learning rate that produced the displacement.
+The recorded losses of each epoch are computed a block of epochs at a
+time, by the integrator's loss recorder.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .dynamics import PhaseState, ThermostatChain, _named
+from .dynamics import LossBlock, PhaseState, ThermostatChain, _named, _raise_named
 from .net import NonFiniteError, Topology
 
 
@@ -83,8 +85,13 @@ def train_adam(
 
     Losses are recorded after each update, so row ``i`` describes the
     iterate produced by epoch ``i+1`` and the last row matches
-    ``final_params``.  At least two epochs are required so the penultimate
-    iterate exists.
+    ``final_params``.  A :class:`~simmering.dynamics.LossBlock` records
+    them a block of :func:`net.chunk_size` epochs at a time.  At least two
+    epochs are required so the penultimate iterate exists.
+
+    A :class:`NonFiniteError` names the quantity and the epoch; of each
+    epoch, in this order: gradient, train loss outputs, test loss
+    outputs, train loss value.
     """
     if epochs < 2:
         raise ValueError("epochs must be >= 2 (the handoff needs the last two iterates)")
@@ -98,16 +105,33 @@ def train_adam(
     state = AdamState.fresh(topology.param_count, alpha)
     train_losses = np.empty(epochs)
     test_losses = np.empty(epochs)
+
+    def fill(lo, results):
+        (train_values, train_errors), (test_values, test_errors) = results
+        c = train_values.shape[0]
+        if train_errors or test_errors or not np.isfinite(train_values).all():
+            for j in range(c):
+                n = lo + j + 1  # 1-based, as in losses.csv
+                _raise_named(train_errors.get(j), "train loss", n, "epoch")
+                _raise_named(test_errors.get(j), "test loss", n, "epoch")
+                if not math.isfinite(train_values[j]):
+                    raise NonFiniteError(f"non-finite train loss in epoch {n}")
+        train_losses[lo : lo + c] = train_values
+        test_losses[lo : lo + c] = test_values
+
+    rows = net.chunk_size(topology, max(train.inputs.shape[0], test.inputs.shape[0]))
+    losses = LossBlock((train.losses, test.losses), topology.param_count, min(rows, epochs), fill)
     prev = params
     for epoch in range(epochs):
-        n = epoch + 1  # 1-based, as in losses.csv
-        grad = _named(train.gradient, params, "gradient", n, "epoch")
+        try:
+            grad = _named(train.gradient, params, "gradient", epoch + 1, "epoch")
+        except Exception:
+            losses.flush()  # the held epochs' errors come first
+            raise
         prev = params
         params, state = adam_step(params, grad, state)
-        train_losses[epoch] = _named(train.loss, params, "train loss", n, "epoch")
-        test_losses[epoch] = _named(test.loss, params, "test loss", n, "epoch")
-        if not math.isfinite(train_losses[epoch]):
-            raise NonFiniteError(f"non-finite train loss in epoch {n}")
+        losses.push(params)
+    losses.flush()
     return AdamReport(
         train_losses=train_losses,
         test_losses=test_losses,

@@ -41,8 +41,8 @@ a file of another width is refused by its size.
 from __future__ import annotations
 
 import functools
-import importlib.metadata
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,9 +60,34 @@ CSV_BLOCK_ROWS = 1 << 10
 
 
 def _write_json(path: str, obj):
+    """Write ``obj`` as strict JSON (RFC 8259).  A non-finite number is a
+    :class:`~simmering.net.NonFiniteError` naming the file and its key,
+    raised before the file is opened.  The text streams to the file:
+    a whole 19 000-member ``ensemble.json`` as one string adds megabytes
+    to the peak."""
+    key = _nonfinite_key(obj)
+    if key is not None:
+        raise net.NonFiniteError(f"{path}: non-finite value at {key.lstrip('.')!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _nonfinite_key(obj):
+    """The key path (``a.b[2]``) of the first non-finite float in ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ""
+    if isinstance(obj, dict):
+        keyed, name = obj.items(), ".{}".format
+    elif isinstance(obj, (list, tuple)):
+        keyed, name = enumerate(obj), "[{}]".format
+    else:
+        return None
+    for key, value in keyed:
+        rest = _nonfinite_key(value)
+        if rest is not None:
+            return name(key) + rest
+    return None
 
 
 def _write_csv(path: str, header, columns):
@@ -133,6 +158,10 @@ def _write_rows(path: str, rows):
 
 
 def _package_version() -> str:
+    # imported here: importlib.metadata pulls in the email package, which
+    # every stage process would otherwise pay for at start-up
+    import importlib.metadata
+
     try:
         return importlib.metadata.version("simmering")
     except importlib.metadata.PackageNotFoundError:
@@ -508,10 +537,12 @@ def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
 
 
 def _loss_fns(cfg, topology, prep):
-    """Gradient, train-loss and test-loss functions, with the data checked once."""
+    """Gradient, stacked train-loss and test-loss functions, with the data
+    checked once, and the steps whose losses are recorded together."""
     train = net.Evaluator(topology, cfg.model.loss, prep.train_inputs, prep.train_targets)
     test = net.Evaluator(topology, cfg.model.loss, prep.test_inputs, prep.test_targets)
-    return train.gradient, train.loss, test.loss
+    block = net.chunk_size(topology, max(train.inputs.shape[0], test.inputs.shape[0]))
+    return train.gradient, train.losses, test.losses, block
 
 
 def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) -> np.ndarray:
@@ -521,7 +552,7 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) 
     captured.
     """
     simmer = cfg.simmer
-    grad_fn, loss_train_fn, loss_test_fn = _loss_fns(cfg, topology, prep)
+    grad_fn, loss_train_fn, loss_test_fn, block = _loss_fns(cfg, topology, prep)
     _, traj = run_trajectory(
         state,
         grad_fn,
@@ -531,6 +562,7 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) 
         loss_train_fn,
         loss_test_fn,
         cfg.sampling.steps(simmer.iterations, cfg.seed, replicate),
+        block=block,
     )
     _write_csv(
         os.path.join(rep_dir, "trajectory.csv"),

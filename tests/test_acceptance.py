@@ -114,6 +114,9 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 # 2. canonical sampling on the harmonic potential
 
+# steps whose potential is evaluated in one stacked call
+BLOCK = 64
+
 
 def _harmonic_state(temperature, chain_mass, seed):
     return PhaseState(
@@ -133,15 +136,15 @@ def _constant_schedule(temperature):
 def _harmonic_sample(temperature):
     """(x2 error, v2 error, KS p, seconds) of one temperature's run, timed by itself."""
     grad = lambda x: x           # k = 1
-    pot = lambda x: float(0.5 * x[0] ** 2)
+    pot = lambda x: 0.5 * x[:, 0] ** 2
     t0 = time.time()
     # chain mass on the oscillator scale keeps the chain resonant
     state = _harmonic_state(temperature, chain_mass=temperature, seed=1)
     schedule = _constant_schedule(temperature)
     state, _ = run_trajectory(state, grad, 0.002, schedule, 100_000, pot,
-                              snapshot_steps=())
+                              snapshot_steps=(), block=BLOCK)
     state, traj = run_trajectory(state, grad, 0.002, schedule, 2_000_000, pot,
-                                 snapshot_steps=range(0, 2_000_000, 1))
+                                 snapshot_steps=range(0, 2_000_000, 1), block=BLOCK)
     elapsed = time.time() - t0
     x = traj.snapshots[:, 0]
     x2_err = abs(float(np.mean(x * x)) - temperature) / temperature
@@ -170,10 +173,10 @@ def test_harmonic_sampling_is_canonical():
 
 def test_extended_energy_is_conserved():
     grad = lambda x: x
-    pot = lambda x: float(0.5 * x[0] ** 2)
+    pot = lambda x: 0.5 * x[:, 0] ** 2
     state = _harmonic_state(0.5, chain_mass=0.5, seed=1)
     _, traj = run_trajectory(state, grad, 0.001, _constant_schedule(0.5),
-                             100_000, pot, snapshot_steps=())
+                             100_000, pot, snapshot_steps=(), block=BLOCK)
     e = traj.extended_energy
     drift = abs(float(e[-1] - e[0])) / abs(float(e[0]))
     _report(3, "extended energy stable over 1e5 steps",

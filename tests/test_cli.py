@@ -238,6 +238,71 @@ def test_rerun_is_byte_identical(tmp_path):
         assert trees[0][name] == trees[1][name], name
 
 
+@pytest.mark.parametrize("values", [1, 7 * 13 * 6])
+def test_run_directories_do_not_depend_on_the_loss_block(tmp_path, monkeypatch, values):
+    # budgets of one step per block and of seven sine steps per block
+    # (13 train rows, 6 wide), against the default: a whole tiny sine run
+    # in one block, and the iris simmer's 150 steps in three
+    sine = write_config(tmp_path)
+    iris = tmp_path / "iris.json"
+    iris.write_text(json.dumps(classification_config_dict()))
+    trees = []
+    for budget in (net.CHUNK_VALUES, values):
+        monkeypatch.setattr(net, "CHUNK_VALUES", budget)
+        root = tmp_path / f"budget_{budget}"
+        a = str(root / "a")
+        for argv in (
+            ["train-adam", "--config", sine, "--out", a],
+            ["retrofit", "--config", sine, "--from-run", a, "--out", str(root / "r")],
+            ["simmer", "--config", str(iris), "--out", str(root / "s")],
+        ):
+            assert main(argv) == 0
+        trees.append(tree_bytes(root))
+    names = {os.path.basename(name) for name in trees[0]}
+    assert {"losses.csv", "trajectory.csv"} <= names
+    assert sorted(trees[0]) == sorted(trees[1])
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], name
+
+
+def test_nonfinite_member_is_refused_by_the_json_writer(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    main(["train-adam", "--config", cfg_path, "--out", a])
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    members = os.path.join(r, "replicate_01", "ensemble_members.bin")
+    with open(members, "r+b") as fh:
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    out = tmp_path / "o"
+    with np.errstate(invalid="ignore"):
+        assert main(["evaluate", "--from-run", r, "--out", str(out)]) == 1
+    payload = error_line(capsys)
+    assert payload["error"] == "NonFiniteError"
+    path = os.path.join(str(out), "evaluation.json")
+    assert payload["message"] == f"{path}: non-finite value at 'ensemble_test_metric'"
+    assert not os.path.exists(path)
+
+
+def test_json_writer_names_the_nested_key_and_writes_nothing(tmp_path):
+    path = str(tmp_path / "x.json")
+    with pytest.raises(net.NonFiniteError, match=re.escape(f"{path}: non-finite value at 'b.c[1]'")):
+        runner._write_json(path, {"a": 1.0, "b": {"c": [2.0, -np.inf]}})
+    assert not os.path.exists(path)
+    runner._write_json(path, {"a": [1.0, 2]})
+    assert read_bytes(path) == b'{\n  "a": [\n    1.0,\n    2\n  ]\n}\n'
+
+
+def test_importing_the_runner_leaves_out_package_metadata():
+    # importlib.metadata pulls in the email package; only a finished stage needs it
+    code = "import sys, simmering.cli; print(sorted({'importlib.metadata', 'email'} & set(sys.modules)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_csv_writer_matches_a_row_by_row_format(tmp_path):
     n = 2 * runner.CSV_BLOCK_ROWS + 5  # rows past two block boundaries
     rng = np.random.default_rng(0)
@@ -718,7 +783,7 @@ def test_simmer_members_equal_collect_over_full_capture(tmp_path):
     cfg = from_dict(raw)
     prep = runner.prepare_data(cfg)
     topology = runner.build_topology(cfg, prep.dataset)
-    grad_fn, loss_train_fn, loss_test_fn = runner._loss_fns(cfg, topology, prep)
+    grad_fn, loss_train_fn, loss_test_fn, block = runner._loss_fns(cfg, topology, prep)
     for r in range(cfg.replicates):
         state = PhaseState(
             positions=runner.initial_params(cfg, topology, r),
@@ -730,7 +795,7 @@ def test_simmer_members_equal_collect_over_full_capture(tmp_path):
         )
         _, traj = run_trajectory(
             state, grad_fn, cfg.simmer.dt, cfg.simmer.schedule, cfg.simmer.iterations,
-            loss_train_fn, loss_test_fn,
+            loss_train_fn, loss_test_fn, block=block,
         )
         assert traj.snapshots.shape[0] == cfg.simmer.iterations
         steps = cfg.sampling.steps(cfg.simmer.iterations, cfg.seed, r)

@@ -24,7 +24,13 @@ def harmonic_grad(x):
 
 
 def harmonic_potential(x):
-    return 0.5 * float(x @ x)
+    """0.5 |x|^2 of one position vector, or of each row of a stack."""
+    return 0.5 * np.sum(x * x, axis=-1)
+
+
+# steps whose losses are recorded together: several blocks per run, and a
+# partial last block in most
+BLOCK = 7
 
 
 def make_state(x, v, mass=1.0, n_chain=2, chain_mass=1.0):
@@ -59,9 +65,11 @@ def extended_energy(state, loss_value, temperature):
 
 
 def step_at(state, grad_fn, dt, temperature):
-    """One unrecorded step at a fixed target temperature."""
+    """One step at a fixed target temperature, keeping no snapshot."""
     fixed = dyn.TemperatureSchedule(temperature, temperature)
-    return dyn.run_trajectory(state, grad_fn, dt, fixed, 1)[0]
+    return dyn.run_trajectory(
+        state, grad_fn, dt, fixed, 1, harmonic_potential, snapshot_steps=(), block=BLOCK
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +180,14 @@ def test_recorded_kinetic_temperature_and_energy_match_the_oracles(n_chain):
     schedule = dyn.TemperatureSchedule(0.1, 0.5, 0.2, 7)
     state = make_state([0.5, -1.0, 2.0], [0.3, 0.1, -0.4], mass=1.3, n_chain=n_chain,
                        chain_mass=0.7)
-    _, traj = dyn.run_trajectory(state, harmonic_grad, 0.01, schedule, 40, harmonic_potential)
+    _, traj = dyn.run_trajectory(
+        state, harmonic_grad, 0.01, schedule, 40, harmonic_potential, block=BLOCK
+    )
     for i in range(40):
-        state = dyn.run_trajectory(state, harmonic_grad, 0.01, schedule, 1)[0]
+        state = dyn.run_trajectory(
+            state, harmonic_grad, 0.01, schedule, 1, harmonic_potential, snapshot_steps=(),
+            block=BLOCK,
+        )[0]
         t_now = schedule.at(i)
         assert traj.temperature[i] == t_now
         want_t = kinetic_temperature(state)
@@ -221,7 +234,10 @@ def test_pure_drift_translation_is_exact():
     x0 = np.array([0.0, 1.0, -2.0])
     v0 = np.array([2.0, 2.0, 2.0])
     state = make_state(x0, v0)
-    out = dyn.run_trajectory(state, lambda x: np.zeros_like(x), dt, sch, 1000)[0]
+    out = dyn.run_trajectory(
+        state, lambda x: np.zeros_like(x), dt, sch, 1000, harmonic_potential, snapshot_steps=(),
+        block=BLOCK,
+    )[0]
     np.testing.assert_array_equal(out.positions, x0 + 1000 * dt * v0)
     np.testing.assert_array_equal(out.velocities, v0)
     assert out.chain.velocities[0] == 0.0
@@ -239,7 +255,9 @@ def test_run_nhc_equals_repeated_steps():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7)
     r = np.random.default_rng(0)
     state = dyn.PhaseState(r.normal(size=4), r.normal(size=4), 1.0, dyn.ThermostatChain.rest(4))
-    fast = dyn.run_trajectory(state, harmonic_grad, dt, sch, 25)[0]
+    fast = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 25, harmonic_potential, snapshot_steps=(), block=BLOCK
+    )[0]
     slow = state
     for _ in range(25):
         slow = step_at(slow, harmonic_grad, dt, sch.at(slow.step_index))
@@ -253,9 +271,15 @@ def test_run_nhc_equals_repeated_steps():
 def test_run_nhc_resumes_schedule():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 10)
     state = make_state([1.0], [0.5])
-    once = dyn.run_trajectory(state, harmonic_grad, dt, sch, 30)[0]
-    half = dyn.run_trajectory(state, harmonic_grad, dt, sch, 13)[0]
-    twice = dyn.run_trajectory(half, harmonic_grad, dt, sch, 17)[0]
+    def run(start, n_steps):
+        return dyn.run_trajectory(
+            start, harmonic_grad, dt, sch, n_steps, harmonic_potential, snapshot_steps=(),
+            block=BLOCK,
+        )[0]
+
+    once = run(state, 30)
+    half = run(state, 13)
+    twice = run(half, 17)
     np.testing.assert_array_equal(once.positions, twice.positions)
     np.testing.assert_array_equal(once.velocities, twice.velocities)
 
@@ -263,7 +287,9 @@ def test_run_nhc_resumes_schedule():
 def test_odd_chain_length_supported():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.5, 0.5)
     state = make_state([1.0], [0.2], n_chain=3)
-    out = dyn.run_trajectory(state, harmonic_grad, dt, sch, 100)[0]
+    out = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 100, harmonic_potential, snapshot_steps=(), block=BLOCK
+    )[0]
     assert np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.chain.velocities))
 
 
@@ -284,11 +310,116 @@ def test_nonfinite_errors_name_quantity_and_step():
         raise NonFiniteError("boom")
 
     with pytest.raises(NonFiniteError, match="non-finite gradient in step 7: boom"):
-        dyn.run_trajectory(state, broken, dt, sch, 3)[0]
+        dyn.run_trajectory(state, broken, dt, sch, 3, harmonic_potential, block=BLOCK)[0]
     with pytest.raises(NonFiniteError, match="non-finite train loss in step 7$"):
-        dyn.run_trajectory(state, harmonic_grad, dt, sch, 3, lambda x: math.inf)
+        dyn.run_trajectory(
+            state, harmonic_grad, dt, sch, 3, lambda x: np.full(len(x), math.inf), block=BLOCK
+        )
     with pytest.raises(NonFiniteError, match="non-finite test loss in step 7: boom"):
-        dyn.run_trajectory(state, harmonic_grad, dt, sch, 3, harmonic_potential, broken)
+        dyn.run_trajectory(
+            state, harmonic_grad, dt, sch, 3, harmonic_potential, broken, block=BLOCK
+        )
+
+
+# ---------------------------------------------------------------------------
+# errors of steps whose losses are recorded together
+
+# a drift the chain leaves alone: sum(m v^2) == N*T with one chain link
+# keeps the link at rest, and a zero force keeps v.  dt * v == 0.5
+# exactly, so the position after step i (0-based) is 0.5 * (i + 1), and
+# step i takes its gradient at 0.5 * i + 0.25.  At this speed a train loss
+# of the largest float makes the extended energy overflow.
+DRIFT_V = 2.0**487
+DRIFT_DT = 0.5 / DRIFT_V
+DRIFT_T = dyn.TemperatureSchedule(DRIFT_V**2, DRIFT_V**2)
+# one step per block (each step alone), step 10 inside a block, one block
+BLOCKS = (1, 4, 64)
+
+
+def crafted(fail):
+    """Gradient, train-loss and test-loss functions of the drift that fail
+    from the steps in ``fail``: ``{"gradient" | "train outputs" |
+    "train value" | "train huge" | "test outputs" | "test value": step}``."""
+
+    def late(stack, quantity):
+        if quantity not in fail:
+            return np.zeros(len(stack), dtype=bool)
+        return stack[:, 0] > 0.5 * fail[quantity] + 0.25
+
+    def grad(x):
+        if "gradient" in fail and x[0] > 0.5 * fail["gradient"]:
+            raise NonFiniteError("boom")
+        return np.zeros_like(x)
+
+    def losses(name):
+        def fn(stack):
+            if late(stack, f"{name} outputs").any():
+                raise NonFiniteError("non-finite network outputs")
+            values = np.zeros(len(stack))
+            values[late(stack, f"{name} value")] = math.inf
+            values[late(stack, f"{name} huge")] = np.finfo(np.float64).max
+            return values
+
+        return fn
+
+    return grad, losses("train"), losses("test")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize(
+    "fail,message",
+    [
+        ({"gradient": 10}, "non-finite gradient in step 10: boom"),
+        ({"train outputs": 10}, "non-finite train loss in step 10: non-finite network outputs"),
+        ({"train value": 10}, "non-finite train loss in step 10$"),
+        ({"train huge": 10}, "non-finite extended energy in step 10$"),
+        ({"test outputs": 10}, "non-finite test loss in step 10: non-finite network outputs"),
+        # within a step: train outputs, train value, extended energy, test outputs
+        ({"train outputs": 10, "train value": 10}, "train loss in step 10: non-finite network"),
+        ({"train value": 10, "test outputs": 10}, "train loss in step 10$"),
+        ({"train huge": 10, "test outputs": 10}, "extended energy in step 10$"),
+        # the earliest step first, whatever the quantity
+        ({"test outputs": 9, "train outputs": 10}, "test loss in step 9: "),
+        ({"train value": 9, "gradient": 11}, "train loss in step 9$"),
+        ({"train outputs": 9, "gradient": 10}, "train loss in step 9: "),
+        # a step's gradient comes before its losses
+        ({"gradient": 10, "test outputs": 10}, "gradient in step 10: boom"),
+        ({"gradient": 10, "train value": 11}, "gradient in step 10: boom"),
+    ],
+)
+def test_held_steps_raise_the_first_error_of_a_step_by_step_loop(fail, message, block):
+    # a non-finite velocity entering a step can only enter a call (see
+    # test_nonfinite_state_aborts_with_step_index): mid-run, the step before
+    # it has already failed on its extended energy
+    state = make_state([0.0], [DRIFT_V], n_chain=1)
+    grad, train, test = crafted(fail)
+    with pytest.raises(NonFiniteError, match=message):
+        dyn.run_trajectory(state, grad, DRIFT_DT, DRIFT_T, 20, train, test, block=block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_drift_records_and_a_nonfinite_test_value(block):
+    state = make_state([0.0], [DRIFT_V], n_chain=1)
+    grad, train, test = crafted({"test value": 10})
+    _, traj = dyn.run_trajectory(state, grad, DRIFT_DT, DRIFT_T, 20, train, test, block=block)
+    np.testing.assert_array_equal(traj.snapshots[:, 0], 0.5 * np.arange(1, 21))
+    np.testing.assert_array_equal(traj.extended_energy, np.full(20, 0.5 * DRIFT_V**2))
+    # recorded as it came: the test loss has no finiteness check of its own
+    np.testing.assert_array_equal(traj.loss_test, [0.0] * 10 + [math.inf] * 10)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_overflow_in_a_later_advance_comes_after_the_held_steps(block):
+    # from step 12 the target is 1e300, and the chain's exp() friction
+    # factor overflows in that step's advance; dt * v == 0.5 as above
+    state = make_state([0.0], [2.0], n_chain=1)
+    ramp = dyn.TemperatureSchedule(4.0, 1e300, 1e300, 12)
+    grad, train, test = crafted({})
+    with pytest.raises(OverflowError):
+        dyn.run_trajectory(state, grad, 0.25, ramp, 20, train, test, block=block)
+    grad, train, test = crafted({"train value": 10})
+    with pytest.raises(NonFiniteError, match="train loss in step 10$"):
+        dyn.run_trajectory(state, grad, 0.25, ramp, 20, train, test, block=block)
 
 
 def test_exploding_gradient_caught_during_run():
@@ -296,7 +427,10 @@ def test_exploding_gradient_caught_during_run():
     state = make_state([2.0], [0.0])
     # steep cubic-force potential diverges fast at dt=0.5
     with pytest.raises(NonFiniteError):
-        dyn.run_trajectory(state, lambda x: x**3 * 1e3, dt, sch, 10_000, lambda x: float(x @ x))
+        dyn.run_trajectory(
+            state, lambda x: x**3 * 1e3, dt, sch, 10_000, lambda x: np.sum(x * x, axis=1),
+            block=BLOCK,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +443,7 @@ def test_trajectory_records_and_snapshots():
     out, traj = dyn.run_trajectory(
         state, harmonic_grad, dt, sch, 20, harmonic_potential,
         loss_test_fn=lambda x: 2.0 * harmonic_potential(x),
-        snapshot_steps=range(5, 20, 3),
+        snapshot_steps=range(5, 20, 3), block=BLOCK,
     )
     assert len(traj) == 20
     np.testing.assert_array_equal(traj.iterations, np.arange(1, 21))
@@ -325,7 +459,9 @@ def test_trajectory_records_and_snapshots():
 def test_trajectory_snapshot_matches_stepwise_state():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.3, 0.3)
     state = make_state([0.7], [0.4])
-    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 6, harmonic_potential)
+    _, traj = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 6, harmonic_potential, block=BLOCK
+    )
     stepwise = state
     for i in range(4):
         stepwise = step_at(stepwise, harmonic_grad, dt, 0.3)
@@ -335,7 +471,8 @@ def test_trajectory_snapshot_matches_stepwise_state():
 def test_trajectory_without_snapshots():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.3, 0.3)
     _, traj = dyn.run_trajectory(
-        make_state([1.0], [0.0]), harmonic_grad, dt, sch, 10, harmonic_potential, snapshot_steps=()
+        make_state([1.0], [0.0]), harmonic_grad, dt, sch, 10, harmonic_potential, snapshot_steps=(),
+        block=BLOCK,
     )
     assert traj.snapshots.shape[0] == 0 and len(traj) == 10
 
@@ -343,12 +480,15 @@ def test_trajectory_without_snapshots():
 def test_snapshot_steps_keep_only_their_rows():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.5, 0.1, 7)
     state = make_state([1.0, 0.5, -0.25], [0.1, -0.2, 0.3])
-    _, full = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20, harmonic_potential)
+    _, full = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 20, harmonic_potential, block=BLOCK
+    )
     assert full.snapshots.shape == (20, 3)
     np.testing.assert_array_equal(full.snapshot_positions, np.arange(20))
     for steps in ([0, 3, 4, 10, 19], range(2, 20, 5), [7], ()):
         out, traj = dyn.run_trajectory(
-            state, harmonic_grad, dt, sch, 20, harmonic_potential, snapshot_steps=steps
+            state, harmonic_grad, dt, sch, 20, harmonic_potential, snapshot_steps=steps,
+            block=BLOCK,
         )
         assert traj.snapshots.shape == (len(steps), 3)
         np.testing.assert_array_equal(traj.snapshot_positions, list(steps))
@@ -367,7 +507,7 @@ def test_snapshot_steps_validated(steps):
     with pytest.raises(ValueError, match="snapshot_steps"):
         dyn.run_trajectory(
             make_state([1.0], [0.0]), harmonic_grad, dt, sch, 20, harmonic_potential,
-            snapshot_steps=steps,
+            snapshot_steps=steps, block=BLOCK,
         )
 
 
@@ -381,25 +521,27 @@ def test_evaluator_trajectory_equals_plain_net_closures():
     def grad_fn(x):  # a fresh evaluator per call keeps nothing between calls
         return net.Evaluator(top, kind, prep.train_inputs, prep.train_targets).gradient(x)
 
-    def loss_train_fn(x):
-        return net.loss(kind, net.forward(top, x, prep.train_inputs), prep.train_targets)
+    def loss_train_fn(stack):  # row by row, through the module functions
+        return [net.loss(kind, net.forward(top, x, prep.train_inputs), prep.train_targets)
+                for x in stack]
 
-    def loss_test_fn(x):
-        return net.loss(kind, net.forward(top, x, prep.test_inputs), prep.test_targets)
+    def loss_test_fn(stack):
+        return [net.loss(kind, net.forward(top, x, prep.test_inputs), prep.test_targets)
+                for x in stack]
 
     params = runner.initial_params(cfg, top, 0)
     state = dyn.PhaseState(
         params, dyn.initial_velocities(params.size, 0.05, 4), 1.0, dyn.ThermostatChain.rest(2)
     )
     simmer = cfg.simmer
-    bound_grad, bound_train, bound_test = runner._loss_fns(cfg, top, prep)
+    bound_grad, bound_train, bound_test, block = runner._loss_fns(cfg, top, prep)
     bound = dyn.run_trajectory(
         state, bound_grad, simmer.dt, simmer.schedule, 300, bound_train, bound_test,
-        snapshot_steps=range(100, 300, 7),
+        snapshot_steps=range(100, 300, 7), block=block,
     )
     plain = dyn.run_trajectory(
         state, grad_fn, simmer.dt, simmer.schedule, 300, loss_train_fn, loss_test_fn,
-        snapshot_steps=range(100, 300, 7),
+        snapshot_steps=range(100, 300, 7), block=1,
     )
     for got, want in zip(bound, plain):
         for name, value in vars(want).items():
@@ -424,8 +566,12 @@ def test_harmonic_equipartition_smoke():
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000)[0]
-    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 400_000, harmonic_potential)
+    state = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 20_000, harmonic_potential, snapshot_steps=(), block=BLOCK
+    )[0]
+    _, traj = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 400_000, harmonic_potential, block=BLOCK
+    )
     x2 = 2.0 * traj.loss_train.mean()
     v2 = traj.kinetic_temperature.mean()
     assert abs(x2 - t_target) / t_target < 0.10
@@ -441,11 +587,13 @@ def test_harmonic_position_distribution_smoke():
         1.0,
         dyn.ThermostatChain.rest(2, mass=t_target),
     )
-    state = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000)[0]
+    state = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 20_000, harmonic_potential, snapshot_steps=(), block=BLOCK
+    )[0]
     # thin to roughly independent samples; KS assumes iid
     _, traj = dyn.run_trajectory(
         state, harmonic_grad, dt, sch, 400_000, harmonic_potential,
-        snapshot_steps=range(0, 400_000, 2000),
+        snapshot_steps=range(0, 400_000, 2000), block=BLOCK,
     )
     xs = traj.snapshots[:, 0]
     p = stats.kstest(xs, "norm", args=(0.0, math.sqrt(t_target))).pvalue
@@ -462,14 +610,18 @@ def test_extended_energy_conservation_smoke():
         dyn.ThermostatChain.rest(2),
     )
     e0 = extended_energy(state, harmonic_potential(state.positions), t_target)
-    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 20_000, harmonic_potential)
+    _, traj = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 20_000, harmonic_potential, block=BLOCK
+    )
     assert np.max(np.abs(traj.extended_energy - e0)) / (abs(e0) + 1.0) < 1e-3
 
 
 def test_zero_temperature_quenches():
     dt, sch = 0.002, dyn.TemperatureSchedule(0.0, 0.0)
     state = make_state([1.5], [0.0])
-    _, traj = dyn.run_trajectory(state, harmonic_grad, dt, sch, 50_000, harmonic_potential)
+    _, traj = dyn.run_trajectory(
+        state, harmonic_grad, dt, sch, 50_000, harmonic_potential, block=BLOCK
+    )
     half = len(traj) // 2
     assert traj.loss_train[half:].mean() < traj.loss_train[:half].mean()
     assert traj.kinetic_temperature[-1] < 0.01

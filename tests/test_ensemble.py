@@ -228,11 +228,13 @@ def test_collect_takes_the_captured_plan_steps_without_a_copy():
         chain=ThermostatChain.rest(2),
     )
 
-    def potential(x):
-        return 0.5 * float(x @ x)
+    def potential(stack):
+        return 0.5 * np.sum(stack * stack, axis=1)
 
-    _, kept = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential, snapshot_steps=steps)
-    _, full = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential)
+    _, kept = run_trajectory(
+        state, lambda x: x, 0.01, schedule, 60, potential, snapshot_steps=steps, block=7
+    )
+    _, full = run_trajectory(state, lambda x: x, 0.01, schedule, 60, potential, block=7)
     bundle = collect(kept)
     assert bundle.members is kept.snapshots
     np.testing.assert_array_equal(bundle.members, full.snapshots[steps])
@@ -465,7 +467,8 @@ def test_distribution_width_tracks_temperature():
         )
         _, traj = run_trajectory(
             state, evaluator.gradient, 0.01, TemperatureSchedule(temperature, temperature),
-            20_000, evaluator.loss, snapshot_steps=SamplingPlan(burn_in=10_000).steps(20_000, 0, 0),
+            20_000, evaluator.losses, snapshot_steps=SamplingPlan(burn_in=10_000).steps(20_000, 0, 0),
+            block=net.chunk_size(topology, 1),
         )
         bundle = collect(traj)
         pooled = evaluate(topology, identity_scaler(1), [bundle.members], means=[x], members=[x])
@@ -485,7 +488,7 @@ CHUNK_TOPOLOGIES = [
 CHUNK_ROWS = (1, 37, 3600)
 POOLED_MEMBERS = (5, 3, 7)
 # chunk budgets: one member per chunk, the default, and every member in one chunk
-CHUNK_BUDGETS = (1, ensemble.CHUNK_VALUES, 1 << 40)
+CHUNK_BUDGETS = (1, net.CHUNK_VALUES, 1 << 40)
 
 
 def bits(a):
@@ -544,9 +547,9 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
             [ensemble._exact_fraction_row(row, len(ref_outputs)) for row in ref_counts]
         )
         for budget in CHUNK_BUDGETS:
-            monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
+            monkeypatch.setattr(net, "CHUNK_VALUES", budget)
             chunks = list(ensemble._member_outputs(*pool, [x]))
-            step = ensemble.chunk_size(topology, n_rows)
+            step = net.chunk_size(topology, n_rows)
             assert [k for k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
             assert [out.shape[0] for _, out in chunks] == chunk_sizes(matrices, step)
             outputs = np.concatenate([out for _, out in chunks])
@@ -573,7 +576,7 @@ def test_chunked_decision_grid_equals_per_member_votes_bitwise(sizes, activation
         [ensemble._exact_fraction_row(row, n) for row in reference_votes(*pool, points)]
     )
     for budget in CHUNK_BUDGETS:
-        monkeypatch.setattr(ensemble, "CHUNK_VALUES", budget)
+        monkeypatch.setattr(net, "CHUNK_VALUES", budget)
         grid = proportions(evaluate(*pool, votes=[nodes]).votes[0])
         assert np.array_equal(bits(grid), bits(ref))
 
@@ -582,11 +585,11 @@ def test_chunk_size_depends_only_on_rows_and_topology():
     iris = Topology((2, 100, 50, 50, 3), ("tanh", "tanh", "tanh", "linear"))
     mpg = Topology((1, 10, 1), ("tanh", "linear"))
     # the decision grid's 3600 nodes at the widest iris layer: one member a chunk
-    assert ensemble.chunk_size(iris, 3600) == 1
-    assert ensemble.chunk_size(mpg, 92) == ensemble.CHUNK_VALUES // 920
+    assert net.chunk_size(iris, 3600) == 1
+    assert net.chunk_size(mpg, 92) == net.CHUNK_VALUES // 920
     # same shapes, different members and member counts: the same chunks
     x = np.zeros((92, 1))
-    step = ensemble.chunk_size(mpg, 92)
+    step = net.chunk_size(mpg, 92)
     for n_members, seed in ((1, 0), (step, 1), (2 * step + 3, 2)):
         members = seeding.generator(seed).normal(size=(n_members, mpg.param_count))
         chunks = ensemble._member_outputs(mpg, identity_scaler(1), [members], [x])
@@ -606,8 +609,8 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     pool = topology, scaler, matrices
     x = rng.uniform(-3.0, 3.0, size=(13, 2))
     y = rng.uniform(-3.0, 3.0, size=(4, 2))
-    monkeypatch.setattr(ensemble, "CHUNK_VALUES", 3 * 13 * 9)
-    assert ensemble.chunk_size(topology, 13) == 3
+    monkeypatch.setattr(net, "CHUNK_VALUES", 3 * 13 * 9)
+    assert net.chunk_size(topology, 13) == 3
 
     buffers = []
     real_forward = net.forward

@@ -448,6 +448,33 @@ def test_gradient_zero_at_perfect_sse_fit():
     assert np.all(g == 0.0)
 
 
+@pytest.mark.parametrize("act", net.ACTIVATIONS)
+@pytest.mark.parametrize("kind", net.LOSSES)
+def test_stacked_losses_equal_each_row_alone_bit_for_bit(kind, act):
+    r = rng(len(kind) * 11 + len(act))
+    top, _, x, y = bound_case(r, kind, act)
+    ev = net.Evaluator(top, kind, x, y)
+    chunk = net.chunk_size(top, x.shape[0])
+    # growing stacks, then a smaller one in the grown buffers
+    for c in (1, 2, 7, chunk, chunk + 1, 7):
+        stack = 2.0 * r.normal(size=(c, top.param_count))
+        values = ev.losses(stack)
+        assert values.shape == (c,)
+        alone = [net.loss(kind, net.forward(top, row, x), y) for row in stack]
+        assert np.array_equal(values, alone)
+    assert np.array_equal(ev.losses(stack[3:4]), values[3:4])
+
+
+def test_stacked_losses_refuse_nonfinite_outputs():
+    top = Topology((1, 2, 1), ("tanh", "linear"))
+    stack = np.zeros((3, top.param_count))
+    stack[1, -1] = np.inf
+    ev = net.Evaluator(top, "sse", np.ones((2, 1)), np.ones((2, 1)))
+    with pytest.raises(NonFiniteError, match="non-finite network outputs"):
+        ev.losses(stack)
+    assert np.array_equal(ev.losses(stack[[0, 2]]), [2.0, 2.0])
+
+
 def test_loss_and_gradient_consistent():
     top = Topology((2, 4, 2), ("elu", "linear"))
     params = rng(11).normal(size=top.param_count)
@@ -456,7 +483,7 @@ def test_loss_and_gradient_consistent():
     ev = net.Evaluator(top, "mse", x, y)
     v, g = ev.loss_and_gradient(params)
     g = g.copy()  # the next call overwrites the evaluator's buffer
-    assert v == ev.loss(params) == net.loss("mse", net.forward(top, params, x), y)
+    assert v == ev.losses(params[None])[0] == net.loss("mse", net.forward(top, params, x), y)
     np.testing.assert_array_equal(g, ev.gradient(params))
 
 
@@ -521,7 +548,7 @@ def test_evaluator_matches_module_functions_bit_for_bit(kind, act):
         assert value == want_value
         np.testing.assert_array_equal(grad, want_grad)
         np.testing.assert_array_equal(ev.gradient(params), want_grad)
-        assert ev.loss(params) == net.loss(kind, net.forward(top, params, x), y)
+        assert ev.losses(params[None])[0] == net.loss(kind, net.forward(top, params, x), y)
         outputs = forward_keeping_pre(top, params, x)[1][-1]
         assert np.array_equal(net.forward(top, params, x).view(np.int64), outputs.view(np.int64))
         # the integrator updates one array in place; the kept views follow it
@@ -565,7 +592,8 @@ def test_interleaved_calls_share_no_stale_layer(kind):
     top, p1, x, y = bound_case(r, kind, "elu")
     p2 = p1 + 0.5 * r.normal(size=p1.shape)
     ev = net.Evaluator(top, kind, x, y)
-    for method, params in (("loss", p1), ("gradient", p2), ("loss", p1), ("gradient", p1)):
+    calls = (("losses", p1[None]), ("gradient", p2), ("losses", p1[None]), ("gradient", p1))
+    for method, params in calls:
         got = np.array(getattr(ev, method)(params))
         want = np.array(getattr(net.Evaluator(top, kind, x, y), method)(params))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -578,7 +606,7 @@ def test_evaluator_flags_nonfinite_params():
     with pytest.raises(NonFiniteError):
         ev.gradient(params)
     with pytest.raises(NonFiniteError):
-        ev.loss(params)
+        ev.losses(params[None])
 
 
 @pytest.mark.parametrize(

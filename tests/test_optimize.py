@@ -177,6 +177,84 @@ def test_divergent_run_raises_with_epoch_number():
         train_adam(topology, params0, x, y, x, y, "sse", epochs=2, alpha=1e200)
 
 
+# one epoch per block (each epoch alone), epoch 10 inside a block, one block
+ADAM_BLOCKS = (1, 4, 64)
+
+
+def crafted_evaluator(fail):
+    """An Evaluator for :func:`train_adam` whose gradient is one everywhere,
+    so with alpha 1 the iterate of epoch n has params[0] close to -n, and
+    whose quantities fail from the epochs in ``fail``: ``{"gradient" |
+    "train outputs" | "train value" | "test outputs" | "test value": epoch}``.
+    The train set has three rows, the test set two."""
+
+    class Crafted:
+        def __init__(self, topology, kind, inputs, targets):
+            self.inputs = np.asarray(inputs)
+            self.name = "train" if len(inputs) == 3 else "test"
+
+        def gradient(self, x):  # epoch n's gradient is taken at epoch n-1's iterate
+            if "gradient" in fail and x[0] < 1.5 - fail["gradient"]:
+                raise NonFiniteError("boom")
+            return np.ones_like(x)
+
+        def losses(self, stack):
+            def late(quantity):
+                if quantity not in fail:
+                    return np.zeros(len(stack), dtype=bool)
+                return stack[:, 0] < 0.5 - fail[quantity]
+
+            if late(f"{self.name} outputs").any():
+                raise NonFiniteError("non-finite network outputs")
+            values = np.zeros(len(stack))
+            values[late(f"{self.name} value")] = math.inf
+            return values
+
+    return Crafted
+
+
+def crafted_adam(monkeypatch, fail, block):
+    topology = Topology((1, 1), ("linear",))
+    monkeypatch.setattr(net, "Evaluator", crafted_evaluator(fail))
+    monkeypatch.setattr(net, "CHUNK_VALUES", 3 * block)  # block epochs per stacked call
+    return train_adam(
+        topology, np.zeros(2), np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((2, 1)),
+        np.zeros((2, 1)), "sse", 20, 1.0,
+    )
+
+
+@pytest.mark.parametrize("block", ADAM_BLOCKS)
+@pytest.mark.parametrize(
+    "fail,message",
+    [
+        ({"gradient": 10}, "non-finite gradient in epoch 10: boom"),
+        ({"train outputs": 10}, "non-finite train loss in epoch 10: non-finite network outputs"),
+        ({"test outputs": 10}, "non-finite test loss in epoch 10: non-finite network outputs"),
+        ({"train value": 10}, "non-finite train loss in epoch 10$"),
+        # within an epoch: train outputs, test outputs, train value
+        ({"train outputs": 10, "test outputs": 10}, "train loss in epoch 10: "),
+        ({"train value": 10, "test outputs": 10}, "test loss in epoch 10: "),
+        # the earliest epoch first; an epoch's gradient before its losses
+        ({"test outputs": 11, "train value": 10}, "train loss in epoch 10$"),
+        ({"train value": 9, "gradient": 11}, "train loss in epoch 9$"),
+        ({"gradient": 10, "train outputs": 10}, "gradient in epoch 10: boom"),
+    ],
+)
+def test_adam_held_epochs_raise_the_first_error_of_an_epoch_by_epoch_loop(
+    monkeypatch, fail, message, block
+):
+    with pytest.raises(NonFiniteError, match=message):
+        crafted_adam(monkeypatch, fail, block)
+
+
+@pytest.mark.parametrize("block", ADAM_BLOCKS)
+def test_adam_records_a_nonfinite_test_value(monkeypatch, block):
+    report = crafted_adam(monkeypatch, {"test value": 10}, block)
+    np.testing.assert_array_equal(report.train_losses, np.zeros(20))
+    np.testing.assert_array_equal(report.test_losses, [0.0] * 9 + [math.inf] * 11)
+    assert -20.0 < report.final_params[0] < -19.99
+
+
 # ----------------------------------------------------------------- handoff
 
 
