@@ -11,18 +11,35 @@ root:
 Stage directories must not already exist; rerunning an experiment needs a
 fresh --out (runs are immutable on purpose).  The chain stops at the first
 stage that fails, and the script exits with that stage's exit code.
+
+Each stage runs ``cli.main`` in a forked child, timed from the fork to the
+child's reaping; its peak RSS is the ``ru_maxrss`` that ``os.wait4``
+reports, which covers the workers the stage forked and reaped too.  The
+timings go to ``BENCH_canonical.json`` beside the run root (``runs`` ->
+``BENCH_canonical.json`` in its parent directory), outside every run
+directory: one entry per stage that ran, with its exit code, wall time,
+peak RSS and top-level metrics, plus the numpy version, the BLAS build,
+the BLAS thread variables and the usable core count.
 """
 
 import argparse
+import json
+import os
 import sys
+import time
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from simmering import cli
+from simmering import cli, parallel
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+BENCH_FILE = "BENCH_canonical.json"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the file of a stage directory that holds its top-level metrics
+METRICS_FILES = ("metrics.json", "evaluation.json")
 
 # stage templates; {cfg}/{exp} are filled per experiment, {adam}/{run} are
 # sibling stage directories under the experiment's output directory
@@ -57,8 +74,41 @@ EXPERIMENTS = {
 SEEDED_COMMANDS = {"train-adam", "retrofit", "simmer"}
 
 
-def run_experiment(name: str, out_root: Path, seed, replicates) -> int:
-    """Run one experiment's stages in order; the first non-zero exit code, else 0."""
+def run_forked(argv) -> tuple[int, float, float]:
+    """(exit code, wall s, peak RSS MiB) of ``cli.main(argv)`` in a forked child."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    start = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code if isinstance(exc.code, int) else 1
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss / 1024.0
+
+
+def stage_metrics(stage_dir: Path):
+    """The stage's top-level metrics, or None if it wrote none."""
+    for name in METRICS_FILES:
+        path = stage_dir / name
+        if path.is_file():
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+    return None
+
+
+def run_experiment(name: str, out_root: Path, seed, replicates, entries: list) -> int:
+    """Run one experiment's stages in order, each appending its entry to
+    ``entries``; the first non-zero exit code, else 0."""
     exp_dir = out_root / name
     paths = {
         "cfg": str(CONFIGS / f"{name}.json"),
@@ -75,14 +125,37 @@ def run_experiment(name: str, out_root: Path, seed, replicates) -> int:
             if replicates is not None:
                 argv += ["--replicates", str(replicates)]
         print(f"[{name}/{stage}] simmering {' '.join(argv)}", flush=True)
-        code = cli.main(argv)
+        code, wall, peak = run_forked(argv)
+        entries.append({
+            "experiment": name,
+            "stage": stage,
+            "command": command,
+            "exit_code": code,
+            "wall_s": wall,
+            "peak_rss_mb": peak,
+            "metrics": stage_metrics(exp_dir / stage) if code == 0 else None,
+        })
+        print(f"[{name}/{stage}] {wall:.2f} s, peak RSS {peak:.1f} MiB", flush=True)
         if code:
             print(f"[{name}/{stage}] failed with exit code {code}", file=sys.stderr, flush=True)
             return code
     return 0
 
 
-def main() -> int:
+def environment() -> dict:
+    """The numpy and BLAS build, BLAS thread variables and usable cores the stages ran with."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "usable_cores": parallel.usable_cores(),
+    }
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("experiments", nargs="+",
                         choices=sorted(EXPERIMENTS) + ["all"],
@@ -91,13 +164,20 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None, help="override config seeds")
     parser.add_argument("--replicates", type=int, default=None,
                         help="override config replicate counts")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
+    out_root = Path(args.out)
+    entries, code = [], 0
     for name in dict.fromkeys(names):
-        code = run_experiment(name, Path(args.out), args.seed, args.replicates)
+        code = run_experiment(name, out_root, args.seed, args.replicates, entries)
         if code:
-            return code
-    return 0
+            break
+    bench = out_root.resolve().parent / BENCH_FILE
+    with open(bench, "w", encoding="utf-8") as fh:
+        json.dump({"environment": environment(), "stages": entries}, fh, indent=2)
+        fh.write("\n")
+    print(f"timings: {bench}", flush=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,15 +127,16 @@ def collect(trajectory: Trajectory) -> EnsembleBundle:
 
 
 def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_sets):
-    """Yield ``(k, outputs)`` per chunk of members, matrix by matrix.
+    """Yield ``(i, k, outputs)`` per chunk of members, matrix by matrix.
 
     The one walk behind every ensemble prediction.  ``matrices`` holds
-    ``(M, N)`` member matrices of ``topology``; it is taken in order and
-    consumed once, and the walk drops each matrix before it takes the
-    next, so replicate matrices read lazily are held one at a time.  Every
-    input set is scaled once, by ``scaler``.  Each matrix's members are
-    walked over input set ``k = 0, 1, ...`` in turn, in storage order, and
-    ``outputs`` is the ``(chunk, samples, outputs)`` array of one stacked
+    ``(M, N)`` member matrices of ``topology``, each with at least one
+    member; it is taken in order and consumed once, and the walk drops
+    each matrix before it takes the next, so replicate matrices read
+    lazily are held one at a time.  Every input set is scaled once, by
+    ``scaler``.  Matrix ``i``'s members are walked over input set
+    ``k = 0, 1, ...`` in turn, in storage order, and ``outputs`` is the
+    ``(chunk, samples, outputs)`` array of one stacked
     :func:`net.forward` over consecutive members on set ``k``.
 
     Each set's hidden layers are computed in buffers allocated once per
@@ -147,7 +148,11 @@ def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_se
     scaled = [_scaled_inputs(scaler, inputs) for inputs in input_sets]
     steps = [net.chunk_size(topology, x.shape[0]) for x in scaled]
     hidden = [(0, []) for _ in scaled]
+    i = -1  # counted by hand: enumerate() would hold the last matrix while the next is read
     for matrix in matrices:
+        i += 1
+        if len(matrix) == 0:
+            raise ValueError(f"member matrix {i} holds no members")
         for k, x in enumerate(scaled):
             for lo in range(0, len(matrix), steps[k]):
                 members = matrix[lo : lo + steps[k]]
@@ -156,7 +161,7 @@ def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_se
                     widths = topology.layer_sizes[1:-1]
                     hidden[k] = c, [np.empty((c, x.shape[0], w)) for w in widths]
                 buffers = [h[:c] for h in hidden[k][1]]
-                yield k, net.forward(topology, members, x, buffers)
+                yield i, k, net.forward(topology, members, x, buffers)
         matrix = members = None  # hold no matrix while the next one is read
 
 
@@ -181,6 +186,8 @@ class Evaluation:
     means: list    # (samples, outputs) pointwise member mean, original target units
     members: list  # (members, samples, outputs) every member's rows, original target units
     votes: list    # (samples, classes) integer tally of member argmax votes
+    # per matrix, in order: its own n_members, means and votes (member rows stay pooled only)
+    parts: list = field(default_factory=list)
 
 
 def evaluate(
@@ -194,7 +201,9 @@ def evaluate(
     holds the pointwise mean of the members' predictions, every member's
     predictions, or the integer tally of their votes.  A classifier's
     targets are not scaled, so its member rows are the raw outputs that
-    :func:`net.class_labels_from_outputs` turns into labels.
+    :func:`net.class_labels_from_outputs` turns into labels.  The result's
+    ``parts`` hold each matrix's own mean and tally, as if it had been
+    evaluated alone, so one pass scores every replicate and their pool.
 
     Member rows and vote tallies are exact in any split of the members, so
     without means a sequence of matrices is split: each matrix is one
@@ -203,7 +212,8 @@ def evaluate(
     there), and the parent concatenates the rows and sums the tallies.
     Means add one member at a time into one running total, whose rounding
     thus depends neither on the chunking nor on how the members are split
-    into matrices; with means, and for any other iterable, the matrices
+    into matrices, and each matrix's own mean into a running total of its
+    own beside it; with means, and for any other iterable, the matrices
     are one serial walk in storage order.  Either way each matrix is
     walked once per input set.
     """
@@ -217,47 +227,57 @@ def evaluate(
             raise ValueError("nothing to pool")
         walk = functools.partial(_evaluate_one, topology, scaler, sets)
         parts = parallel.map_in_order(walk, matrices)
-        pooled = Evaluation(
-            sum(part.n_members for part in parts),
-            [],
-            [np.concatenate([part.members[k] for part in parts]) for k in range(len(members))],
-            [sum(part.votes[k] for part in parts) for k in range(len(votes))],
-        )
+        pooled = _pool(parts, [np.concatenate(rows) for rows in zip(*(p.members for p in parts))])
     pooled.members = [data.unscale_targets(scaler, rows) for rows in pooled.members]
     return pooled
 
 
 def _evaluate_one(topology, scaler, sets, matrix) -> Evaluation:
-    return _walk(topology, scaler, [matrix], *sets)
+    return replace(_walk(topology, scaler, [matrix], *sets), parts=[])
 
 
 def _walk(topology, scaler, matrices, means, members, votes) -> Evaluation:
     """:func:`evaluate` in one serial walk, with member rows still in model units."""
     n_means, n_rows = len(means), len(means) + len(members)
     one_hot = np.eye(n_vote_classes(topology), dtype=np.int64)
-    totals = [0.0] * len(means)
     rows = [[] for _ in members]
-    tallies = [0] * len(votes)
-    n = 0
-    for k, outputs in _member_outputs(topology, scaler, matrices, [*means, *members, *votes]):
+    parts = []
+    for i, k, outputs in _member_outputs(topology, scaler, matrices, [*means, *members, *votes]):
+        if i == len(parts):
+            if i == 1:
+                # the pool's running totals so far are matrix 0's own
+                totals = list(parts[0].means)
+            parts.append(Evaluation(0, [0.0] * len(means), [], [0] * len(votes)))
+        part = parts[i]
         if k == 0:
-            n += outputs.shape[0]
+            part.n_members += outputs.shape[0]
         if k < n_means:
             for row in data.unscale_targets(scaler, outputs):
-                totals[k] = totals[k] + row
+                part.means[k] = part.means[k] + row
+                if i:
+                    totals[k] = totals[k] + row
         elif k < n_rows:
             rows[k - n_means].append(outputs)
         else:
             labels = net.class_labels_from_outputs(outputs)
-            tallies[k - n_rows] = tallies[k - n_rows] + one_hot[labels].sum(axis=0)
-    if n == 0:
+            part.votes[k - n_rows] = part.votes[k - n_rows] + one_hot[labels].sum(axis=0)
+    if len(parts) == 1:
+        totals = list(parts[0].means)
+    pooled = _pool(parts, [np.concatenate(chunks) for chunks in rows])
+    pooled.means = [total / pooled.n_members for total in totals]
+    for part in pooled.parts:
+        part.means = [total / part.n_members for total in part.means]
+    return pooled
+
+
+def _pool(parts, members) -> Evaluation:
+    """The pool of per-matrix ``parts``, given its member rows: their
+    tallies summed (exact in any order), and each part without rows."""
+    if not parts:
         raise ValueError("nothing to pool")
-    return Evaluation(
-        n,
-        [total / n for total in totals],
-        [np.concatenate(chunks) for chunks in rows],
-        tallies,
-    )
+    parts = [Evaluation(p.n_members, p.means, [], p.votes) for p in parts]
+    votes = [sum(tallies) for tallies in zip(*(p.votes for p in parts))]
+    return Evaluation(sum(p.n_members for p in parts), [], members, votes, parts)
 
 
 def _exact_fraction_row(counts_row, total: int) -> list[float]:

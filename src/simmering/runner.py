@@ -23,17 +23,22 @@ artifacts.  Output directories must be empty: a run directory has
 exactly one writer.
 
 ``train-adam``, ``simmer`` and ``retrofit`` check their own
-preconditions, then hand a job function and a job count to
-:func:`_run_stage`, the one stage skeleton: data and topology, ``--out``,
-the jobs through :func:`parallel.map_in_order`, each job's metrics.json,
-the top-level metrics.json by one rule, and ``resolved_config.json``
-last.  Parameter files are written by :func:`_write_rows` and read by
-:func:`_read_rows`, under sidecars checked by :func:`_read_sidecar`.
+preconditions, then hand a job binder and a job count to
+:func:`_run_stage`, the one stage skeleton: data and topology, the checks
+that need them, ``--out``, the jobs through
+:func:`parallel.map_in_order`, one scoring pass over the bundles the jobs
+wrote, each job's metrics.json, the top-level metrics.json by one rule,
+and ``resolved_config.json`` last.  Parameter files are written by
+:func:`_write_rows` and read by :func:`_read_rows`, which refuses a
+non-finite value, under sidecars checked by :func:`_read_sidecar`.
 
 Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
 replicates' member matrices, and an Adam endpoint is the one-member
 matrix ``final[None]``, both pooled by :func:`ensemble.evaluate` under
-the run's one topology and scaler.  A bundle on disk carries no topology
+the run's one topology and scaler.  Each member is walked over the test
+set once per run: the sampling stage's one pass gives every replicate's
+metric and the pooled one, and ``evaluate`` takes the pooled metric from
+the run's top-level metrics.json.  A bundle on disk carries no topology
 of its own; :func:`read_bundle` reads it as the configured model's, and
 a file of another width is refused by its size.
 """
@@ -56,7 +61,9 @@ from .dynamics import PhaseState, ThermostatChain, initial_velocities, run_traje
 RESOLVED_CONFIG = "resolved_config.json"
 METRICS_FILE = "metrics.json"
 BASELINE_DIR = "baseline_adam"
+SNAPSHOTS = ("final", "penultimate")  # a retrofit starts from both
 CSV_BLOCK_ROWS = 1 << 10
+CHECK_BLOCK_VALUES = 1 << 16
 
 
 def _write_json(path: str, obj):
@@ -106,13 +113,15 @@ def _write_csv(path: str, header, columns):
             fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
+_JSON_TYPES = {
+    dict: "an object", list: "an array", int: "an integer", str: "a string", float: "a number"
+}
 
 
 def _read_object(path: str, keys: dict) -> dict:
     """The JSON object in ``path``, which must hold every key in ``keys``,
     each a value of the JSON type its entry names (``dict``, ``list`` or
-    ``int``)."""
+    ``int``, ``str``, or ``float`` for any number)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -124,16 +133,20 @@ def _read_object(path: str, keys: dict) -> dict:
         if key not in obj:
             raise ValueError(f"{path} has no {key!r} entry")
         # a JSON true/false loads as a bool, which Python counts as an int
-        if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+        types = (int, float) if kind is float else kind
+        if isinstance(obj[key], bool) or not isinstance(obj[key], types):
             raise ValueError(f"{path}: {key!r} is not {_JSON_TYPES[kind]}, got {obj[key]!r}")
     return obj
 
 
-def _read_rows(path: str, rows: int, param_count: int) -> np.ndarray:
-    """The ``(rows, param_count)`` little-endian float64 matrix stored in ``path``.
+def _read_rows(path: str, rows: int, param_count: int, only: int | None = None) -> np.ndarray:
+    """The ``(rows, param_count)`` little-endian float64 matrix stored in
+    ``path``, or with ``only``, just its row ``only``, as a one-row matrix.
 
     The file's size is checked before the array is allocated, and the
-    bytes are read straight into it, so it is their only copy.
+    bytes are read straight into it, so it is their only copy.  What was
+    read must be finite: it is checked ``CHECK_BLOCK_VALUES`` at a time,
+    and the first row holding a NaN or an infinity is named.
     """
     need = rows * param_count * 8
     with open(path, "rb") as fh:
@@ -143,10 +156,18 @@ def _read_rows(path: str, rows: int, param_count: int) -> np.ndarray:
                 f"{path} holds {size} bytes, but {rows} parameter vectors of "
                 f"{param_count} float64 values need {need}"
             )
-        out = np.empty((rows, param_count), dtype="<f8")
+        first, count = (0, rows) if only is None else (only, 1)
+        fh.seek(first * param_count * 8)
+        out = np.empty((count, param_count), dtype="<f8")
         got = fh.readinto(memoryview(out).cast("B"))
-    if got != need:
-        raise ValueError(f"{path} ended after {got} of {need} bytes")
+    if got != out.nbytes:
+        raise ValueError(f"{path} ended after {got} of {out.nbytes} bytes")
+    step = max(1, CHECK_BLOCK_VALUES // param_count)
+    for lo in range(0, count, step):
+        finite = np.isfinite(out[lo : lo + step])  # a mask of one block, not of the file
+        if not finite.all():
+            bad = first + lo + int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"{path}: row {bad} holds a non-finite value")
     return out
 
 
@@ -209,6 +230,14 @@ class PreparedData:
     def metric_kind(self) -> str:
         return "accuracy" if self.task == "classification" else "mse"
 
+    @property
+    def raw_train_inputs(self) -> np.ndarray:
+        return self.dataset.features[self.split.train_indices]
+
+    @property
+    def raw_test_inputs(self) -> np.ndarray:
+        return self.dataset.features[self.split.test_indices]
+
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     d = cfg.data
@@ -255,16 +284,16 @@ def initial_params(cfg: ExperimentConfig, topology: net.Topology, replicate: int
 # metrics
 
 
-def _pooled(topology, prep: PreparedData, matrices, more=(), points=()) -> ensemble.Evaluation:
-    """The ensemble pooled from member ``matrices`` on the test set, then ``more`` sets.
+def _pooled(topology, prep: PreparedData, matrices, sets, points=()) -> ensemble.Evaluation:
+    """The ensemble pooled from member ``matrices`` on input ``sets``, in original units.
 
     The one scorer: a run's ensemble and an Adam endpoint (the one-member
     matrix ``params[None]``) both go through it.  A classifier's sets are
     vote tallies, a regression's member means; ``points`` are the inputs
     at which every member's rows are kept.  One pass over the matrices,
-    each walked once per set (see :func:`ensemble.evaluate`).
+    each walked once per set (see :func:`ensemble.evaluate`), whose
+    ``parts`` score each matrix alone.
     """
-    sets = [prep.dataset.features[prep.split.test_indices], *more]
     if prep.task == "classification":
         return ensemble.evaluate(topology, prep.scaler, matrices, members=points, votes=sets)
     return ensemble.evaluate(topology, prep.scaler, matrices, means=sets, members=points)
@@ -272,7 +301,7 @@ def _pooled(topology, prep: PreparedData, matrices, more=(), points=()) -> ensem
 
 def _pooled_metric(prep: PreparedData, pooled: ensemble.Evaluation, k=0, targets=None) -> float:
     """Metric of a :func:`_pooled` ensemble on its set ``k`` against raw
-    ``targets``; by default, on the test set."""
+    ``targets``; by default, set 0 against the test targets."""
     targets = prep.raw_test_targets if targets is None else targets
     if prep.task == "classification":
         labels = np.argmax(pooled.votes[k], axis=1)  # ties go to the lowest class
@@ -282,12 +311,11 @@ def _pooled_metric(prep: PreparedData, pooled: ensemble.Evaluation, k=0, targets
 
 def _endpoint_metrics(topology, prep: PreparedData, params) -> tuple[float, float]:
     """(train, test) metrics of one parameter vector, scored as a one-member ensemble."""
-    train = prep.dataset.features[prep.split.train_indices]
-    pooled = _pooled(topology, prep, [params[None]], [train])
+    pooled = _pooled(topology, prep, [params[None]], [prep.raw_test_inputs, prep.raw_train_inputs])
     return _pooled_metric(prep, pooled, 1, prep.raw_train_targets), _pooled_metric(prep, pooled)
 
 
-def _write_metrics(out_dir: str, prep: PreparedData, adam, ens) -> diagnostics.MetricReport:
+def _write_metrics(out_dir: str, prep: PreparedData, adam, ens):
     """Write ``out_dir``'s metrics.json: ``adam`` is an Adam endpoint's
     (train, test) metrics and ``ens`` an ensemble's test metric, each None
     when there is none."""
@@ -297,7 +325,6 @@ def _write_metrics(out_dir: str, prep: PreparedData, adam, ens) -> diagnostics.M
         improved = ens >= adam[1] if prep.metric_kind == "accuracy" else ens < adam[1]
     report = diagnostics.MetricReport(prep.metric_kind, *adam, ens, improved)
     _write_json(os.path.join(out_dir, METRICS_FILE), report.to_dict())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +431,9 @@ def _per_member(path: str, sidecar: dict, key: str, dtype) -> np.ndarray:
     raise ValueError(f"{path}: {key!r} holds an entry that is not {dtype.__name__}")
 
 
-def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
-    """The bundle in ``rep_dir``; its members file must hold ``n_members``
-    vectors of ``topology.param_count`` values."""
+def _bundle_sidecar(rep_dir: str, topology: net.Topology):
+    """(members path, n_members, iterations, temperatures) of the bundle in
+    ``rep_dir``, from its checked ``ensemble.json``."""
     path, sidecar = _read_sidecar(
         rep_dir,
         "ensemble.json",
@@ -420,9 +447,15 @@ def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle
     temperatures = _per_member(path, sidecar, "temperatures", np.float64)
     if not (temperatures >= 0).all():
         raise ValueError(f"{path}: 'temperatures' holds a NaN or negative entry")
-    members = _read_rows(
-        os.path.join(rep_dir, "ensemble_members.bin"), sidecar["n_members"], topology.param_count
-    )
+    members = os.path.join(rep_dir, "ensemble_members.bin")
+    return members, sidecar["n_members"], iterations, temperatures
+
+
+def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
+    """The bundle in ``rep_dir``; its members file must hold ``n_members``
+    vectors of ``topology.param_count`` values."""
+    path, n, iterations, temperatures = _bundle_sidecar(rep_dir, topology)
+    members = _read_rows(path, n, topology.param_count)
     return ensemble.EnsembleBundle(members, iterations, temperatures)
 
 
@@ -455,51 +488,62 @@ class _ReplicateBundles(Sequence):
 # train-adam / simmer / retrofit
 
 
-def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, job, n_jobs: int) -> str:
-    """Run a stage's ``n_jobs`` jobs into ``out_dir``, then write its top-level files.
+def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: int) -> str:
+    """Run a stage's ``n_jobs`` jobs into ``out_dir``, then score them and write its metrics.
 
     The one stage skeleton of ``train-adam``, ``simmer`` and ``retrofit``,
-    each of which checks its own preconditions first.  Job ``j`` below
-    ``cfg.replicates`` is replicate ``j``; the one after them is the Adam
-    baseline of ``simmer``.  ``job(topology, prep, j, job_dir)`` writes
-    the job's files into its directory and returns ``(endpoint,
-    members)``: the Adam endpoint it trained or started from and the
-    member matrix it sampled, each None if it has none.  The jobs run
-    through :func:`parallel.map_in_order`, and a non-finite error is
-    prefixed with the job's name.  Each job scores itself into its own
-    metrics.json; the top-level one takes the mean of the Adam metrics
-    over the jobs that report an endpoint, and pools the replicate
-    bundles when the replicates sample.  ``resolved_config.json`` comes
-    last.
+    each of which checks its own preconditions first; ``bind(topology,
+    prep)`` checks (and reads) what needs the data and the topology,
+    before ``--out`` is made, and returns the stage's job.  Job ``j``
+    below ``cfg.replicates`` is replicate ``j``; the one after them is the
+    Adam baseline of ``simmer``.  ``job(j, job_dir)`` writes the job's
+    files into its directory and returns ``(endpoint, sampled)``: the Adam
+    endpoint it trained or started from (None if it has none) and whether
+    it wrote a bundle.  The jobs run through
+    :func:`parallel.map_in_order`, a non-finite error is prefixed with the
+    job's name, and each sends back only its endpoint's metrics.
+
+    The stage then scores what its jobs sampled in one pass: the bundles
+    just written, read back one at a time as ``evaluate`` reads them,
+    pooled on the test set, whose parts are each replicate's own metric.
+    Each job's metrics.json follows; the top-level one takes the mean of
+    the Adam metrics over the jobs that report an endpoint, and the pooled
+    metric.  ``resolved_config.json`` comes last.
     """
     prep = prepare_data(cfg)
     topology = build_topology(cfg, prep.dataset)
+    job = bind(topology, prep)
     _prepare_out_dir(out_dir)
 
-    def run(j: int) -> diagnostics.MetricReport:
+    def job_dir(j: int) -> tuple[str, str]:
         if j < cfg.replicates:
-            name, job_dir = f"replicate {j}", _replicate_dir(out_dir, j)
-        else:
-            name, job_dir = BASELINE_DIR, os.path.join(out_dir, BASELINE_DIR)
-        os.makedirs(job_dir)
+            return f"replicate {j}", _replicate_dir(out_dir, j)
+        return BASELINE_DIR, os.path.join(out_dir, BASELINE_DIR)
+
+    def run(j: int):
+        name, path = job_dir(j)
+        os.makedirs(path)
         try:
-            endpoint, members = job(topology, prep, j, job_dir)
+            endpoint, sampled = job(j, path)
         except net.NonFiniteError as exc:
             raise net.NonFiniteError(f"{name}: {exc}") from exc
         adam = (None, None) if endpoint is None else _endpoint_metrics(topology, prep, endpoint)
-        ens = None if members is None else _pooled_metric(prep, _pooled(topology, prep, [members]))
-        return _write_metrics(job_dir, prep, adam, ens)
+        return adam, sampled
 
-    reports = parallel.map_in_order(run, range(n_jobs))
-    adam = [(m.adam_train_metric, m.adam_test_metric) for m in reports]
-    adam = [pair for pair in adam if pair[1] is not None]  # the jobs with an Adam endpoint
-    mean = tuple(sum(values) / len(adam) for values in zip(*adam)) if adam else (None, None)
-    ens = None
-    if any(m.ensemble_test_metric is not None for m in reports):
-        # the bundles just written, read back one at a time as evaluate reads them
+    results = parallel.map_in_order(run, range(n_jobs))
+    ens, pooled_ens = [None] * n_jobs, None
+    sampled = [j for j, (_, did) in enumerate(results) if did]  # the replicates, if any
+    if sampled:
         matrices = _ReplicateBundles(out_dir, cfg.replicates, topology)
-        ens = _pooled_metric(prep, _pooled(topology, prep, matrices))
-    _write_metrics(out_dir, prep, mean, ens)
+        pooled = _pooled(topology, prep, matrices, [prep.raw_test_inputs])
+        for j, part in zip(sampled, pooled.parts, strict=True):
+            ens[j] = _pooled_metric(prep, part)
+        pooled_ens = _pooled_metric(prep, pooled)
+    for j, (adam, _) in enumerate(results):
+        _write_metrics(job_dir(j)[1], prep, adam, ens[j])
+    adam = [adam for adam, _ in results if adam[1] is not None]  # the jobs with an Adam endpoint
+    mean = tuple(sum(values) / len(adam) for values in zip(*adam)) if adam else (None, None)
+    _write_metrics(out_dir, prep, mean, pooled_ens)
     _write_resolved_config(out_dir, cfg, command)
     return out_dir
 
@@ -525,15 +569,18 @@ def _adam_job(cfg, topology, prep, replicate: int, job_dir: str):
     write_snapshots(
         job_dir, topology, {"final": report.final_params, "penultimate": report.penultimate_params}
     )
-    return report.final_params, None
+    return report.final_params, False
 
 
 def run_train_adam(cfg: ExperimentConfig, out_dir: str) -> str:
     """Train the Adam baseline for every replicate; write losses and snapshots."""
     if cfg.adam is None:
         raise ConfigError("adam", "train-adam needs an adam section")
-    job = functools.partial(_adam_job, cfg)
-    return _run_stage(cfg, out_dir, "train-adam", job, cfg.replicates)
+
+    def bind(topology, prep):
+        return functools.partial(_adam_job, cfg, topology, prep)
+
+    return _run_stage(cfg, out_dir, "train-adam", bind, cfg.replicates)
 
 
 def _loss_fns(cfg, topology, prep):
@@ -545,8 +592,8 @@ def _loss_fns(cfg, topology, prep):
     return train.gradient, train.losses, test.losses, block
 
 
-def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) -> np.ndarray:
-    """Integrate one replicate, write its trajectory and bundle, return its members.
+def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
+    """Integrate one replicate, write its trajectory and bundle.
 
     The members are chosen before integrating, and only their states are
     captured.
@@ -576,9 +623,7 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str) 
             traj.extended_energy,
         ),
     )
-    bundle = ensemble.collect(traj)
-    write_bundle(rep_dir, bundle, topology)
-    return bundle.members
+    write_bundle(rep_dir, ensemble.collect(traj), topology)
 
 
 def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -597,20 +642,23 @@ def run_simmer(cfg: ExperimentConfig, out_dir: str) -> str:
             f"(t_initial={s.t_initial} != t_target={s.t_target})"
         )
 
-    def job(topology, prep, r: int, job_dir: str):
-        if r == cfg.replicates:  # the Adam baseline, after every replicate
-            return _adam_job(cfg, topology, prep, 0, job_dir)
-        state = PhaseState(
-            positions=initial_params(cfg, topology, r),
-            velocities=initial_velocities(
-                topology.param_count, s.t_initial, seeding.child_seed(cfg.seed, "velocities", r)
-            ),
-            masses=cfg.simmer.particle_mass,
-            chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
-        )
-        return None, _simmer_replicate(cfg, topology, prep, state, r, job_dir)
+    def bind(topology, prep):
+        def job(r: int, job_dir: str):
+            if r == cfg.replicates:  # the Adam baseline, after every replicate
+                return _adam_job(cfg, topology, prep, 0, job_dir)
+            seed = seeding.child_seed(cfg.seed, "velocities", r)
+            state = PhaseState(
+                positions=initial_params(cfg, topology, r),
+                velocities=initial_velocities(topology.param_count, s.t_initial, seed),
+                masses=cfg.simmer.particle_mass,
+                chain=ThermostatChain.rest(cfg.simmer.chain_length, cfg.simmer.chain_mass),
+            )
+            _simmer_replicate(cfg, topology, prep, state, r, job_dir)
+            return None, True
 
-    return _run_stage(cfg, out_dir, "simmer", job, cfg.replicates + (cfg.adam is not None))
+        return job
+
+    return _run_stage(cfg, out_dir, "simmer", bind, cfg.replicates + (cfg.adam is not None))
 
 
 def _check_retrofit_compatibility(cfg: ExperimentConfig, stored: ExperimentConfig):
@@ -641,24 +689,52 @@ def run_retrofit(cfg: ExperimentConfig, adam_run: str, out_dir: str) -> str:
             f"has {stored.replicates}"
         )
 
-    def job(topology, prep, r: int, job_dir: str):
-        adam_rep = _replicate_dir(adam_run, r)
-        final = read_snapshot(adam_rep, "final", topology)
-        state = optimize.retrofit_init(
-            final,
-            read_snapshot(adam_rep, "penultimate", topology),
-            gamma=stored.adam.alpha,
-            chain_length=cfg.simmer.chain_length,
-            chain_mass=cfg.simmer.chain_mass,
-            particle_mass=cfg.simmer.particle_mass,
-        )
-        return final, _simmer_replicate(cfg, topology, prep, state, r, job_dir)
+    def bind(topology, prep):
+        # every snapshot is read, and so checked, before --out is made
+        starts = [
+            [read_snapshot(_replicate_dir(adam_run, r), name, topology) for name in SNAPSHOTS]
+            for r in range(cfg.replicates)
+        ]
 
-    return _run_stage(cfg, out_dir, "retrofit", job, cfg.replicates)
+        def job(r: int, job_dir: str):
+            final, penultimate = starts[r]
+            state = optimize.retrofit_init(
+                final,
+                penultimate,
+                gamma=stored.adam.alpha,
+                chain_length=cfg.simmer.chain_length,
+                chain_mass=cfg.simmer.chain_mass,
+                particle_mass=cfg.simmer.particle_mass,
+            )
+            _simmer_replicate(cfg, topology, prep, state, r, job_dir)
+            return final, True
+
+        return job
+
+    return _run_stage(cfg, out_dir, "retrofit", bind, cfg.replicates)
 
 
 # ---------------------------------------------------------------------------
 # evaluate / spectrum
+
+
+def _recorded_test_metric(run_dir: str, prep: PreparedData) -> float:
+    """The pooled test metric in the run's top-level metrics.json, which
+    the sampling stage scored from the bundles it wrote."""
+    path = os.path.join(run_dir, METRICS_FILE)
+    report = _read_object(path, {"metric_kind": str, "ensemble_test_metric": float})
+    if report["metric_kind"] != prep.metric_kind:
+        raise ValueError(
+            f"{path}: 'metric_kind' is {report['metric_kind']!r}, "
+            f"but the run's data is scored by {prep.metric_kind!r}"
+        )
+    try:
+        metric = float(report["ensemble_test_metric"])
+    except OverflowError:  # an integer past the float range
+        metric = math.inf
+    if not math.isfinite(metric):
+        raise ValueError(f"{path}: 'ensemble_test_metric' is not finite, got {metric!r}")
+    return metric
 
 
 def run_evaluate(
@@ -669,7 +745,10 @@ def run_evaluate(
 ) -> str:
     """Turn a finished simmer/retrofit run into plottable CSV artifacts.
 
-    Never touches the input run directory.  Writes:
+    The test metric is the one the sampling stage recorded; the walk
+    covers only the grid or curve and the ``--at`` points, and reads every
+    bundle once even when there is nothing to walk.  Never touches the
+    input run directory.  Writes:
       evaluation.json           pooled metric summary
       decision_grid.csv         2-feature classification only
       prediction_curve.csv      1-feature regression only
@@ -703,19 +782,24 @@ def run_evaluate(
         grid = np.linspace(lo, hi, 101).reshape(-1, 1)
         more.append(grid)
     # one pass: each bundle is read once, and a process holds one at a time
-    pooled = _pooled(topology, prep, matrices, more, [point.reshape(1, -1) for point in points])
+    if more or points:
+        pooled = _pooled(topology, prep, matrices, more, [point.reshape(1, -1) for point in points])
+        n_members = pooled.n_members
+    else:  # nothing to walk, but every bundle is still read, and so checked
+        n_members = sum(map(len, matrices))  # map holds no matrix while the next is read
+    test_metric = _recorded_test_metric(run_dir, prep)
     _prepare_out_dir(out_dir)
 
     summary = {
         "metric_kind": prep.metric_kind,
-        "ensemble_test_metric": _pooled_metric(prep, pooled),
-        "n_members": pooled.n_members,
+        "ensemble_test_metric": test_metric,
+        "n_members": n_members,
         "n_replicates": cfg.replicates,
     }
 
     if prep.task == "classification" and n_features == 2:
         # a node per row, x varying slowest, then its per-class vote proportions
-        props = ensemble.proportions(pooled.votes[1])
+        props = ensemble.proportions(pooled.votes[0])
         header = [*feature_names, *prep.dataset.target_names]
         _write_csv(os.path.join(out_dir, "decision_grid.csv"), header, [*nodes.T, *props.T])
         summary["decision_grid"] = {
@@ -725,7 +809,7 @@ def run_evaluate(
 
     if prep.task == "regression" and n_features == 1:
         header = (feature_names[0], "ensemble_mean")
-        curve = (grid[:, 0], pooled.means[1][:, 0])
+        curve = (grid[:, 0], pooled.means[0][:, 0])
         _write_csv(os.path.join(out_dir, "prediction_curve.csv"), header, curve)
         summary["prediction_curve"] = {"points": 101, "bounds": [lo, hi]}
 
@@ -737,7 +821,7 @@ def run_evaluate(
         else:
             value_header = "predicted_class"
             values = [net.class_labels_from_outputs(r) for r in rows]
-        m, n_points = pooled.n_members, len(points)
+        m, n_points = n_members, len(points)
         columns = [
             np.repeat(np.arange(n_points), m),
             *np.repeat(np.array(points), m, axis=0).T,
@@ -756,7 +840,8 @@ def run_spectrum(run_dir: str, out_dir: str) -> str:
     """Hessian eigenvalue spectrum of the training loss at a run's endpoint.
 
     Uses the Adam final snapshot for train-adam runs, otherwise the last
-    captured ensemble member of replicate 00.
+    captured ensemble member of replicate 00, the only row read of its
+    bundle.
     """
     cfg, _ = load_run_config(run_dir)
     prep = prepare_data(cfg)
@@ -766,7 +851,8 @@ def run_spectrum(run_dir: str, out_dir: str) -> str:
         params = read_snapshot(rep0, "final", topology)
         source = "adam_final"
     elif os.path.exists(os.path.join(rep0, "ensemble.json")):
-        params = read_bundle(rep0, topology).members[-1].copy()
+        path, n, _, _ = _bundle_sidecar(rep0, topology)
+        params = _read_rows(path, n, topology.param_count, only=n - 1)[0]
         source = "ensemble_last_member"
     else:
         raise FileNotFoundError(f"no parameter snapshot found in {rep0}")

@@ -1,5 +1,6 @@
 """CLI and runner integration: run directories, determinism, error reporting."""
 
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from simmering import data, net, runner, seeding
+from simmering import data, diagnostics, net, runner, seeding
 from simmering.cli import main
 from simmering.config import from_dict
 from simmering.diagnostics import accuracy, mse
@@ -265,22 +266,60 @@ def test_run_directories_do_not_depend_on_the_loss_block(tmp_path, monkeypatch, 
         assert trees[0][name] == trees[1][name], name
 
 
-def test_nonfinite_member_is_refused_by_the_json_writer(tmp_path, capsys):
+def poison_row(path, row, width):
+    """Set the first value of row ``row`` of a float64 file ``width`` values wide to NaN."""
+    with open(path, "r+b") as fh:
+        fh.seek(row * width * 8)
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+
+
+def test_nonfinite_value_is_refused_on_read(tmp_path, capfd):
     cfg_path = write_config(tmp_path)
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
-    main(["train-adam", "--config", cfg_path, "--out", a])
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
     assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    width = json.load(open(os.path.join(a, "replicate_00", "snapshots.json")))["param_count"]
+    n = json.load(open(os.path.join(r, "replicate_00", "ensemble.json")))["n_members"]
     members = os.path.join(r, "replicate_01", "ensemble_members.bin")
-    with open(members, "r+b") as fh:
-        fh.write(np.array([np.nan], dtype="<f8").tobytes())
-    out = tmp_path / "o"
-    with np.errstate(invalid="ignore"):
-        assert main(["evaluate", "--from-run", r, "--out", str(out)]) == 1
-    payload = error_line(capsys)
-    assert payload["error"] == "NonFiniteError"
-    path = os.path.join(str(out), "evaluation.json")
-    assert payload["message"] == f"{path}: non-finite value at 'ensemble_test_metric'"
-    assert not os.path.exists(path)
+    last = os.path.join(r, "replicate_00", "ensemble_members.bin")
+    final = os.path.join(a, "replicate_01", "snapshot_final.bin")
+    cases = [
+        (["evaluate", "--from-run", r, "--at", "0.25"], members, 3),
+        (["spectrum", "--from-run", r], last, n - 1),
+        (["retrofit", "--config", cfg_path, "--from-run", a], final, 0),
+    ]
+    for argv, path, row in cases:  # each damage stays: the next case reads past it
+        poison_row(path, row, width)
+        out = tmp_path / "o"
+        capfd.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1, argv[0]
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError",
+            "message": f"{path}: row {row} holds a non-finite value",
+        }
+        assert not out.exists()  # refused before --out is made, so no CSV of nan
+
+
+def test_reader_checks_a_block_at_a_time_and_names_the_first_bad_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "CHECK_BLOCK_VALUES", 3 * 5)  # three 5-wide rows a block
+    path = str(tmp_path / "rows.bin")
+    rows = np.arange(8 * 5, dtype=np.float64).reshape(8, 5)
+    runner._write_rows(path, rows)
+    assert np.array_equal(runner._read_rows(path, 8, 5), rows)
+    assert np.array_equal(runner._read_rows(path, 8, 5, only=7), rows[7:])
+    for bad in ([4], [7], [4, 6], [6, 2]):
+        damaged = rows.copy()
+        for row, value in zip(bad, (np.inf, -np.inf, np.nan)):
+            damaged[row, row % 5] = value
+        runner._write_rows(path, damaged)
+        with pytest.raises(ValueError, match=f"row {min(bad)} holds a non-finite value"):
+            runner._read_rows(path, 8, 5)
+        # one row alone is checked alone
+        with pytest.raises(ValueError, match=f"row {bad[0]} holds"):
+            runner._read_rows(path, 8, 5, only=bad[0])
+        assert np.array_equal(runner._read_rows(path, 8, 5, only=0), rows[:1])
 
 
 def test_json_writer_names_the_nested_key_and_writes_nothing(tmp_path):
@@ -465,17 +504,109 @@ def test_member_bytes_follow_the_documented_layout(tmp_path):
         np.testing.assert_array_equal(out, net.forward(topology, member, prep.test_inputs))
 
 
-@pytest.mark.parametrize("seed", [0, 2, 5])
-def test_pooled_regression_metric_matches_evaluate(tmp_path, seed):
-    cfg_path = write_config(tmp_path, seed=seed)
-    a, r, ev = str(tmp_path / "a"), str(tmp_path / "r"), str(tmp_path / "ev")
-    main(["train-adam", "--config", cfg_path, "--out", a])
-    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
-    assert main(["evaluate", "--from-run", r, "--out", ev]) == 0
-    run_metric = json.load(open(os.path.join(r, "metrics.json")))["ensemble_test_metric"]
+def sampled_run(tmp_path, task, replicates):
+    """A finished sampling run of ``task`` with ``replicates`` replicates:
+    a retrofit of the tiny sine config, or a simmer of the tiny iris one."""
+    run = str(tmp_path / f"{task}_{replicates}")
+    if task == "regression":
+        cfg_path = write_config(tmp_path, f"sine_{replicates}.json", replicates=replicates)
+        adam = run + "_adam"
+        assert main(["train-adam", "--config", cfg_path, "--out", adam]) == 0
+        assert main(["retrofit", "--config", cfg_path, "--from-run", adam, "--out", run]) == 0
+    else:
+        cfg_path = tmp_path / f"iris_{replicates}.json"
+        cfg_path.write_text(json.dumps(dict(classification_config_dict(), replicates=replicates)))
+        assert main(["simmer", "--config", str(cfg_path), "--out", run]) == 0
+    return run
+
+
+def run_pool(run):
+    """(prep, topology, bundle matrices) of a finished run, read afresh."""
+    cfg, _ = runner.load_run_config(run)
+    prep = runner.prepare_data(cfg)
+    topology = runner.build_topology(cfg, prep.dataset)
+    reps = [os.path.join(run, f"replicate_{r:02d}") for r in range(cfg.replicates)]
+    return prep, topology, [runner.read_bundle(rep, topology).members for rep in reps]
+
+
+def float_bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_evaluation_metric_matches_a_fresh_pooled_walk(tmp_path, task, replicates):
+    run, ev = sampled_run(tmp_path, task, replicates), str(tmp_path / "ev")
+    assert main(["evaluate", "--from-run", run, "--out", ev]) == 0
     evaluation = json.load(open(os.path.join(ev, "evaluation.json")))
-    assert evaluation["n_replicates"] == 2
-    assert run_metric == evaluation["ensemble_test_metric"]
+    prep, topology, matrices = run_pool(run)
+    pooled = runner._pooled(topology, prep, matrices, [prep.raw_test_inputs])
+    fresh = runner._pooled_metric(prep, pooled)
+    assert evaluation["n_replicates"] == replicates
+    assert evaluation["n_members"] == pooled.n_members == sum(map(len, matrices))
+    assert float_bits(evaluation["ensemble_test_metric"]) == float_bits(fresh)
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_stage_metrics_equal_one_pass_per_replicate_and_one_pooled(
+    tmp_path, use_cores, forks, task, replicates
+):
+    for cores in (1, 3):
+        use_cores(cores)
+        del forks[:]
+        (tmp_path / f"cores_{cores}").mkdir()
+        run = sampled_run(tmp_path / f"cores_{cores}", task, replicates)
+        jobs = replicates + (task == "classification")  # simmer's Adam baseline is a job
+        assert bool(forks) == (cores > 1 and jobs > 1)
+        prep, topology, matrices = run_pool(run)
+        # the scoring of separate passes: each replicate alone, then the pool
+        alone = [
+            runner._pooled_metric(prep, runner._pooled(topology, prep, [m], [prep.raw_test_inputs]))
+            for m in matrices
+        ]
+        pooled = runner._pooled(topology, prep, matrices, [prep.raw_test_inputs])
+        for r, metric in enumerate(alone):
+            path = os.path.join(run, f"replicate_{r:02d}", "metrics.json")
+            recorded = json.load(open(path))["ensemble_test_metric"]
+            assert float_bits(recorded) == float_bits(metric), (cores, r)
+        recorded = json.load(open(os.path.join(run, "metrics.json")))["ensemble_test_metric"]
+        assert float_bits(recorded) == float_bits(runner._pooled_metric(prep, pooled))
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_a_chain_walks_each_member_over_the_test_rows_once(
+    tmp_path, monkeypatch, use_cores, task, replicates
+):
+    use_cores(1)  # every forward in this process, where it is counted
+    walked = []
+    real_forward = net.forward
+
+    def forward(topology, params, inputs, hidden_out=()):
+        if inputs.shape == test_inputs.shape and np.array_equal(inputs, test_inputs):
+            walked.append(params.shape[0] if params.ndim == 2 else 1)
+        return real_forward(topology, params, inputs, hidden_out)
+
+    if task == "regression":
+        cfg_path = write_config(tmp_path, replicates=replicates)
+        adam, run = str(tmp_path / "adam"), str(tmp_path / "run")
+        assert main(["train-adam", "--config", cfg_path, "--out", adam]) == 0
+        sample = ["retrofit", "--config", cfg_path, "--from-run", adam, "--out", run]
+        extra, endpoints = ["--at", "0.25"], replicates  # each retrofit scores its start
+    else:
+        cfg_path = tmp_path / "iris.json"
+        cfg_path.write_text(json.dumps(dict(classification_config_dict(), replicates=replicates)))
+        run = str(tmp_path / "run")
+        sample = ["simmer", "--config", str(cfg_path), "--out", run]
+        extra, endpoints = ["--grid-resolution", "5", "--at", "3.0,1.0"], 1  # the baseline
+    cfg = from_dict(tiny_config_dict() if task == "regression" else classification_config_dict())
+    test_inputs = runner.prepare_data(cfg).test_inputs
+    monkeypatch.setattr(net, "forward", forward)
+    assert main(sample) == 0
+    assert main(["evaluate", "--from-run", run, "--out", str(tmp_path / "ev")] + extra) == 0
+    n_members = json.load(open(tmp_path / "ev" / "evaluation.json"))["n_members"]
+    assert sum(walked) == n_members + endpoints
 
 
 def test_top_level_metrics_follow_one_rule(tmp_path):
@@ -538,6 +669,16 @@ def test_spectrum_from_simmer_run_uses_last_member(tmp_path):
     assert main(["spectrum", "--from-run", r, "--out", sp]) == 0
     payload = json.load(open(os.path.join(sp, "spectrum.json")))
     assert payload["source"] == "ensemble_last_member"
+    prep, topology, matrices = run_pool(r)
+    cfg, _ = runner.load_run_config(r)
+    report = diagnostics.hessian_spectrum(
+        topology, matrices[0][-1], prep.train_inputs, prep.train_targets, cfg.model.loss
+    )
+    assert payload["eigenvalues"] == report.eigenvalues.tolist()
+    # only the probed member is read: a NaN in another row leaves the same bytes
+    poison_row(os.path.join(r, "replicate_00", "ensemble_members.bin"), 0, topology.param_count)
+    assert main(["spectrum", "--from-run", r, "--out", str(tmp_path / "sp2")]) == 0
+    assert tree_bytes(sp) == tree_bytes(str(tmp_path / "sp2"))
 
 
 def error_line(capsys):
@@ -679,6 +820,51 @@ def test_evaluate_adam_run_has_no_bundle(tmp_path, capsys):
     main(["train-adam", "--config", cfg_path, "--out", a])
     assert main(["evaluate", "--from-run", a, "--out", str(tmp_path / "o")]) == 1
     assert "bundle" in error_line(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(None, id="missing"),
+        pytest.param("{not json", id="not-json"),
+        pytest.param({"ensemble_test_metric": ...}, id="no-metric"),
+        pytest.param({"ensemble_test_metric": "0.5"}, id="string"),
+        pytest.param({"ensemble_test_metric": True}, id="bool"),
+        pytest.param({"ensemble_test_metric": None}, id="null"),
+        pytest.param({"ensemble_test_metric": float("nan")}, id="nan"),
+        pytest.param({"ensemble_test_metric": float("inf")}, id="infinity"),
+        pytest.param({"ensemble_test_metric": 10**400}, id="past-float"),
+        pytest.param({"metric_kind": "accuracy"}, id="wrong-kind"),
+        pytest.param({"metric_kind": ...}, id="no-kind"),
+    ],
+)
+def test_evaluate_refuses_a_damaged_run_metrics_file(tmp_path, capfd, damage):
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    path = os.path.join(r, "metrics.json")
+    if damage is None:
+        os.remove(path)
+    elif isinstance(damage, str):
+        with open(path, "w") as fh:
+            fh.write(damage)
+    else:
+        report = json.load(open(path))
+        for key, value in damage.items():
+            if value is ...:
+                del report[key]
+            else:
+                report[key] = value
+        with open(path, "w") as fh:
+            json.dump(report, fh)  # writes NaN and Infinity as the tokens Python reads
+    out = tmp_path / "o"
+    capfd.readouterr()
+    assert main(["evaluate", "--from-run", r, "--out", str(out), "--at", "0.25"]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert path in json.loads(lines[0])["message"]
+    assert not out.exists()
 
 
 def test_evaluate_rejects_bad_distribution_point(tmp_path, capsys):
@@ -849,6 +1035,42 @@ def test_canonical_chain_stops_at_the_first_failing_stage(tmp_path):
     assert done.returncode == 1
     assert "replicates: must be >= 1" in done.stderr
     assert not (out / "iris_ab_initio" / "eval").exists()  # evaluate never ran
+
+
+def test_canonical_chain_times_each_stage_outside_the_run_directories(tmp_path, monkeypatch):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "run_canonical", os.path.join(here, "scripts", "run_canonical.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    cfg_path = write_config(configs, "sine_retrofit.json")
+    monkeypatch.setattr(script, "CONFIGS", configs)
+    runs = tmp_path / "runs"
+    assert script.main(["sine_retrofit", "--out", str(runs)]) == 0
+
+    direct = tmp_path / "direct"
+    a, r = str(direct / "adam"), str(direct / "run")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    assert main(["evaluate", "--from-run", r, "--out", str(direct / "eval")]) == 0
+    assert tree_bytes(runs / "sine_retrofit") == tree_bytes(direct)  # no file added or changed
+
+    bench = json.load(open(tmp_path / "BENCH_canonical.json"))
+    assert set(bench["environment"]) == {"numpy", "blas", "threads", "usable_cores"}
+    assert bench["environment"]["numpy"] == np.__version__
+    assert set(bench["environment"]["threads"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+    }
+    stages = bench["stages"]
+    assert [(e["stage"], e["command"]) for e in stages] == [
+        ("adam", "train-adam"), ("run", "retrofit"), ("eval", "evaluate")
+    ]
+    for entry, name in zip(stages, ("metrics.json", "metrics.json", "evaluation.json")):
+        assert entry["exit_code"] == 0 and entry["wall_s"] > 0 and entry["peak_rss_mb"] > 0
+        assert entry["metrics"] == json.load(open(runs / "sine_retrofit" / entry["stage"] / name))
 
 
 @pytest.mark.parametrize("change", ["truncated", "overlong"])

@@ -277,6 +277,43 @@ def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
                           pool([both], members=[x]).members[0])
 
 
+@pytest.mark.parametrize("n_matrices", [1, 3])
+def test_parts_equal_each_matrix_evaluated_alone(n_matrices, use_cores):
+    pool = chunk_pool((2, 5, 3), "tanh", seed=13)
+    topology, scaler, matrices = pool[0], pool[1], pool[2][:n_matrices]
+    x = seeding.generator(2).uniform(-2.0, 2.0, size=(11, 2))
+    y = seeding.generator(3).uniform(-2.0, 2.0, size=(4, 2))
+    for cores in (1, 3):
+        use_cores(cores)
+        pooled = [
+            evaluate(topology, scaler, matrices, means=[x, y]),  # serial
+            evaluate(topology, scaler, matrices, members=[y], votes=[x, y]),  # split
+            evaluate(topology, scaler, iter(matrices), members=[y], votes=[x, y]),  # serial
+        ]
+        for result in pooled:
+            assert [part.n_members for part in result.parts] == [len(m) for m in matrices]
+            assert all(part.members == [] for part in result.parts)
+        for m, means, split, serial in zip(matrices, *(r.parts for r in pooled), strict=True):
+            alone = evaluate(topology, scaler, [m], means=[x, y])
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(means.means, alone.means))
+            alone = evaluate(topology, scaler, [m], votes=[x, y])
+            for part in (split, serial):
+                assert all(np.array_equal(a, b) for a, b in zip(part.votes, alone.votes))
+        # the pool itself is unchanged by keeping its parts
+        assert np.array_equal(
+            bits(pooled[0].means[0]),
+            bits(evaluate(topology, scaler, [np.concatenate(matrices)], means=[x]).means[0]),
+        )
+
+
+def test_walk_refuses_an_empty_member_matrix():
+    topology = Topology((1, 4, 1), ("tanh", "linear"))
+    members = seeding.generator(1).normal(size=(3, topology.param_count))
+    empty = members[:0]
+    with pytest.raises(ValueError, match="member matrix 1 holds no members"):
+        evaluate(topology, identity_scaler(1), [members, empty], means=[np.zeros((2, 1))])
+
+
 def test_pool_rejects_mismatches():
     # a run has one topology and one scaler, passed once; only an empty
     # pool is left to refuse, split or walked serially
@@ -550,9 +587,9 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
             monkeypatch.setattr(net, "CHUNK_VALUES", budget)
             chunks = list(ensemble._member_outputs(*pool, [x]))
             step = net.chunk_size(topology, n_rows)
-            assert [k for k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
-            assert [out.shape[0] for _, out in chunks] == chunk_sizes(matrices, step)
-            outputs = np.concatenate([out for _, out in chunks])
+            assert [k for _, k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
+            assert [out.shape[0] for _, _, out in chunks] == chunk_sizes(matrices, step)
+            outputs = np.concatenate([out for _, _, out in chunks])
             assert np.array_equal(bits(outputs), bits(ref_outputs))
             # member rows and votes split one job per matrix; means walk serially
             split = evaluate(*pool, members=[x], votes=[x])
@@ -593,7 +630,7 @@ def test_chunk_size_depends_only_on_rows_and_topology():
     for n_members, seed in ((1, 0), (step, 1), (2 * step + 3, 2)):
         members = seeding.generator(seed).normal(size=(n_members, mpg.param_count))
         chunks = ensemble._member_outputs(mpg, identity_scaler(1), [members], [x])
-        sizes = [out.shape[0] for _, out in chunks]
+        sizes = [out.shape[0] for _, _, out in chunks]
         assert sizes == [min(step, n_members - lo) for lo in range(0, n_members, step)]
 
 
@@ -621,7 +658,7 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
 
     monkeypatch.setattr(net, "forward", forward)
     kept = []
-    for k, outputs in ensemble._member_outputs(*pool, [x]):
+    for _, _, outputs in ensemble._member_outputs(*pool, [x]):
         # no earlier chunk changes while later ones run
         assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
         kept.append((outputs, outputs.copy()))
@@ -673,7 +710,7 @@ def test_walk_holds_one_lazily_read_bundle_at_a_time():
             yield members
 
     x = np.zeros((3, 1))
-    for _, _ in ensemble._member_outputs(topology, scaler, lazily(), [x, x]):
+    for _ in ensemble._member_outputs(topology, scaler, lazily(), [x, x]):
         assert sum(ref() is not None for ref in alive) == 1
     assert len(alive) == 4
     evaluate(topology, scaler, lazily(), means=[x], members=[x])
