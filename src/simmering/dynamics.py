@@ -30,7 +30,8 @@ schedule's ranges, once, and this module trusts them.  The loop records one
 row per step, and the parameter vectors of the steps it is asked to keep.
 The recorded losses depend only on positions the loop has passed, so a
 :class:`LossBlock`, the one loss recorder (Adam's too), holds a block of
-positions and evaluates them with one stacked call per data set; the
+positions and evaluates them with one stacked call per data set, on a
+forked helper while the loop goes on where a core is free for it; the
 records, and the order in which errors are raised, are those of a loop
 that evaluates every step on its own.  A non-finite quantity aborts the
 loop with a :class:`~simmering.net.NonFiniteError` naming the quantity and
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeding
+from . import parallel, seeding
 from .net import NonFiniteError
 
 
@@ -234,40 +235,114 @@ class LossBlock:
     """The one loss recorder: positions held until one stacked call per loss function.
 
     The integrator and Adam :meth:`push` the positions of each step (or
-    epoch).  When ``rows`` are held, and on :meth:`flush`, each function
-    of ``fns`` maps the held ``(C, N)`` stack to ``(C,)`` losses in one
-    call, and ``fill(start, results)`` fills those records in step order:
-    ``start`` is the loop index of the first held row, and ``results``
-    one ``(values, errors)`` pair per function, where ``errors`` maps a
-    row to the :class:`NonFiniteError` the function raised on it.  A
-    function that raises on the stack is called again on each row alone
-    (a row's loss does not depend on its stack), which finds those rows;
-    their values are NaN.  Only ``rows`` positions are ever held.
+    epoch), with the step's ``parts``: numbers the recorder holds beside
+    them for ``fill``.  When ``rows`` are held, and on :meth:`flush`, each
+    function of ``fns`` maps the held ``(C, N)`` stack to ``(C,)`` losses
+    in one call, and ``fill(start, results, parts)`` fills those records
+    in step order: ``start`` is the loop index of the first held row,
+    ``results`` one ``(values, errors)`` pair per function, where
+    ``errors`` maps a row to the :class:`NonFiniteError` the function
+    raised on it, and ``parts`` the ``(C, len(parts))`` numbers pushed
+    with the rows.  A function that raises on the stack is called again
+    on each row alone (a row's loss does not depend on its stack), which
+    finds those rows; their values are NaN.
+
+    Used as a context manager over a loop of ``steps`` pushes.  Where a
+    core is free for it (:func:`parallel.helper_free`) and the loop is
+    longer than one block, the stacked calls run in a
+    :class:`parallel.Helper` while the loop goes on: the loop writes the
+    positions of each block into one of two slots of memory shared with
+    the helper, the helper writes the block's losses back beside them,
+    and the block is filled, in step order, before its slot is written
+    again.  :meth:`flush` returns when every pushed row is filled, and an
+    error of a block, or of the helper, is raised by the call that fills
+    it; leaving the context stops the helper.  Otherwise every block is
+    recorded inline, when it is full.  Either way the records, and the
+    errors raised, are those of a loop that records every step on its
+    own, and at most two blocks of positions are held.
     """
 
-    def __init__(self, fns, n_params: int, rows: int, fill):
+    def __init__(self, fns, n_params: int, rows: int, fill, steps: int, parts: int = 0):
         self._fns = fns
         self._fill = fill
-        self._stack = np.empty((rows, n_params))
+        self._rows = rows
+        self._steps = steps
+        self._positions = np.empty((1, rows, n_params))  # slot 0 only, when inline
+        self._values = None  # (slot, function, row), shared with the helper
+        self._parts = np.empty((2, rows, parts))
+        self._helper = None
+        self._in_flight = []  # (slot, start, rows) of each block the helper holds
+        self._slot = 0
         self._start = 0  # loop index of the first held row
         self.size = 0
 
-    def push(self, x):
-        """Hold a copy of ``x``, and record the block once it is full."""
-        self._stack[self.size] = x
+    def __enter__(self):
+        rows, n_params = self._positions.shape[1:]
+        if self._steps > rows and parallel.helper_free():
+            self._positions = _shared((2, rows, n_params))
+            self._values = _shared((2, len(self._fns), rows))
+            self._helper = parallel.Helper(self._serve)
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._helper is not None:
+            self._helper.close()
+            self._helper = None
+
+    def push(self, x, parts=()):
+        """Hold a copy of ``x`` and ``parts``, and record the block once it is full."""
+        self._positions[self._slot, self.size] = x
+        self._parts[self._slot, self.size] = parts
         self.size += 1
-        if self.size == self._stack.shape[0]:
-            self.flush()
+        if self.size == self._rows:
+            self._submit()
 
     def flush(self):
-        """Record the held rows, if any, and empty the block."""
-        if not self.size:
+        """Record every row held or in flight, in step order, and empty the block."""
+        self._submit()
+        while self._in_flight:
+            self._collect()
+
+    def _submit(self):
+        """Hand the held rows on: recorded inline, or to the helper."""
+        c, slot, start = self.size, self._slot, self._start
+        if not c:
             return
-        stack = self._stack[: self.size]
-        start = self._start
-        self._start += self.size
+        self._start += c
         self.size = 0
-        self._fill(start, [_stacked_losses(fn, stack) for fn in self._fns])
+        if self._helper is None:
+            stack = self._positions[0, :c]
+            self._fill(start, [_stacked_losses(fn, stack) for fn in self._fns], self._parts[0, :c])
+            return
+        self._helper.send(bytes((slot,)) + c.to_bytes(4, "little"))
+        self._in_flight.append((slot, start, c))
+        self._slot = 1 - slot
+        if len(self._in_flight) == 2:  # the next slot's block is filled before it is reused
+            self._collect()
+
+    def _collect(self):
+        """Fill the oldest block in flight, with the losses the helper wrote."""
+        slot, start, c = self._in_flight.pop(0)
+        errors = self._helper.receive() or [{}] * len(self._fns)
+        results = [(self._values[slot, f, :c], errors[f]) for f in range(len(self._fns))]
+        self._fill(start, results, self._parts[slot, :c])
+
+    def _serve(self, request: bytes):
+        """In the helper: one block's losses into its slot; the error maps, if any."""
+        slot, c = request[0], int.from_bytes(request[1:], "little")
+        stack = self._positions[slot, :c]
+        errors = []
+        for f, fn in enumerate(self._fns):
+            self._values[slot, f, :c], found = _stacked_losses(fn, stack)
+            errors.append(found)
+        return errors if any(errors) else None
+
+
+def _shared(shape) -> np.ndarray:
+    """A float64 array in anonymous memory shared with the processes forked later."""
+    import mmap  # imported here, so a loop without a helper costs nothing
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _stacked_losses(fn, stack):
@@ -388,18 +463,15 @@ def run_trajectory(
 
     # the extended energy, conserved while the target temperature is
     # constant: kinetic + loss + chain kinetic + N*T*s_1 + T*(s_2 + ...);
-    # the terms other than the loss, for the held steps
-    rows = max(1, min(block, n_steps))
-    kin, chain_kin, bath = np.empty(rows), np.empty(rows), np.empty(rows)
-
-    def fill(lo, results):
+    # the terms other than the loss are pushed with each step's positions
+    def fill(lo, results, parts):
         (train, train_errors), (test, test_errors) = results
         c = train.shape[0]
         # a non-finite energy is the error raised below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            e = kin[:c] + train
-            e += chain_kin[:c]
-            e += bath[:c]
+            e = parts[:, 0] + train
+            e += parts[:, 1]
+            e += parts[:, 2]
         if test_errors or not np.isfinite(e).all():
             # a non-finite train loss makes the energy non-finite too
             for j in range(c):
@@ -414,28 +486,33 @@ def run_trajectory(
         energy[lo : lo + c] = e
         loss_test[lo : lo + c] = test
 
-    losses = LossBlock((loss_train_fn, loss_test_fn or _no_test_set), n, rows, fill)
-    sum_mv2 = m * float(v @ v)
-    for i in range(n_steps):
-        idx = out.step_index + i
-        t_now = schedule.at(idx)
-        try:
-            sum_mv2 = _advance(x, v, m, s, vs, q, dt, t_now, grad_fn, idx, sum_mv2)
-        except Exception:
-            losses.flush()  # the held steps' errors come first
-            raise
-        temperature[i] = t_now
-        t_kin[i] = sum_mv2 / n
-        j = losses.size
-        kin[j] = 0.5 * sum_mv2
-        chain_kin[j] = 0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c))
-        bath[j] = n * t_now * s[0] + t_now * sum(s[1:])
-        if i == snap_at:
-            snaps[snap_row] = x
-            snap_row += 1
-            snap_at = snap_marks[snap_row]
-        losses.push(x)
-    losses.flush()
+    rows = max(1, min(block, n_steps))
+    fns = (loss_train_fn, loss_test_fn or _no_test_set)
+    with LossBlock(fns, n, rows, fill, n_steps, parts=3) as losses:
+        sum_mv2 = m * float(v @ v)
+        for i in range(n_steps):
+            idx = out.step_index + i
+            t_now = schedule.at(idx)
+            try:
+                sum_mv2 = _advance(x, v, m, s, vs, q, dt, t_now, grad_fn, idx, sum_mv2)
+            except Exception:
+                losses.flush()  # the held steps' errors come first
+                raise
+            temperature[i] = t_now
+            t_kin[i] = sum_mv2 / n
+            if i == snap_at:
+                snaps[snap_row] = x
+                snap_row += 1
+                snap_at = snap_marks[snap_row]
+            losses.push(
+                x,
+                (
+                    0.5 * sum_mv2,
+                    0.5 * sum(q[k] * vs[k] * vs[k] for k in range(n_c)),
+                    n * t_now * s[0] + t_now * sum(s[1:]),
+                ),
+            )
+        losses.flush()
 
     out.chain.positions[...] = s
     out.chain.velocities[...] = vs

@@ -22,8 +22,9 @@ The module functions (:func:`forward`, :func:`loss`) validate their
 arguments on every call.  Gradients and recorded losses come from an
 :class:`Evaluator`, bound to one data set for the many evaluations of a
 loop (the integrator, Adam, the Hessian probe): it validates the data
-once, keeps the layer views of the parameter array it is handed, one
-buffer per hidden layer and a gradient buffer, and runs the layer loop of
+once, keeps the layer views of the parameter array it is handed, the
+buffers of its forward and backward passes and a gradient buffer, and
+runs the layer loop of
 :func:`forward`, so its losses equal the module functions' bit for bit.
 :meth:`Evaluator.losses` takes a ``(C, N)`` stack of parameter vectors,
 the steps a loop records together, in one stacked pass.
@@ -192,18 +193,24 @@ def _activate_in_place(kind: str, z: np.ndarray) -> np.ndarray:
     return z  # linear
 
 
-def _activation_slope(kind: str, a: np.ndarray) -> np.ndarray:
+def _activation_slope(kind: str, a: np.ndarray, out=None) -> np.ndarray:
     """d(activation)/dz of a tanh, relu or elu layer, from its activations ``a`` alone.
 
+    Computed in ``out`` (shaped as ``a``) if given, else in a new array.
     ``a > 0`` holds exactly where ``z > 0``: for ``z <= 0`` both ``max(z, 0)``
     and ``expm1(z)`` are ``<= 0``.
     """
+    if out is None:
+        out = np.empty_like(a)
     if kind == "tanh":
-        return 1.0 - a * a
+        np.multiply(a, a, out=out)
+        return np.subtract(1.0, out, out=out)
     if kind == "relu":
-        return (a > 0.0).astype(np.float64)
+        return np.greater(a, 0.0, out=out)
     # elu: for z <= 0 the slope is alpha*exp(z) == a + alpha
-    return np.where(a > 0.0, 1.0, a + ELU_ALPHA)
+    np.add(a, ELU_ALPHA, out=out)
+    np.copyto(out, 1.0, where=a > 0.0)
+    return out
 
 
 def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
@@ -214,7 +221,7 @@ def _check_inputs(topology: Topology, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"inputs have {inputs.shape[1]} features, topology expects {topology.layer_sizes[0]}"
         )
-    if not np.all(np.isfinite(inputs)):
+    if not np.isfinite(inputs).all():
         raise NonFiniteError("non-finite values in network inputs")
     return inputs
 
@@ -263,14 +270,14 @@ def _hidden_buffers(topology: Topology, lead: tuple) -> list[np.ndarray]:
     return [np.empty((*lead, width)) for width in topology.layer_sizes[1:-1]]
 
 
-def _forward(views, activations, a, hidden):
-    """The one layer loop: hidden layer ``i`` in place in ``hidden[i]``, the output fresh."""
-    for (w, b), act, z in zip(views, activations, hidden):
-        np.matmul(a, w.swapaxes(-1, -2), out=z)
+def _forward(views, activations, a, hidden, out=None):
+    """The one layer loop: hidden layer ``i`` in place in ``hidden[i]``, the
+    output in ``out``, or fresh."""
+    for (w, b), act, z in zip(views, activations, [*hidden, out]):
+        z = np.matmul(a, w.swapaxes(-1, -2), out=z)
         z += b
         a = _activate_in_place(act, z)
-    (w, b), act = views[-1], activations[-1]
-    return _activate_in_place(act, a @ w.swapaxes(-1, -2) + b)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +293,7 @@ def _check_targets(kind: str, targets, output_shape: tuple) -> np.ndarray:
         raise ValueError(f"shape mismatch: outputs {output_shape} vs targets {targets.shape}")
     if output_shape[0] < 1:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise NonFiniteError("non-finite values in targets")
     if kind == "categorical_cross_entropy":
         if output_shape[1] < 2:
@@ -299,7 +306,7 @@ def _check_targets(kind: str, targets, output_shape: tuple) -> np.ndarray:
 
 
 def _check_outputs(outputs: np.ndarray) -> None:
-    if not np.all(np.isfinite(outputs)):
+    if not np.isfinite(outputs).all():
         raise NonFiniteError("non-finite network outputs")
 
 
@@ -325,13 +332,8 @@ def _loss_value(kind: str, outputs: np.ndarray, targets: np.ndarray):
     axes of a C-contiguous array, so each stack entry is the loss of that
     network alone, bit for bit.
     """
-    n = outputs.shape[-2]
-    if kind == "sse":
-        diff = outputs - targets
-        return np.sum(diff * diff, axis=(-2, -1))
-    if kind == "mse":
-        diff = outputs - targets
-        return np.sum(diff * diff, axis=(-2, -1)) / n
+    if kind in ("sse", "mse"):
+        return _squared_error(kind, outputs - targets)
     if kind == "categorical_cross_entropy":
         zmax = outputs.max(axis=-1, keepdims=True)
         lse = zmax[..., 0] + np.log(np.sum(np.exp(outputs - zmax), axis=-1))
@@ -341,6 +343,12 @@ def _loss_value(kind: str, outputs: np.ndarray, targets: np.ndarray):
     z = outputs
     per_elem = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     return np.mean(np.sum(per_elem, axis=-1), axis=-1)
+
+
+def _squared_error(kind: str, diff: np.ndarray):
+    """``sse`` or ``mse`` of the errors ``diff``, reduced as :func:`_loss_value` reduces."""
+    sse = np.sum(diff * diff, axis=(-2, -1))
+    return sse if kind == "sse" else sse / diff.shape[-2]
 
 
 def _loss_output_grad(kind: str, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -391,7 +399,10 @@ class Evaluator:
 
     Every call computes the hidden layers in buffers the Evaluator owns,
     one per layer (a stack of them for :meth:`losses`), and the backward
-    pass reads its activations from them.
+    pass reads its activations from them.  A gradient call also computes
+    the output layer, each layer's slope and dz, and the weight and bias
+    gradients in owned buffers, and an ``sse``/``mse`` one takes the loss
+    and dL/d(outputs) from one ``outputs - targets``.
     The layer views of the last parameter array seen are kept, so an
     integrator that updates one array in place builds them once.  The array
     :meth:`gradient` returns is a buffer the next call overwrites.
@@ -406,7 +417,11 @@ class Evaluator:
         self.targets = _check_targets(
             loss_kind, targets, (self.inputs.shape[0], topology.layer_sizes[-1])
         )
-        self._hidden = _hidden_buffers(topology, (self.inputs.shape[0],))
+        rows = self.inputs.shape[0]
+        self._hidden = _hidden_buffers(topology, (rows,))
+        self._out = np.empty((rows, topology.layer_sizes[-1]))
+        self._diff = np.empty((rows, topology.layer_sizes[-1]))  # sse/mse: outputs - targets
+        self._dz = [np.empty((rows, width)) for width in topology.layer_sizes[1:]]
         self._stack_hidden = 0, []
         self._grad = np.empty(topology.param_count, dtype=np.float64)
         self._grad_views = layer_views(topology, self._grad)
@@ -440,27 +455,34 @@ class Evaluator:
         """Full-batch loss and exact reverse-mode gradient d(loss)/d(params)."""
         topology, kind, targets = self.topology, self.loss_kind, self.targets
         weight_views = self._views_of(params)
-        outputs = _forward(weight_views, topology.activations, self.inputs, self._hidden)
+        outputs = _forward(weight_views, topology.activations, self.inputs, self._hidden, self._out)
         _check_outputs(outputs)
-        value = float(_loss_value(kind, outputs, targets))
+        if kind in ("sse", "mse"):
+            # one difference serves the loss and, scaled in place, dL/d(outputs)
+            delta = np.subtract(outputs, targets, out=self._diff)
+            value = float(_squared_error(kind, delta))
+            delta *= 2.0 if kind == "sse" else 2.0 / outputs.shape[0]
+        else:
+            value = float(_loss_value(kind, outputs, targets))
+            delta = _loss_output_grad(kind, outputs, targets)
         post = [self.inputs, *self._hidden, outputs]
 
         grad = self._grad
-        delta = _loss_output_grad(kind, outputs, targets)
         for layer in range(topology.n_layers - 1, -1, -1):
             act = topology.activations[layer]
             # a linear slope is all ones, and x * 1.0 == x bit for bit
             if act == "linear":
                 dz = delta
             else:
-                dz = delta * _activation_slope(act, post[layer + 1])
+                dz = _activation_slope(act, post[layer + 1], self._dz[layer])
+                dz *= delta
             gw, gb = self._grad_views[layer]
-            gw[...] = dz.T @ post[layer]
-            gb[...] = dz.sum(axis=0)
+            np.matmul(dz.T, post[layer], out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
             if layer > 0:
                 delta = dz @ weight_views[layer][0]
 
-        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(value) or not np.isfinite(grad).all():
             raise NonFiniteError("non-finite loss or gradient")
         return value, grad
 

@@ -106,7 +106,7 @@ def train_adam(
     train_losses = np.empty(epochs)
     test_losses = np.empty(epochs)
 
-    def fill(lo, results):
+    def fill(lo, results, parts):
         (train_values, train_errors), (test_values, test_errors) = results
         c = train_values.shape[0]
         if train_errors or test_errors or not np.isfinite(train_values).all():
@@ -120,18 +120,19 @@ def train_adam(
         test_losses[lo : lo + c] = test_values
 
     rows = net.chunk_size(topology, max(train.inputs.shape[0], test.inputs.shape[0]))
-    losses = LossBlock((train.losses, test.losses), topology.param_count, min(rows, epochs), fill)
-    prev = params
-    for epoch in range(epochs):
-        try:
-            grad = _named(train.gradient, params, "gradient", epoch + 1, "epoch")
-        except Exception:
-            losses.flush()  # the held epochs' errors come first
-            raise
+    fns = (train.losses, test.losses)
+    with LossBlock(fns, topology.param_count, min(rows, epochs), fill, epochs) as losses:
         prev = params
-        params, state = adam_step(params, grad, state)
-        losses.push(params)
-    losses.flush()
+        for epoch in range(epochs):
+            try:
+                grad = _named(train.gradient, params, "gradient", epoch + 1, "epoch")
+            except Exception:
+                losses.flush()  # the held epochs' errors come first
+                raise
+            prev = params
+            params, state = adam_step(params, grad, state)
+            losses.push(params)
+        losses.flush()
     return AdamReport(
         train_losses=train_losses,
         test_losses=test_losses,

@@ -1,6 +1,6 @@
-"""Independent jobs on every usable core, results in job order.
+"""Independent jobs on every usable core, results in job order, and one helper.
 
-:func:`map_in_order` is the one place the package starts processes.  It
+This module starts every process the package starts.  :func:`map_in_order`
 runs ``fn`` over a sequence on forked workers, one per usable core and at
 most one per item, and returns the results in item order.  With one item
 or one usable core, and inside a worker, it calls ``fn`` inline instead,
@@ -19,6 +19,16 @@ item order, so the exception it re-raises is the first failing item's,
 after every item before it has succeeded.  No worker outlives the call,
 whether it returns, raises or is interrupted, and a worker whose parent
 dies is killed with it.
+
+A :class:`Helper` is one forked process that answers a caller's requests
+in order while the caller goes on: work that would otherwise run inline
+on one core while a second idles.  The caller takes one only where
+:func:`helper_free` sees a core for it, which is never inside a worker.
+It starts as a worker does (interrupts ignored, killed with its parent,
+no worker or helper of its own), reports an error as a worker does, and
+never outlives :meth:`Helper.close`.  Requests and answers are a few
+bytes each; bulk data goes through memory both processes see, an
+anonymous shared ``mmap`` made before the fork.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ _PR_SET_PDEATHSIG = 1
 
 
 class WorkerTraceback(Exception):
-    """Where a worker's error was raised: its traceback, as text."""
+    """Where a worker's (or a helper's) error was raised: its traceback, as text."""
 
     def __str__(self):
         return self.args[0]
@@ -91,14 +101,128 @@ def map_in_order(fn, items) -> list:
             reader.close()
 
 
+def helper_free() -> bool:
+    """Whether a :class:`Helper` would have a core to itself: at least two
+    usable cores, and this process is no worker (its siblings hold them)."""
+    return usable_cores() >= 2 and not _in_worker
+
+
+class Helper:
+    """One forked process that answers requests in order while its caller goes on.
+
+    In the helper, ``serve(request)`` answers each ``request`` (bytes)
+    sent with :meth:`send`; :meth:`receive` returns the answers in request
+    order, each None or the object ``serve`` returned.  An error out of
+    ``serve`` ends the helper and is raised by the :meth:`receive` of its
+    request, as :func:`map_in_order` raises a worker's.  ``serve`` and
+    whatever it reads are inherited through ``fork``.  :meth:`close` stops
+    the helper wherever it is and reaps it.
+    """
+
+    def __init__(self, serve):
+        parent = os.getpid()
+        requests, self._requests = os.pipe()
+        self._answers, answers = os.pipe()
+        self._pid = os.fork()
+        if not self._pid:  # the helper; it never returns from here
+            code = 1
+            try:
+                os.close(self._requests)
+                os.close(self._answers)
+                _enter_worker(parent)
+                _help(serve, requests, answers)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(answers)
+
+    def send(self, request: bytes):
+        try:
+            _send(self._requests, request)
+        except BrokenPipeError:  # the helper has stopped; receive says why
+            pass
+
+    def receive(self):
+        try:
+            answer = _receive(self._answers)
+        except EOFError:
+            raise RuntimeError(f"helper exited with code {self._reap()}") from None
+        if not answer:
+            return None
+        ok, value, where = pickle.loads(answer)
+        if not ok:
+            raise value from WorkerTraceback(where)
+        return value
+
+    def close(self):
+        import signal
+
+        if self._pid:
+            os.kill(self._pid, signal.SIGTERM)
+            self._reap()
+        os.close(self._requests)
+        os.close(self._answers)
+
+    def _reap(self) -> int:
+        """Wait for the helper to end; its exit code (minus the signal that ended it)."""
+        pid, self._pid = self._pid, 0
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
+
+
+def _help(serve, requests: int, answers: int):
+    while True:
+        request = _receive(requests)
+        try:
+            value = serve(request)
+        except Exception as exc:
+            _send(answers, pickle.dumps(_failure(exc)))
+            return
+        # the common answer, None, is an empty message
+        _send(answers, b"" if value is None else pickle.dumps((True, value, None)))
+
+
+def _send(fd: int, message: bytes):
+    """Write ``message`` to the pipe ``fd``, after its length."""
+    data = memoryview(len(message).to_bytes(4, "little") + message)
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _receive(fd: int) -> bytes:
+    """The next message :func:`_send` wrote to the pipe ``fd``."""
+    return _read(fd, int.from_bytes(_read(fd, 4), "little"))
+
+
+def _read(fd: int, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = os.read(fd, n - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
 def _work(fn, items, first: int, step: int, parent: int, writer):
+    _enter_worker(parent)
+    for index in range(first, len(items), step):
+        try:
+            writer.send((True, fn(items[index]), None))
+        except Exception as exc:
+            writer.send(_failure(exc))
+            return
+
+
+def _enter_worker(parent: int):
+    """The start of every forked process: its ``map_in_order`` calls run
+    inline, an interrupt is left to the parent, which stops its children,
+    and the process dies with its parent."""
     import ctypes
     import signal
-    import traceback
 
     global _in_worker
     _in_worker = True
-    # an interrupt is the parent's to handle: it terminates the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -106,12 +230,13 @@ def _work(fn, items, first: int, step: int, parent: int, writer):
         pass
     if os.getppid() != parent:  # the parent died before the signal was set
         os._exit(1)
-    for index in range(first, len(items), step):
-        try:
-            writer.send((True, fn(items[index]), None))
-        except Exception as exc:
-            writer.send((False, _portable(exc), traceback.format_exc()))
-            return
+
+
+def _failure(exc: Exception) -> tuple:
+    """What a forked process sends for an error: ``(False, error, traceback text)``."""
+    import traceback
+
+    return False, _portable(exc), traceback.format_exc()
 
 
 def _portable(exc: Exception) -> Exception:

@@ -547,6 +547,19 @@ def test_evaluation_metric_matches_a_fresh_pooled_walk(tmp_path, task, replicate
     assert float_bits(evaluation["ensemble_test_metric"]) == float_bits(fresh)
 
 
+# forks of sampled_run at 3 usable cores: a worker per job of a stage with
+# more than one job (simmer's Adam baseline is a job) and per bundle of the
+# iris vote pass; a one-job stage runs inline and forks a loss-recording
+# helper only for a run longer than a block, which these tiny runs are not
+# (the sine net's block is 840 steps, and the iris runs are in workers)
+SAMPLED_RUN_FORKS = {
+    ("regression", 1): 0,
+    ("regression", 3): 3 + 3,  # train-adam, retrofit; the sine walk is serial
+    ("classification", 1): 2,  # simmer's replicate and baseline; one bundle
+    ("classification", 3): 3 + 3,  # simmer's four jobs on three cores, the votes
+}
+
+
 @pytest.mark.parametrize("replicates", [1, 3])
 @pytest.mark.parametrize("task", ["regression", "classification"])
 def test_stage_metrics_equal_one_pass_per_replicate_and_one_pooled(
@@ -557,8 +570,7 @@ def test_stage_metrics_equal_one_pass_per_replicate_and_one_pooled(
         del forks[:]
         (tmp_path / f"cores_{cores}").mkdir()
         run = sampled_run(tmp_path / f"cores_{cores}", task, replicates)
-        jobs = replicates + (task == "classification")  # simmer's Adam baseline is a job
-        assert bool(forks) == (cores > 1 and jobs > 1)
+        assert len(forks) == (SAMPLED_RUN_FORKS[task, replicates] if cores > 1 else 0)
         prep, topology, matrices = run_pool(run)
         # the scoring of separate passes: each replicate alone, then the pool
         alone = [
@@ -1177,10 +1189,26 @@ def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command
 # ------------------------------------------------------------ worker processes
 
 
-def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, forks):
-    sine = write_config(tmp_path, replicates=3)
-    raw = classification_config_dict()
-    raw["replicates"] = 3
+# forks of the chain below at 3 usable cores.  Three replicates: three
+# workers for train-adam, retrofit, the simmer (its four jobs) and each of
+# the iris vote passes (simmer's scoring, evaluate), none for the serial
+# sine walk.  One replicate, one job per stage: one loss-recording helper
+# each for train-adam, retrofit and simmer, whose runs are longer than a
+# block (840 steps for the tiny sine net, 73 for the iris one)
+CHAIN_FORKS = {3: 15, 1: 3}
+
+
+@pytest.mark.parametrize("replicates", [3, 1])
+def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, forks, replicates):
+    longer, raw = {}, classification_config_dict()
+    if replicates == 1:  # one-job stages, each loop longer than a block
+        longer = {
+            "adam": {"alpha": 0.01, "epochs": 900},
+            "simmer": dict(tiny_config_dict()["simmer"], iterations=900),
+        }
+        del raw["adam"]  # no baseline job beside the simmer's one replicate
+    sine = write_config(tmp_path, replicates=replicates, **longer)
+    raw["replicates"] = replicates
     iris = tmp_path / "iris.json"
     iris.write_text(json.dumps(raw))
     trees = {}
@@ -1200,9 +1228,12 @@ def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, fo
             ],
         ):
             assert main(argv) == 0
-        assert os.path.isdir(os.path.join(s, runner.BASELINE_DIR))
+        assert os.path.isdir(os.path.join(s, runner.BASELINE_DIR)) == (replicates > 1)
         assert multiprocessing.active_children() == []
-        assert bool(forks) == (cores > 1)
+        assert len(forks) == (CHAIN_FORKS[replicates] if cores > 1 else 0)
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         trees[cores] = tree_bytes(root)
     assert sorted(trees[1]) == sorted(trees[3])
     for name in trees[1]:

@@ -334,6 +334,17 @@ DRIFT_DT = 0.5 / DRIFT_V
 DRIFT_T = dyn.TemperatureSchedule(DRIFT_V**2, DRIFT_V**2)
 # one step per block (each step alone), step 10 inside a block, one block
 BLOCKS = (1, 4, 64)
+# inline, and on a helper wherever a run is longer than one block
+CORES = (1, 2)
+
+
+def helpers_forked(forks, cores, block, runs=1):
+    """Assert that each of ``runs`` 20-step runs forked one helper where it
+    could (two usable cores, more than one block), then that none is left."""
+    assert len(forks) == runs * (cores > 1 and block < 20)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def crafted(fail):
@@ -365,6 +376,7 @@ def crafted(fail):
     return grad, losses("train"), losses("test")
 
 
+@pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize(
     "fail,message",
@@ -387,31 +399,40 @@ def crafted(fail):
         ({"gradient": 10, "train value": 11}, "gradient in step 10: boom"),
     ],
 )
-def test_held_steps_raise_the_first_error_of_a_step_by_step_loop(fail, message, block):
+def test_held_steps_raise_the_first_error_of_a_step_by_step_loop(
+    use_cores, forks, fail, message, block, cores
+):
     # a non-finite velocity entering a step can only enter a call (see
     # test_nonfinite_state_aborts_with_step_index): mid-run, the step before
     # it has already failed on its extended energy
+    use_cores(cores)
     state = make_state([0.0], [DRIFT_V], n_chain=1)
     grad, train, test = crafted(fail)
     with pytest.raises(NonFiniteError, match=message):
         dyn.run_trajectory(state, grad, DRIFT_DT, DRIFT_T, 20, train, test, block=block)
+    helpers_forked(forks, cores, block)
 
 
+@pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize("block", BLOCKS)
-def test_drift_records_and_a_nonfinite_test_value(block):
+def test_drift_records_and_a_nonfinite_test_value(use_cores, forks, block, cores):
+    use_cores(cores)
     state = make_state([0.0], [DRIFT_V], n_chain=1)
     grad, train, test = crafted({"test value": 10})
     _, traj = dyn.run_trajectory(state, grad, DRIFT_DT, DRIFT_T, 20, train, test, block=block)
+    helpers_forked(forks, cores, block)
     np.testing.assert_array_equal(traj.snapshots[:, 0], 0.5 * np.arange(1, 21))
     np.testing.assert_array_equal(traj.extended_energy, np.full(20, 0.5 * DRIFT_V**2))
     # recorded as it came: the test loss has no finiteness check of its own
     np.testing.assert_array_equal(traj.loss_test, [0.0] * 10 + [math.inf] * 10)
 
 
+@pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize("block", BLOCKS)
-def test_overflow_in_a_later_advance_comes_after_the_held_steps(block):
+def test_overflow_in_a_later_advance_comes_after_the_held_steps(use_cores, forks, block, cores):
     # from step 12 the target is 1e300, and the chain's exp() friction
     # factor overflows in that step's advance; dt * v == 0.5 as above
+    use_cores(cores)
     state = make_state([0.0], [2.0], n_chain=1)
     ramp = dyn.TemperatureSchedule(4.0, 1e300, 1e300, 12)
     grad, train, test = crafted({})
@@ -420,6 +441,48 @@ def test_overflow_in_a_later_advance_comes_after_the_held_steps(block):
     grad, train, test = crafted({"train value": 10})
     with pytest.raises(NonFiniteError, match="train loss in step 10$"):
         dyn.run_trajectory(state, grad, 0.25, ramp, 20, train, test, block=block)
+    helpers_forked(forks, cores, block, runs=2)
+
+
+@pytest.mark.parametrize("fail", ["nothing", "advance", "helper", "interrupt"])
+def test_every_helper_is_reaped_however_the_run_ends(use_cores, forks, fail):
+    """The helper of a 20-step run at 4 steps a block is gone after a
+    return, an error out of the advance, an error inside the helper (which
+    reaches the caller as the inline path raises it) and an interrupt."""
+
+    def grad(x):
+        if x[0] > 5.0:  # step 10 on the drift below
+            if fail == "advance":
+                raise NonFiniteError("boom")
+            if fail == "interrupt":
+                raise KeyboardInterrupt
+        return np.zeros_like(x)
+
+    def train(stack):
+        if fail == "helper" and (stack[:, 0] > 5.0).any():
+            raise ValueError(f"a stack of {len(stack)} the loss refuses")
+        return np.zeros(len(stack))
+
+    def run():
+        state = make_state([0.0], [2.0], n_chain=1)
+        sch = dyn.TemperatureSchedule(4.0, 4.0)
+        return dyn.run_trajectory(state, grad, 0.25, sch, 20, train, train, block=4)
+
+    raised = {}
+    for cores in CORES:
+        use_cores(cores)
+        try:
+            run()
+        except (Exception, KeyboardInterrupt) as exc:
+            raised[cores] = type(exc), str(exc)
+    assert raised.get(1) == raised.get(2)
+    assert raised.get(1, (None,))[0] == {
+        "nothing": None,
+        "advance": NonFiniteError,
+        "helper": ValueError,
+        "interrupt": KeyboardInterrupt,
+    }[fail]
+    helpers_forked(forks, 2, 4)
 
 
 def test_exploding_gradient_caught_during_run():

@@ -6,6 +6,7 @@ and the check cannot share a bug.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -223,6 +224,7 @@ def crafted_adam(monkeypatch, fail, block):
     )
 
 
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("block", ADAM_BLOCKS)
 @pytest.mark.parametrize(
     "fail,message",
@@ -241,10 +243,16 @@ def crafted_adam(monkeypatch, fail, block):
     ],
 )
 def test_adam_held_epochs_raise_the_first_error_of_an_epoch_by_epoch_loop(
-    monkeypatch, fail, message, block
+    monkeypatch, use_cores, forks, fail, message, block, cores
 ):
+    use_cores(cores)
     with pytest.raises(NonFiniteError, match=message):
         crafted_adam(monkeypatch, fail, block)
+    # the epochs' losses go to a helper wherever 20 epochs are more than a block
+    assert len(forks) == (cores > 1 and block < 20)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("block", ADAM_BLOCKS)

@@ -1,5 +1,5 @@
 """map_in_order: results in item order, errors as a serial loop raises them,
-and no worker left behind."""
+and no worker left behind; the helper: answers in order, and reaped."""
 
 import multiprocessing
 import os
@@ -139,6 +139,38 @@ def test_a_failure_stops_workers_still_running(use_cores):
         parallel.map_in_order(fn, range(2))
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
+
+
+def test_a_helper_is_free_only_on_two_cores_outside_a_worker(use_cores):
+    use_cores(1)
+    assert not parallel.helper_free()
+    use_cores(2)
+    assert parallel.helper_free()
+    assert parallel.map_in_order(lambda _: parallel.helper_free(), range(2)) == [False, False]
+
+
+def test_a_helper_answers_in_order_and_raises_what_serve_raised(forks):
+    def serve(request):
+        if request == b"bad":
+            raise ArithmeticError("refused")
+        return None if request == b"none" else (request.decode(), os.getpid())
+
+    helper = parallel.Helper(serve)
+    try:
+        for request in (b"a", b"none", b"b" * 100_000, b"bad", b"c"):
+            helper.send(request)
+        assert helper.receive() == ("a", forks[0])
+        assert helper.receive() is None
+        assert helper.receive() == ("b" * 100_000, forks[0])
+        with pytest.raises(ArithmeticError, match="^refused$") as info:
+            helper.receive()
+        assert "refused" in str(info.value.__cause__)
+        with pytest.raises(RuntimeError, match="helper exited with code 0"):
+            helper.receive()  # the helper stops after an error
+    finally:
+        helper.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 WAITER = """
