@@ -229,9 +229,14 @@ class Split:
         )
         if self.train_indices.size == 0 or self.test_indices.size == 0:
             raise ValueError("both sides of a split must be non-empty")
-        overlap = np.intersect1d(self.train_indices, self.test_indices)
-        if overlap.size:
-            raise ValueError(f"train and test indices overlap: {overlap[:5]}")
+        # by sorting and searching: np.intersect1d would import numpy.ma,
+        # which every stage would pay for at start-up
+        train, test = np.sort(self.train_indices), np.sort(self.test_indices)
+        at = np.minimum(np.searchsorted(train, test), train.size - 1)
+        shared = test[train[at] == test]
+        if shared.size:
+            first = shared[np.concatenate(([True], shared[1:] != shared[:-1]))]
+            raise ValueError(f"train and test indices overlap: {first[:5]}")
 
 
 def split(dataset: Dataset, n_train: int, seed: int) -> Split:

@@ -27,7 +27,9 @@ velocity of the next link up (zero past the end of the chain).
 step and a :class:`TemperatureSchedule`, the type a config's
 ``simmer.schedule`` section parses into; the config parser checks the
 schedule's ranges, once, and this module trusts them.  The loop records one
-row per step, and the parameter vectors of the steps it is asked to keep.
+row per step, and writes the parameter vectors of the steps it is asked to
+keep, one row each as it passes them, into a destination its caller gives:
+an array, or in a run the member file, so a run holds no kept state.
 The recorded losses depend only on positions the loop has passed, so a
 :class:`LossBlock`, the one loss recorder (Adam's too), holds a block of
 positions and evaluates them with one stacked call per data set, on a
@@ -380,6 +382,8 @@ class Trajectory:
     no others: ``snapshots[j]`` is the state after step
     ``snapshot_positions[j] + 1``, i.e. record index
     ``snapshot_positions[j]``, and the positions strictly increase.
+    ``snapshots`` is the destination :func:`run_trajectory` wrote them to:
+    a ``(kept, N)`` array unless its caller gave another.
     """
 
     iterations: np.ndarray
@@ -406,6 +410,7 @@ def run_trajectory(
     snapshot_steps=None,
     *,
     block: int,
+    snapshots=None,
 ) -> tuple[PhaseState, Trajectory]:
     """Advance ``n_steps`` and record them; the one integrator loop; pure.
 
@@ -421,8 +426,11 @@ def run_trajectory(
     in a run).  Parameter snapshots are kept for the record positions in
     ``snapshot_steps``, a strictly increasing sequence in ``[0, n_steps)``
     (``None`` keeps every step, ``()`` none).  Positions are relative to
-    this call.  Only those rows are allocated, and each kept state is
-    written straight into its row.
+    this call.  The ``j``-th kept state is written as ``snapshots[j] = x``,
+    in order, into the destination ``snapshots``, which becomes the
+    trajectory's ``snapshots``: by default a new ``(kept, N)`` array, or
+    whatever the caller gives, such as the runner's file that appends
+    each row, so the loop itself holds no kept state.
 
     A :class:`NonFiniteError` names the quantity and the step index; of
     each step, in this order: velocities, gradient, train loss (its
@@ -455,7 +463,7 @@ def run_trajectory(
     loss_train = np.empty(n_steps)
     loss_test = np.empty(n_steps)
     energy = np.empty(n_steps)
-    snaps = np.empty((snap_positions.size, n))
+    snaps = np.empty((snap_positions.size, n)) if snapshots is None else snapshots
     # n_steps closes the list: a mark no step index reaches
     snap_marks = snap_positions.tolist() + [n_steps]
     snap_row = 0

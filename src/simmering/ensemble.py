@@ -18,10 +18,15 @@ would, and regression sums still add one member at a time into a single
 running total, so results are bit-stable and depend neither on the
 chunking nor on whether the members sit in one matrix or several.
 
-Memory: the walk computes every chunk's hidden layers in buffers it
-allocates once, and it takes the matrices one at a time, so matrices read
-lazily from a run directory are held one at a time.  :func:`evaluate`
-computes all of a run's predictions in one pass over its matrices.
+Memory: a member matrix is anything that gives its length and a chunk of
+consecutive rows as an array when sliced: an array, or a run's member
+file, which the runner reads a chunk of rows at a time.  So a walk over a
+run's bundles holds one chunk of members, never a whole bundle, and
+:func:`net.chunk_size` bounds a chunk's member rows as it bounds its
+layer outputs.  The walk computes every chunk's hidden layers in buffers
+it allocates once, and it takes the matrices one at a time.
+:func:`evaluate` computes all of a run's predictions in one pass over its
+matrices.
 
 Vote tallies and member rows are exact in any split of the members, so
 :func:`evaluate` gives each matrix of a sequence its own
@@ -90,15 +95,16 @@ class SamplingPlan:
 class EnsembleBundle:
     """The sampled parameter vectors of one run, as the run records them."""
 
-    members: np.ndarray        # (M, N) parameter vectors
+    # (M, N) parameter vectors: an array, or the rows of a member file,
+    # whichever the trajectory wrote them to or a reader gives
+    members: np.ndarray
     iterations: np.ndarray     # (M,) 1-based capture iteration
     temperatures: np.ndarray   # (M,) target temperature at capture
 
     def __post_init__(self):
-        self.members = np.asarray(self.members, dtype=np.float64)
         self.iterations = np.asarray(self.iterations, dtype=np.int64)
         self.temperatures = np.asarray(self.temperatures, dtype=np.float64)
-        if self.members.ndim != 2 or self.members.shape[0] < 1:
+        if len(self.members.shape) != 2 or self.members.shape[0] < 1:
             raise ValueError("a bundle needs at least one member")
         m = self.members.shape[0]
         if self.iterations.shape != (m,) or self.temperatures.shape != (m,):
@@ -115,8 +121,8 @@ def collect(trajectory: Trajectory) -> EnsembleBundle:
     """The bundle of the members ``trajectory`` kept.
 
     The trajectory captured only the members' states, at the records
-    :meth:`SamplingPlan.steps` chose, so its snapshot matrix becomes the
-    bundle's members as is, without a copy.
+    :meth:`SamplingPlan.steps` chose, so its snapshots, wherever it wrote
+    them, become the bundle's members as they are, without a copy.
     """
     positions = trajectory.snapshot_positions
     return EnsembleBundle(
@@ -133,7 +139,9 @@ def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_se
     ``(M, N)`` member matrices of ``topology``, each with at least one
     member; it is taken in order and consumed once, and the walk drops
     each matrix before it takes the next, so replicate matrices read
-    lazily are held one at a time.  Every input set is scaled once, by
+    lazily are held one at a time.  A matrix is sliced one chunk of rows
+    at a time, so one that reads its rows from a file when sliced is held
+    a chunk at a time.  Every input set is scaled once, by
     ``scaler``.  Matrix ``i``'s members are walked over input set
     ``k = 0, 1, ...`` in turn, in storage order, and ``outputs`` is the
     ``(chunk, samples, outputs)`` array of one stacked

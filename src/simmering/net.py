@@ -259,10 +259,13 @@ def chunk_size(topology: Topology, n_rows: int) -> int:
     The one size rule of every stacked forward: the ensemble walk's
     members and the steps whose losses a loop records together.  Fixed by
     shapes alone, so the chunks, and with them the bytes, never depend on
-    the machine: each chunk's widest layer output holds about
-    ``CHUNK_VALUES`` floats, and at least one vector.
+    the machine: each chunk's widest layer output, and its stack of
+    parameter vectors, holds about ``CHUNK_VALUES`` floats, and at least
+    one vector.  So a walk that reads its members from a file a chunk at a
+    time holds at most that many of them.
     """
-    return max(1, CHUNK_VALUES // max(1, n_rows * max(topology.layer_sizes)))
+    widest = n_rows * max(topology.layer_sizes)
+    return max(1, CHUNK_VALUES // max(widest, topology.param_count))
 
 
 def _hidden_buffers(topology: Topology, lead: tuple) -> list[np.ndarray]:

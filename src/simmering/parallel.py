@@ -125,6 +125,10 @@ class Helper:
         self._answers, answers = os.pipe()
         self._pid = os.fork()
         if not self._pid:  # the helper; it never returns from here
+            # it ends by os._exit, never by a normal exit: it inherits its
+            # caller's open files (a run's member file among them), and a
+            # normal exit would flush what their buffers held at the fork
+            # a second time
             code = 1
             try:
                 os.close(self._requests)

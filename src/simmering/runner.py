@@ -28,9 +28,13 @@ preconditions, then hand a job binder and a job count to
 that need them, ``--out``, the jobs through
 :func:`parallel.map_in_order`, one scoring pass over the bundles the jobs
 wrote, each job's metrics.json, the top-level metrics.json by one rule,
-and ``resolved_config.json`` last.  Parameter files are written by
-:func:`_write_rows` and read by :func:`_read_rows`, which refuses a
-non-finite value, under sidecars checked by :func:`_read_sidecar`.
+and ``resolved_config.json`` last.  Parameter files are read through
+:class:`_RowFile`, which checks a file's size and refuses a non-finite
+value, naming the row, under sidecars checked by :func:`_read_sidecar`.
+Snapshots are written by :func:`_write_rows`; ensemble members never sit
+in memory as a whole: the integrator appends each kept state to
+``ensemble_members.bin`` through a :class:`_RowWriter` as it captures it,
+and every walk over a bundle reads its members a chunk of rows at a time.
 
 Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
 replicates' member matrices, and an Adam endpoint is the one-member
@@ -61,6 +65,7 @@ from .dynamics import PhaseState, ThermostatChain, initial_velocities, run_traje
 RESOLVED_CONFIG = "resolved_config.json"
 METRICS_FILE = "metrics.json"
 BASELINE_DIR = "baseline_adam"
+MEMBERS_FILE = "ensemble_members.bin"
 SNAPSHOTS = ("final", "penultimate")  # a retrofit starts from both
 CSV_BLOCK_ROWS = 1 << 10
 CHECK_BLOCK_VALUES = 1 << 16
@@ -139,36 +144,73 @@ def _read_object(path: str, keys: dict) -> dict:
     return obj
 
 
-def _read_rows(path: str, rows: int, param_count: int, only: int | None = None) -> np.ndarray:
-    """The ``(rows, param_count)`` little-endian float64 matrix stored in
-    ``path``, or with ``only``, just its row ``only``, as a one-row matrix.
+class _RowFile:
+    """The ``(rows, param_count)`` little-endian float64 matrix stored in a
+    file, read from it when sliced.
 
-    The file's size is checked before the array is allocated, and the
-    bytes are read straight into it, so it is their only copy.  What was
-    read must be finite: it is checked ``CHECK_BLOCK_VALUES`` at a time,
-    and the first row holding a NaN or an infinity is named.
+    Made only for a file of exactly that size.  Indexed as an array is, an
+    integer gives one row and a slice a matrix of consecutive rows, each a
+    fresh array the bytes are read straight into, so a walk that slices a
+    chunk at a time holds one chunk.  :meth:`check` reads rows to refuse a
+    non-finite value, and keeps none of them.
     """
-    need = rows * param_count * 8
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+
+    def __init__(self, path: str, rows: int, param_count: int):
+        need = rows * param_count * 8
+        size = os.stat(path).st_size
         if size != need:
             raise ValueError(
                 f"{path} holds {size} bytes, but {rows} parameter vectors of "
                 f"{param_count} float64 values need {need}"
             )
-        first, count = (0, rows) if only is None else (only, 1)
-        fh.seek(first * param_count * 8)
+        self.path, self.shape, self.nbytes = path, (rows, param_count), need
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, slice):
+            first, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("member rows are read in consecutive runs")
+            return self._read(first, max(0, stop - first))
+        row = range(len(self))[index]  # an IndexError past either end
+        return self._read(row, 1)[0]
+
+    def _read(self, first: int, count: int) -> np.ndarray:
+        param_count = self.shape[1]
         out = np.empty((count, param_count), dtype="<f8")
-        got = fh.readinto(memoryview(out).cast("B"))
-    if got != out.nbytes:
-        raise ValueError(f"{path} ended after {got} of {out.nbytes} bytes")
-    step = max(1, CHECK_BLOCK_VALUES // param_count)
-    for lo in range(0, count, step):
-        finite = np.isfinite(out[lo : lo + step])  # a mask of one block, not of the file
-        if not finite.all():
-            bad = first + lo + int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"{path}: row {bad} holds a non-finite value")
-    return out
+        with open(self.path, "rb") as fh:
+            fh.seek(first * param_count * 8)
+            got = fh.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:
+            raise ValueError(f"{self.path} ended after {got} of {out.nbytes} bytes")
+        return out
+
+    def check(self, first: int = 0, count: int | None = None):
+        """Refuse a NaN or an infinity in rows ``first .. first + count``
+        (by default, every row), naming the first row that holds one.
+
+        The rows are read ``CHECK_BLOCK_VALUES`` values at a time, each
+        block checked and dropped before the next is read.
+        """
+        count = len(self) - first if count is None else count
+        step = max(1, CHECK_BLOCK_VALUES // self.shape[1])
+        for lo in range(first, first + count, step):
+            finite = np.isfinite(self[lo : min(lo + step, first + count)])
+            if not finite.all():
+                bad = lo + int(np.argmin(finite.all(axis=1)))
+                raise ValueError(f"{self.path}: row {bad} holds a non-finite value")
+
+
+def _read_rows(path: str, rows: int, param_count: int, only: int | None = None) -> np.ndarray:
+    """The ``(rows, param_count)`` matrix stored in ``path`` (see
+    :class:`_RowFile`), or with ``only``, just its row ``only``, as a
+    one-row matrix; what it returns is checked to be finite."""
+    matrix = _RowFile(path, rows, param_count)
+    first, count = (0, rows) if only is None else (only, 1)
+    matrix.check(first, count)
+    return matrix[first : first + count]
 
 
 def _write_rows(path: str, rows):
@@ -176,6 +218,28 @@ def _write_rows(path: str, rows):
     rows = np.ascontiguousarray(rows, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(memoryview(rows))  # the array's own buffer, not a copy
+
+
+class _RowWriter:
+    """``rows`` vectors of ``param_count`` float64 values, appended to the
+    open binary file ``fh`` one row at a time as each is set, in order:
+    the destination :func:`run_trajectory` writes a run's kept states to.
+
+    Each row goes through ``fh``'s buffer, whose unwritten bytes a process
+    forked meanwhile (the loss helper) inherits; such a process must end
+    without flushing them (see :class:`parallel.Helper`).
+    """
+
+    def __init__(self, fh, rows: int, param_count: int):
+        self._fh = fh
+        self.shape, self.nbytes = (rows, param_count), rows * param_count * 8
+        self._next = 0
+
+    def __setitem__(self, row: int, x):
+        if row != self._next:
+            raise IndexError(f"row {row} set while row {self._next} is next")
+        self._fh.write(memoryview(np.ascontiguousarray(x, dtype="<f8")))
+        self._next += 1
 
 
 def _package_version() -> str:
@@ -402,7 +466,8 @@ def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray
 
 
 def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle, topology: net.Topology):
-    _write_rows(os.path.join(rep_dir, "ensemble_members.bin"), bundle.members)
+    """Write the sidecar of ``bundle``, whose members a :class:`_RowWriter`
+    appended to ``rep_dir``'s member file as the trajectory captured them."""
     _write_sidecar(
         os.path.join(rep_dir, "ensemble.json"),
         topology,
@@ -447,22 +512,29 @@ def _bundle_sidecar(rep_dir: str, topology: net.Topology):
     temperatures = _per_member(path, sidecar, "temperatures", np.float64)
     if not (temperatures >= 0).all():
         raise ValueError(f"{path}: 'temperatures' holds a NaN or negative entry")
-    members = os.path.join(rep_dir, "ensemble_members.bin")
+    members = os.path.join(rep_dir, MEMBERS_FILE)
     return members, sidecar["n_members"], iterations, temperatures
 
 
 def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
-    """The bundle in ``rep_dir``; its members file must hold ``n_members``
-    vectors of ``topology.param_count`` values."""
+    """The bundle in ``rep_dir``, its members a checked :class:`_RowFile`.
+
+    The members file must hold ``n_members`` vectors of
+    ``topology.param_count`` values, every one finite: its size is checked
+    first, then every row a block at a time, and none is kept.  Walks read
+    the members a chunk at a time when they slice them.
+    """
     path, n, iterations, temperatures = _bundle_sidecar(rep_dir, topology)
-    members = _read_rows(path, n, topology.param_count)
+    members = _RowFile(path, n, topology.param_count)
+    members.check()
     return ensemble.EnsembleBundle(members, iterations, temperatures)
 
 
 class _ReplicateBundles(Sequence):
     """The member matrices of replicates 0..n-1, each read when looked up.
 
-    Iterating reads one bundle at a time and keeps none; a job of
+    A lookup checks the replicate's bundle and gives its
+    :class:`_RowFile`, which a walk reads a chunk at a time; a job of
     :func:`ensemble.evaluate` looks its matrix up in the worker that runs
     it, so bundles never travel between processes.
     """
@@ -473,7 +545,7 @@ class _ReplicateBundles(Sequence):
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, replicate: int) -> np.ndarray:
+    def __getitem__(self, replicate: int) -> _RowFile:
         if not 0 <= replicate < self.n:
             raise IndexError(replicate)
         return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology).members
@@ -504,8 +576,9 @@ def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: 
     job's name, and each sends back only its endpoint's metrics.
 
     The stage then scores what its jobs sampled in one pass: the bundles
-    just written, read back one at a time as ``evaluate`` reads them,
-    pooled on the test set, whose parts are each replicate's own metric.
+    just written, read back a chunk of members at a time as ``evaluate``
+    reads them, pooled on the test set, whose parts are each replicate's
+    own metric.
     Each job's metrics.json follows; the top-level one takes the mean of
     the Adam metrics over the jobs that report an endpoint, and the pooled
     metric.  ``resolved_config.json`` comes last.
@@ -596,21 +669,24 @@ def _simmer_replicate(cfg, topology, prep, state, replicate: int, rep_dir: str):
     """Integrate one replicate, write its trajectory and bundle.
 
     The members are chosen before integrating, and only their states are
-    captured.
+    captured, each appended to the member file as it is captured.
     """
     simmer = cfg.simmer
     grad_fn, loss_train_fn, loss_test_fn, block = _loss_fns(cfg, topology, prep)
-    _, traj = run_trajectory(
-        state,
-        grad_fn,
-        simmer.dt,
-        simmer.schedule,
-        simmer.iterations,
-        loss_train_fn,
-        loss_test_fn,
-        cfg.sampling.steps(simmer.iterations, cfg.seed, replicate),
-        block=block,
-    )
+    steps = cfg.sampling.steps(simmer.iterations, cfg.seed, replicate)
+    with open(os.path.join(rep_dir, MEMBERS_FILE), "wb") as fh:
+        _, traj = run_trajectory(
+            state,
+            grad_fn,
+            simmer.dt,
+            simmer.schedule,
+            simmer.iterations,
+            loss_train_fn,
+            loss_test_fn,
+            steps,
+            block=block,
+            snapshots=_RowWriter(fh, len(steps), topology.param_count),
+        )
     _write_csv(
         os.path.join(rep_dir, "trajectory.csv"),
         ("iteration", "T_target", "T_kinetic", "loss_train", "loss_test", "extended_energy"),
@@ -781,7 +857,7 @@ def run_evaluate(
         hi = float(prep.dataset.features.max())
         grid = np.linspace(lo, hi, 101).reshape(-1, 1)
         more.append(grid)
-    # one pass: each bundle is read once, and a process holds one at a time
+    # one pass: each bundle is checked once, and a process holds one chunk of it at a time
     if more or points:
         pooled = _pooled(topology, prep, matrices, more, [point.reshape(1, -1) for point in points])
         n_members = pooled.n_members

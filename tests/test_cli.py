@@ -273,18 +273,24 @@ def poison_row(path, row, width):
         fh.write(np.array([np.nan], dtype="<f8").tobytes())
 
 
-def test_nonfinite_value_is_refused_on_read(tmp_path, capfd):
+def test_nonfinite_value_is_refused_on_read(tmp_path, capfd, monkeypatch):
     cfg_path = write_config(tmp_path)
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
     assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
     assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
     width = json.load(open(os.path.join(a, "replicate_00", "snapshots.json")))["param_count"]
     n = json.load(open(os.path.join(r, "replicate_00", "ensemble.json")))["n_members"]
+    # bundles of many chunks and many check blocks: walks read 4 members
+    # a chunk at the --at point (one per chunk on the curve), checks 3 a block
+    monkeypatch.setattr(net, "CHUNK_VALUES", 4 * width)
+    monkeypatch.setattr(runner, "CHECK_BLOCK_VALUES", 3 * width)
+    assert net.chunk_size(net.Topology((1, 6, 1), ("tanh", "linear")), 1) == 4
+    assert n > 3 * 4
     members = os.path.join(r, "replicate_01", "ensemble_members.bin")
     last = os.path.join(r, "replicate_00", "ensemble_members.bin")
     final = os.path.join(a, "replicate_01", "snapshot_final.bin")
     cases = [
-        (["evaluate", "--from-run", r, "--at", "0.25"], members, 3),
+        (["evaluate", "--from-run", r, "--at", "0.25"], members, 2 * 4 + 1),
         (["spectrum", "--from-run", r], last, n - 1),
         (["retrofit", "--config", cfg_path, "--from-run", a], final, 0),
     ]
@@ -309,17 +315,25 @@ def test_reader_checks_a_block_at_a_time_and_names_the_first_bad_row(tmp_path, m
     runner._write_rows(path, rows)
     assert np.array_equal(runner._read_rows(path, 8, 5), rows)
     assert np.array_equal(runner._read_rows(path, 8, 5, only=7), rows[7:])
-    for bad in ([4], [7], [4, 6], [6, 2]):
+    # block boundaries (rows 2|3 and 5|6) and the last row, 7
+    for bad in ([4], [7], [4, 6], [6, 2], [2], [3], [5], [6], [5, 3], [7, 6]):
         damaged = rows.copy()
         for row, value in zip(bad, (np.inf, -np.inf, np.nan)):
             damaged[row, row % 5] = value
         runner._write_rows(path, damaged)
         with pytest.raises(ValueError, match=f"row {min(bad)} holds a non-finite value"):
             runner._read_rows(path, 8, 5)
+        # the check of a walk over a bundle, which keeps no row
+        with pytest.raises(ValueError, match=f"{re.escape(path)}: row {min(bad)} holds"):
+            runner._RowFile(path, 8, 5).check()
         # one row alone is checked alone
         with pytest.raises(ValueError, match=f"row {bad[0]} holds"):
             runner._read_rows(path, 8, 5, only=bad[0])
         assert np.array_equal(runner._read_rows(path, 8, 5, only=0), rows[:1])
+    # a file of another size is refused before any row is read
+    for rows_wanted in (7, 9):
+        with pytest.raises(ValueError, match=f"holds 320 bytes, but {rows_wanted} parameter"):
+            runner._RowFile(path, rows_wanted, 5)
 
 
 def test_json_writer_names_the_nested_key_and_writes_nothing(tmp_path):
@@ -967,6 +981,113 @@ def test_failed_run_is_not_a_run_directory(tmp_path, capsys, command, section, f
         after = ["evaluate", "--from-run", str(out)]
     assert main(after + ["--out", str(tmp_path / "after")]) == 1
     assert error_line(capsys)["message"].startswith("not a run directory")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_run_failing_mid_trajectory_leaves_only_the_rows_it_captured(
+    tmp_path, monkeypatch, capsys, use_cores, forks, cores
+):
+    # one replicate, no Adam baseline: one job, inline, which at two cores
+    # forks the loss helper after the member file is opened (4-step blocks)
+    use_cores(cores)
+    fail_at = 150
+    raw = tiny_config_dict(replicates=1, sampling={"burn_in": 0})
+    del raw["adam"]
+    raw["simmer"]["schedule"] = {"t_initial": 0.05, "t_target": 0.05}
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps(raw))
+    monkeypatch.setattr(net, "CHUNK_VALUES", 13 * 6 * 4)
+    clean = tmp_path / "clean"
+    assert main(["simmer", "--config", str(p), "--out", str(clean)]) == 0
+    real_loss_fns = runner._loss_fns
+
+    def loss_fns(cfg, topology, prep):
+        grad_fn, *rest = real_loss_fns(cfg, topology, prep)
+        calls = iter(range(cfg.simmer.iterations))
+
+        def failing(x):  # a NaN in the positions of step fail_at's gradient
+            return grad_fn(x if next(calls) < fail_at else x * np.nan)
+
+        return failing, *rest
+
+    monkeypatch.setattr(runner, "_loss_fns", loss_fns)
+    del forks[:]
+    out = tmp_path / "o"
+    assert main(["simmer", "--config", str(p), "--out", str(out)]) == 1
+    assert error_line(capsys) == {
+        "error": "NonFiniteError",
+        "message": f"replicate 0: non-finite gradient in step {fail_at}: "
+        "non-finite network outputs",
+    }
+    assert len(forks) == cores - 1  # the helper, at two cores
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    rep = out / "replicate_00"
+    assert not (out / "resolved_config.json").exists() and not (rep / "ensemble.json").exists()
+    # the rows captured before the failure, each written once, and closed
+    width = json.loads((clean / "replicate_00" / "ensemble.json").read_text())["param_count"]
+    captured = read_bytes(rep / "ensemble_members.bin")
+    assert len(captured) == fail_at * width * 8
+    assert captured == read_bytes(clean / "replicate_00" / "ensemble_members.bin")[: len(captured)]
+
+
+# peak RSS of a stage above that of a bare `import simmering.cli`.  A stage
+# holding a whole bundle peaked 40 MiB above it on these 29 MiB of members;
+# streaming them, simmer and evaluate peak 9.2-9.7 MiB above it (2 vCPUs,
+# numpy 2.4), most of which is prepare_data
+STAGE_MARGIN_MIB = 16.0
+
+
+# a child's peak RSS starts at its parent's (a fork inherits it, and exec
+# keeps it), so each stage starts from a small launcher, not from pytest
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def peak_rss_mib(argv):
+    """(exit code, peak RSS in MiB) of a fresh interpreter running ``argv``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    launched = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    code, kib = launched.stdout.split()
+    return int(code), int(kib) / 1024.0
+
+
+def test_stage_memory_does_not_grow_with_the_ensemble(tmp_path):
+    raw = {
+        "name": "streamed",
+        "seed": 5,
+        "replicates": 1,
+        "data": {"kind": "noisy_sine", "n_points": 21, "noise_amp": 0.1, "n_train": 13},
+        "model": {"hidden": [20, 20], "activations": ["tanh", "tanh", "linear"], "loss": "sse"},
+        "simmer": {
+            "dt": 0.002,
+            "iterations": 8000,
+            "schedule": {"t_initial": 0.05, "t_target": 0.05},
+        },
+        "sampling": {"burn_in": 0},
+    }
+    p = tmp_path / "streamed.json"
+    p.write_text(json.dumps(raw))
+    run, ev = str(tmp_path / "run"), str(tmp_path / "ev")
+    code, base = peak_rss_mib(["-c", "from simmering import cli"])
+    assert code == 0
+    for argv in (
+        ["simmer", "--config", str(p), "--out", run],
+        ["evaluate", "--from-run", run, "--out", ev, "--at", "0.25"],
+    ):
+        code, peak = peak_rss_mib(["-m", "simmering.cli", *argv])
+        assert code == 0, argv[0]
+        assert peak - base < STAGE_MARGIN_MIB, (argv[0], peak, base)
+    members = os.path.getsize(os.path.join(run, "replicate_00", "ensemble_members.bin"))
+    assert members == 8000 * 481 * 8  # the bundle dwarfs the margin
 
 
 def test_simmer_members_equal_collect_over_full_capture(tmp_path):

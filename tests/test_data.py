@@ -1,5 +1,10 @@
 """Dataset generation, CSV ingestion, split, and scaler tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +263,43 @@ def test_split_bounds_checked():
 def test_split_type_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
         data.Split(np.array([0, 1]), np.array([1, 2]))
+
+
+def test_overlap_error_names_the_first_five_shared_indices_sorted():
+    train = np.array([9, 3, 7, 0, 5, 8, 1, 3])
+    test = np.array([8, 2, 9, 7, 7, 5, 3, 1, 0])
+    with pytest.raises(ValueError) as err:
+        data.Split(train, test)
+    assert str(err.value) == "train and test indices overlap: [0 1 3 5 7]"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_preparing_any_dataset_leaves_out_numpy_ma():
+    # np.intersect1d (and np.unique) import numpy.ma, which costs a stage
+    # about 13 ms and 1 MiB at start-up; the split needs neither
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    print('numpy loads numpy.ma'); raise SystemExit\n"
+        "from simmering import config, runner\n"
+        "for path in sys.argv[1:]:\n"
+        "    runner.prepare_data(config.load_config(path))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    configs = sorted(str(p) for p in (ROOT / "configs").glob("*.json"))
+    kinds = " ".join(Path(p).read_text() for p in configs)
+    for dataset in ("noisy_sine", "builtin:iris", "builtin:auto_mpg_s", "builtin:auto_mpg_m"):
+        assert dataset in kinds
+    result = subprocess.run(
+        [sys.executable, "-c", code, *configs],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    if result.stdout.strip() == "numpy loads numpy.ma":
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    assert result.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ scaling
