@@ -1,34 +1,40 @@
 """Independent jobs on every usable core, results in job order, and one helper.
 
-This module starts every process the package starts.  :func:`map_in_order`
-runs ``fn`` over a sequence on forked workers, one per usable core and at
-most one per item, and returns the results in item order.  With one item
-or one usable core, and inside a worker, it calls ``fn`` inline instead,
-so a single-core machine runs the same code as a plain loop.
+This module starts every process the package starts, all of one kind: a
+:class:`Helper`, forked in ``Helper.__init__`` (the package's one
+``fork``), which answers its caller's requests in order while the caller
+goes on.  Requests and answers are messages after an 8-byte length, one
+pipe each way, so an answer has no size limit.  A helper ignores
+interrupts, dies with its parent, starts no process of its own, reports
+an error as the answer to the request that raised it, and never outlives
+:meth:`Helper.close`.  It ends by ``os._exit``: a normal exit would flush
+a second time what the buffers of its inherited files (a run's member
+file) held at the fork.  Alone, a helper takes the core that
+:func:`helper_free` sees free, never inside a worker; its requests and
+answers are a few bytes, and bulk data goes through an anonymous shared
+``mmap`` made before the fork.
 
-Workers inherit ``fn`` and ``items`` through ``fork``; neither is pickled,
-so a large in-memory ensemble costs nothing to hand over (``spawn`` would
-pickle it or read it again).  The callers are single-threaded CLI stages,
-which ``fork`` needs.  Worker ``k`` of
-``n`` takes items ``k, k + n, k + 2n, ...`` and looks each one up itself,
-so a sequence that loads its items on demand loads each one in the worker
-that uses it.  Only results come back, pickled, one pipe per worker.
+:func:`map_in_order` runs ``fn`` over a sequence on helpers, its
+workers, one per usable core and at most one per item, and returns the
+results in item order.  With one item or one usable core, and inside a
+worker, it calls ``fn`` inline instead, so a single-core machine runs
+the same code as a plain loop.  Workers inherit ``fn`` and ``items``
+through ``fork``; neither is pickled, so a large in-memory ensemble
+costs nothing to hand over (``spawn`` would pickle it or read it again).
+The callers are single-threaded CLI stages, which ``fork`` needs.
+Worker ``k`` of ``n`` is sent the indices ``k, k + n, k + 2n, ...`` and
+looks each item up itself, so a sequence that loads its items on demand
+loads each one in the worker that uses it.  Only results come back,
+pickled.  A worker holds at most two indices, the one it runs and its
+next: one so it never idles while the parent reads another's answer, and
+no more, since a worker blocked on an unread answer reads no requests,
+and a parent that sent every index up front would block on its full
+request pipe.
 
 Errors surface as a serial loop raises them: the parent reads results in
 item order, so the exception it re-raises is the first failing item's,
 after every item before it has succeeded.  No worker outlives the call,
-whether it returns, raises or is interrupted, and a worker whose parent
-dies is killed with it.
-
-A :class:`Helper` is one forked process that answers a caller's requests
-in order while the caller goes on: work that would otherwise run inline
-on one core while a second idles.  The caller takes one only where
-:func:`helper_free` sees a core for it, which is never inside a worker.
-It starts as a worker does (interrupts ignored, killed with its parent,
-no worker or helper of its own), reports an error as a worker does, and
-never outlives :meth:`Helper.close`.  Requests and answers are a few
-bytes each; bulk data goes through memory both processes see, an
-anonymous shared ``mmap`` made before the fork.
+whether it returns, raises or is interrupted.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import os
 import pickle
 
-_in_worker = False  # set in each worker: a map inside one runs inline
+_in_worker = False  # set in each helper: a map inside one runs inline
 _PR_SET_PDEATHSIG = 1
 
 
@@ -63,42 +69,28 @@ def map_in_order(fn, items) -> list:
         # looked up by index, as a worker does: no loop variable keeps the
         # last item (say, a bundle read on demand) alive while the next loads
         return [fn(items[index]) for index in range(n_items)]
-    import multiprocessing  # imported here, so the inline path costs nothing
 
-    context = multiprocessing.get_context("fork")
+    def serve(request):
+        return fn(items[int.from_bytes(request, "little")])
+
+    def ask(index):
+        if index < n_items:
+            workers[index % n_workers].send(index.to_bytes(8, "little"))
+
     workers = []
-    finished = False
     try:
-        for k in range(n_workers):
-            reader, writer = context.Pipe(duplex=False)
-            # a forked Process gets its arguments by inheritance, unpickled
-            worker = context.Process(
-                target=_work, args=(fn, items, k, n_workers, os.getpid(), writer), daemon=True
-            )
-            worker.start()
-            writer.close()  # the worker holds the only write end
-            workers.append((worker, reader))
+        for _ in range(n_workers):
+            workers.append(Helper(serve))
+        for index in range(2 * n_workers):
+            ask(index)
         results = []
         for index in range(n_items):
-            worker, reader = workers[index % n_workers]
-            try:
-                ok, value, where = reader.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"worker for item {index} exited with code {worker.exitcode}"
-                ) from None
-            if not ok:
-                raise value from WorkerTraceback(where)
-            results.append(value)
-        finished = True
+            results.append(workers[index % n_workers]._receive(f"worker for item {index}"))
+            ask(index + 2 * n_workers)
         return results
     finally:
-        for worker, reader in workers:
-            if not finished:
-                worker.terminate()
-            worker.join()
-            reader.close()
+        for worker in workers:
+            worker.close()
 
 
 def helper_free() -> bool:
@@ -148,10 +140,14 @@ class Helper:
             pass
 
     def receive(self):
+        return self._receive("helper")
+
+    def _receive(self, name: str):
+        """The next answer; an error names the helper ``name`` if it has died."""
         try:
             answer = _receive(self._answers)
         except EOFError:
-            raise RuntimeError(f"helper exited with code {self._reap()}") from None
+            raise RuntimeError(f"{name} exited with code {self._reap()}") from None
         if not answer:
             return None
         ok, value, where = pickle.loads(answer)
@@ -188,34 +184,25 @@ def _help(serve, requests: int, answers: int):
 
 def _send(fd: int, message: bytes):
     """Write ``message`` to the pipe ``fd``, after its length."""
-    data = memoryview(len(message).to_bytes(4, "little") + message)
+    data = memoryview(len(message).to_bytes(8, "little") + message)
     while data:
         data = data[os.write(fd, data) :]
 
 
-def _receive(fd: int) -> bytes:
+def _receive(fd: int) -> bytearray:
     """The next message :func:`_send` wrote to the pipe ``fd``."""
-    return _read(fd, int.from_bytes(_read(fd, 4), "little"))
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
 
 
-def _read(fd: int, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
+def _read(fd: int, n: int) -> bytearray:
+    data = bytearray(n)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
             raise EOFError
-        data += chunk
+        view = view[got:]
     return data
-
-
-def _work(fn, items, first: int, step: int, parent: int, writer):
-    _enter_worker(parent)
-    for index in range(first, len(items), step):
-        try:
-            writer.send((True, fn(items[index]), None))
-        except Exception as exc:
-            writer.send(_failure(exc))
-            return
 
 
 def _enter_worker(parent: int):

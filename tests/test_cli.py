@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -78,6 +77,11 @@ def classification_config_dict():
     )
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -115,7 +119,7 @@ def test_resolved_config_records_seed_version_command(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "run")
     main(["train-adam", "--config", cfg_path, "--out", out])
-    payload = json.load(open(os.path.join(out, "resolved_config.json")))
+    payload = read_json(os.path.join(out, "resolved_config.json"))
     assert payload["command"] == "train-adam"
     assert payload["config"]["seed"] == 3
     assert "package_version" in payload
@@ -130,7 +134,7 @@ def test_metrics_json_fixed_fields(tmp_path):
     retro_out = str(tmp_path / "r")
     main(["train-adam", "--config", cfg_path, "--out", adam_out])
     assert main(["retrofit", "--config", cfg_path, "--from-run", adam_out, "--out", retro_out]) == 0
-    m = json.load(open(os.path.join(retro_out, "metrics.json")))
+    m = read_json(os.path.join(retro_out, "metrics.json"))
     assert set(m) == {
         "metric_kind",
         "adam_train_metric",
@@ -142,7 +146,7 @@ def test_metrics_json_fixed_fields(tmp_path):
     assert isinstance(m["adam_test_metric"], float)
     assert isinstance(m["ensemble_test_metric"], float)
     assert isinstance(m["improved"], bool)
-    adam_m = json.load(open(os.path.join(adam_out, "metrics.json")))
+    adam_m = read_json(os.path.join(adam_out, "metrics.json"))
     assert adam_m["ensemble_test_metric"] is None
     assert adam_m["improved"] is None
 
@@ -169,7 +173,7 @@ def test_adam_metrics_equal_a_plain_forward_of_the_endpoint(tmp_path, task):
             else:
                 labels = net.class_labels_from_outputs(outputs)
                 want.append(accuracy(labels, np.argmax(targets, axis=1)))
-        m = json.load(open(os.path.join(rep_dir, "metrics.json")))
+        m = read_json(os.path.join(rep_dir, "metrics.json"))
         assert [m["adam_train_metric"], m["adam_test_metric"]] == want
 
 
@@ -278,8 +282,8 @@ def test_nonfinite_value_is_refused_on_read(tmp_path, capfd, monkeypatch):
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
     assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
     assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
-    width = json.load(open(os.path.join(a, "replicate_00", "snapshots.json")))["param_count"]
-    n = json.load(open(os.path.join(r, "replicate_00", "ensemble.json")))["n_members"]
+    width = read_json(os.path.join(a, "replicate_00", "snapshots.json"))["param_count"]
+    n = read_json(os.path.join(r, "replicate_00", "ensemble.json"))["n_members"]
     # bundles of many chunks and many check blocks: walks read 4 members
     # a chunk at the --at point (one per chunk on the curve), checks 3 a block
     monkeypatch.setattr(net, "CHUNK_VALUES", 4 * width)
@@ -375,7 +379,7 @@ def test_seed_override_changes_results(tmp_path):
     assert read_bytes(os.path.join(a1, "replicate_00/snapshot_final.bin")) != read_bytes(
         os.path.join(a2, "replicate_00/snapshot_final.bin")
     )
-    payload = json.load(open(os.path.join(a2, "resolved_config.json")))
+    payload = read_json(os.path.join(a2, "resolved_config.json"))
     assert payload["config"]["seed"] == 4
 
 
@@ -401,7 +405,7 @@ def test_simmer_classification_and_evaluate_grid(tmp_path):
     cfg_path.write_text(json.dumps(classification_config_dict()))
     out = str(tmp_path / "ab")
     assert main(["simmer", "--config", str(cfg_path), "--out", out]) == 0
-    m = json.load(open(os.path.join(out, "metrics.json")))
+    m = read_json(os.path.join(out, "metrics.json"))
     assert m["metric_kind"] == "accuracy"
     assert m["adam_test_metric"] is not None  # baseline trained from the adam section
     assert os.path.exists(os.path.join(out, "baseline_adam", "losses.csv"))
@@ -421,13 +425,13 @@ def test_simmer_classification_and_evaluate_grid(tmp_path):
         cells = [float(c) for c in line.split(",")[2:]]
         sums.add(sum(cells))
     assert sums == {1.0}
-    summary = json.load(open(os.path.join(eval_out, "evaluation.json")))
+    summary = read_json(os.path.join(eval_out, "evaluation.json"))
     assert summary["n_replicates"] == 2
     assert summary["n_members"] == 2 * 50
     assert m["ensemble_test_metric"] == summary["ensemble_test_metric"]
 
     # one row per member, replicate by replicate, each in storage order
-    cfg = from_dict(json.load(open(os.path.join(out, "resolved_config.json")))["config"])
+    cfg = from_dict(read_json(os.path.join(out, "resolved_config.json"))["config"])
     prep = runner.prepare_data(cfg)
     topology = runner.build_topology(cfg, prep.dataset)
     expected = []
@@ -476,7 +480,7 @@ def test_evaluate_regression_curve_and_distribution(tmp_path):
     with open(os.path.join(ev, "prediction_distribution.csv")) as fh:
         dist = fh.read().splitlines()
     assert dist[0] == "point_index,x,member_index,prediction"
-    summary = json.load(open(os.path.join(ev, "evaluation.json")))
+    summary = read_json(os.path.join(ev, "evaluation.json"))
     n_members = summary["n_members"]
     assert len(dist) == 1 + 2 * n_members  # one row per member per requested point
     # evaluate twice -> identical artifacts
@@ -492,16 +496,16 @@ def test_member_bytes_follow_the_documented_layout(tmp_path):
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
     main(["train-adam", "--config", cfg_path, "--out", a])
     assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
-    snapshots = json.load(open(os.path.join(a, "replicate_00", "snapshots.json")))
+    snapshots = read_json(os.path.join(a, "replicate_00", "snapshots.json"))
     assert "weight matrix (n_outputs x n_inputs) flattened row-major" in snapshots["layout"]
     rep = os.path.join(r, "replicate_00")
-    sidecar = json.load(open(os.path.join(rep, "ensemble.json")))
+    sidecar = read_json(os.path.join(rep, "ensemble.json"))
     flat = np.frombuffer(read_bytes(os.path.join(rep, "ensemble_members.bin")), dtype="<f8")
     members = flat.reshape(sidecar["n_members"], sidecar["param_count"])
     sizes, acts = sidecar["layer_sizes"], sidecar["activations"]
     assert acts == ["tanh", "linear"]
 
-    cfg = from_dict(json.load(open(os.path.join(r, "resolved_config.json")))["config"])
+    cfg = from_dict(read_json(os.path.join(r, "resolved_config.json"))["config"])
     prep = runner.prepare_data(cfg)
     topology = runner.build_topology(cfg, prep.dataset)
     for member in members:
@@ -552,7 +556,7 @@ def float_bits(value):
 def test_evaluation_metric_matches_a_fresh_pooled_walk(tmp_path, task, replicates):
     run, ev = sampled_run(tmp_path, task, replicates), str(tmp_path / "ev")
     assert main(["evaluate", "--from-run", run, "--out", ev]) == 0
-    evaluation = json.load(open(os.path.join(ev, "evaluation.json")))
+    evaluation = read_json(os.path.join(ev, "evaluation.json"))
     prep, topology, matrices = run_pool(run)
     pooled = runner._pooled(topology, prep, matrices, [prep.raw_test_inputs])
     fresh = runner._pooled_metric(prep, pooled)
@@ -594,9 +598,9 @@ def test_stage_metrics_equal_one_pass_per_replicate_and_one_pooled(
         pooled = runner._pooled(topology, prep, matrices, [prep.raw_test_inputs])
         for r, metric in enumerate(alone):
             path = os.path.join(run, f"replicate_{r:02d}", "metrics.json")
-            recorded = json.load(open(path))["ensemble_test_metric"]
+            recorded = read_json(path)["ensemble_test_metric"]
             assert float_bits(recorded) == float_bits(metric), (cores, r)
-        recorded = json.load(open(os.path.join(run, "metrics.json")))["ensemble_test_metric"]
+        recorded = read_json(os.path.join(run, "metrics.json"))["ensemble_test_metric"]
         assert float_bits(recorded) == float_bits(runner._pooled_metric(prep, pooled))
 
 
@@ -631,18 +635,18 @@ def test_a_chain_walks_each_member_over_the_test_rows_once(
     monkeypatch.setattr(net, "forward", forward)
     assert main(sample) == 0
     assert main(["evaluate", "--from-run", run, "--out", str(tmp_path / "ev")] + extra) == 0
-    n_members = json.load(open(tmp_path / "ev" / "evaluation.json"))["n_members"]
+    n_members = read_json(tmp_path / "ev" / "evaluation.json")["n_members"]
     assert sum(walked) == n_members + endpoints
 
 
 def test_top_level_metrics_follow_one_rule(tmp_path):
     def metrics(run_dir, *parts):
-        return json.load(open(os.path.join(run_dir, *parts, "metrics.json")))
+        return read_json(os.path.join(run_dir, *parts, "metrics.json"))
 
     def evaluated(run_dir):
         out = str(tmp_path / (os.path.basename(run_dir) + "_eval"))
         assert main(["evaluate", "--from-run", run_dir, "--out", out]) == 0
-        return json.load(open(os.path.join(out, "evaluation.json")))["ensemble_test_metric"]
+        return read_json(os.path.join(out, "evaluation.json"))["ensemble_test_metric"]
 
     cfg_path = write_config(tmp_path, replicates=3)
     a, r = str(tmp_path / "a"), str(tmp_path / "r")
@@ -675,7 +679,7 @@ def test_spectrum_outputs(tmp_path):
     sp = str(tmp_path / "sp")
     main(["train-adam", "--config", cfg_path, "--out", a])
     assert main(["spectrum", "--from-run", a, "--out", sp]) == 0
-    payload = json.load(open(os.path.join(sp, "spectrum.json")))
+    payload = read_json(os.path.join(sp, "spectrum.json"))
     assert payload["source"] == "adam_final"
     assert payload["param_count"] == 19  # 1->6->1 tanh net
     eigs = payload["eigenvalues"]
@@ -693,7 +697,7 @@ def test_spectrum_from_simmer_run_uses_last_member(tmp_path):
     main(["train-adam", "--config", cfg_path, "--out", a])
     main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r])
     assert main(["spectrum", "--from-run", r, "--out", sp]) == 0
-    payload = json.load(open(os.path.join(sp, "spectrum.json")))
+    payload = read_json(os.path.join(sp, "spectrum.json"))
     assert payload["source"] == "ensemble_last_member"
     prep, topology, matrices = run_pool(r)
     cfg, _ = runner.load_run_config(r)
@@ -876,7 +880,7 @@ def test_evaluate_refuses_a_damaged_run_metrics_file(tmp_path, capfd, damage):
         with open(path, "w") as fh:
             fh.write(damage)
     else:
-        report = json.load(open(path))
+        report = read_json(path)
         for key, value in damage.items():
             if value is ...:
                 del report[key]
@@ -1121,7 +1125,7 @@ def test_simmer_members_equal_collect_over_full_capture(tmp_path):
         rep = out / f"replicate_{r:02d}"
         members = traj.snapshots[steps]
         assert read_bytes(rep / "ensemble_members.bin") == members.astype("<f8").tobytes()
-        sidecar = json.load(open(rep / "ensemble.json"))
+        sidecar = read_json(rep / "ensemble.json")
         assert sidecar["iterations"] == (steps + 1).tolist()
         assert sidecar["temperatures"] == traj.temperature[steps].tolist()
 
@@ -1191,7 +1195,7 @@ def test_canonical_chain_times_each_stage_outside_the_run_directories(tmp_path, 
     assert main(["evaluate", "--from-run", r, "--out", str(direct / "eval")]) == 0
     assert tree_bytes(runs / "sine_retrofit") == tree_bytes(direct)  # no file added or changed
 
-    bench = json.load(open(tmp_path / "BENCH_canonical.json"))
+    bench = read_json(tmp_path / "BENCH_canonical.json")
     assert set(bench["environment"]) == {"numpy", "blas", "threads", "usable_cores"}
     assert bench["environment"]["numpy"] == np.__version__
     assert set(bench["environment"]["threads"]) == {
@@ -1203,7 +1207,7 @@ def test_canonical_chain_times_each_stage_outside_the_run_directories(tmp_path, 
     ]
     for entry, name in zip(stages, ("metrics.json", "metrics.json", "evaluation.json")):
         assert entry["exit_code"] == 0 and entry["wall_s"] > 0 and entry["peak_rss_mb"] > 0
-        assert entry["metrics"] == json.load(open(runs / "sine_retrofit" / entry["stage"] / name))
+        assert entry["metrics"] == read_json(runs / "sine_retrofit" / entry["stage"] / name)
 
 
 @pytest.mark.parametrize("change", ["truncated", "overlong"])
@@ -1350,7 +1354,6 @@ def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, fo
         ):
             assert main(argv) == 0
         assert os.path.isdir(os.path.join(s, runner.BASELINE_DIR)) == (replicates > 1)
-        assert multiprocessing.active_children() == []
         assert len(forks) == (CHAIN_FORKS[replicates] if cores > 1 else 0)
         for pid in forks:
             with pytest.raises(ChildProcessError):
@@ -1362,7 +1365,7 @@ def test_run_directories_do_not_depend_on_the_core_count(tmp_path, use_cores, fo
 
 
 def test_first_failing_replicate_is_reported_for_any_core_count(
-    tmp_path, monkeypatch, capsys, use_cores
+    tmp_path, monkeypatch, capsys, use_cores, forks
 ):
     raw = classification_config_dict()
     raw["replicates"] = 3
@@ -1387,7 +1390,9 @@ def test_first_failing_replicate_is_reported_for_any_core_count(
         assert payload["error"] == "NonFiniteError"
         messages[cores] = payload["message"]
         assert not (out / "resolved_config.json").exists()
-        assert multiprocessing.active_children() == []
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
     assert messages[1] == messages[2]
     assert re.match(r"replicate 1: non-finite gradient in step 0", messages[1])
 

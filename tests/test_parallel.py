@@ -1,7 +1,6 @@
 """map_in_order: results in item order, errors as a serial loop raises them,
 and no worker left behind; the helper: answers in order, and reaped."""
 
-import multiprocessing
 import os
 import pickle
 import signal
@@ -17,6 +16,12 @@ from simmering import parallel
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def square_and_pid(x):
     return x * x, os.getpid()
 
@@ -28,7 +33,7 @@ def test_results_come_back_in_item_order_from_workers(use_cores, forks, cores):
     assert [value for value, _ in results] == [x * x for x in range(7)]
     assert len(forks) == min(cores, 7)
     assert {pid for _, pid in results} == set(forks)
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
 def test_one_job_or_one_core_runs_inline(use_cores, forks):
@@ -84,7 +89,7 @@ def fail_on(bad):
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
-def test_first_failing_item_is_raised(use_cores, cores):
+def test_first_failing_item_is_raised(use_cores, forks, cores):
     use_cores(cores)
     # item 3 sits in a worker that may finish before item 1's
     with pytest.raises(ArithmeticError, match=r"^item 1 failed$") as info:
@@ -92,7 +97,7 @@ def test_first_failing_item_is_raised(use_cores, cores):
     if cores > 1:
         assert isinstance(info.value.__cause__, parallel.WorkerTraceback)
         assert "item 1 failed" in str(info.value.__cause__)
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
 class Unpicklable(Exception):
@@ -100,7 +105,7 @@ class Unpicklable(Exception):
         super().__init__(f"{a}/{b}")
 
 
-def test_an_error_the_parent_cannot_unpickle_keeps_its_text(use_cores):
+def test_an_error_the_parent_cannot_unpickle_keeps_its_text(use_cores, forks):
     with pytest.raises(TypeError):
         pickle.loads(pickle.dumps(Unpicklable(1, 2)))
 
@@ -112,10 +117,10 @@ def test_an_error_the_parent_cannot_unpickle_keeps_its_text(use_cores):
     use_cores(2)
     with pytest.raises(RuntimeError, match=r"^Unpicklable: 2/two$"):
         parallel.map_in_order(fn, range(4))
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
-def test_a_worker_that_dies_is_an_error(use_cores):
+def test_a_worker_that_dies_is_an_error(use_cores, forks):
     def fn(x):
         if x == 1:
             os._exit(3)
@@ -124,10 +129,10 @@ def test_a_worker_that_dies_is_an_error(use_cores):
     use_cores(2)
     with pytest.raises(RuntimeError, match="worker for item 1 exited with code 3"):
         parallel.map_in_order(fn, range(4))
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
-def test_a_failure_stops_workers_still_running(use_cores):
+def test_a_failure_stops_workers_still_running(use_cores, forks):
     def fn(x):
         if x == 0:
             raise ArithmeticError("first")
@@ -138,7 +143,7 @@ def test_a_failure_stops_workers_still_running(use_cores):
     with pytest.raises(ArithmeticError, match="first"):
         parallel.map_in_order(fn, range(2))
     assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
 def test_a_helper_is_free_only_on_two_cores_outside_a_worker(use_cores):
@@ -171,6 +176,60 @@ def test_a_helper_answers_in_order_and_raises_what_serve_raised(forks):
         helper.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
+
+
+def end_as_a_program_does(_):
+    raise SystemExit  # a normal exit would flush the buffers the child inherited
+
+
+@pytest.mark.parametrize("start", ["map_in_order", "Helper"])
+def test_a_child_leaves_its_parents_buffered_bytes_alone(tmp_path, use_cores, start):
+    use_cores(2)
+    path = tmp_path / "buffered"
+    with open(path, "wb") as fh:
+        fh.write(b"written once")  # still in the buffer at the fork
+        if start == "map_in_order":
+            with pytest.raises(RuntimeError, match="^worker for item 0 exited"):
+                parallel.map_in_order(end_as_a_program_does, range(2))
+        else:
+            helper = parallel.Helper(end_as_a_program_does)
+            try:
+                helper.send(b"")
+                with pytest.raises(RuntimeError, match="^helper exited"):
+                    helper.receive()
+            finally:
+                helper.close()
+    assert path.read_bytes() == b"written once"
+
+
+def run_on_two_cores(code):
+    """Run ``code`` in a fresh interpreter that sees two usable cores; a hang fails."""
+    code = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n" + code
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
+
+
+def test_answers_that_fill_a_pipe_do_not_block_the_map():
+    # a worker blocked on writing answers the parent has not read yet reads
+    # no requests: a parent that sent every item at once would block too
+    run_on_two_cores(
+        "from simmering import parallel\n"
+        "items = [bytes([i % 256]) * 1024 for i in range(20_000)]\n"
+        "assert parallel.map_in_order(lambda item: item, items) == items\n"
+    )
+
+
+def test_children_start_without_multiprocessing():
+    run_on_two_cores(
+        "import sys\n"
+        "from simmering import parallel\n"
+        "assert os.getpid() not in parallel.map_in_order(lambda _: os.getpid(), range(2))\n"
+        "helper = parallel.Helper(lambda request: request)\n"
+        "helper.send(b'x')\n"
+        "assert helper.receive() == b'x'\n"
+        "helper.close()\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
 
 
 WAITER = """
