@@ -25,11 +25,12 @@ The callers are single-threaded CLI stages, which ``fork`` needs.
 Worker ``k`` of ``n`` is sent the indices ``k, k + n, k + 2n, ...`` and
 looks each item up itself, so a sequence that loads its items on demand
 loads each one in the worker that uses it.  Only results come back,
-pickled.  A worker holds at most two indices, the one it runs and its
-next: one so it never idles while the parent reads another's answer, and
-no more, since a worker blocked on an unread answer reads no requests,
-and a parent that sent every index up front would block on its full
-request pipe.
+pickled.  A worker holds at most ``_IN_FLIGHT`` indices, sent before it
+asks, so it runs its stride without waiting on a slower sibling (a
+stage's jobs are far fewer).  No more: a worker blocked on an answer the
+parent has not read reads no requests, and its unread requests (16
+bytes each) must fit the smallest pipe (4 KiB) so that the parent's
+``send`` never blocks.
 
 Errors surface as a serial loop raises them: the parent reads results in
 item order, so the exception it re-raises is the first failing item's,
@@ -43,6 +44,7 @@ import os
 import pickle
 
 _in_worker = False  # set in each helper: a map inside one runs inline
+_IN_FLIGHT = 128  # requests a map_in_order worker holds: 2 KiB of pipe
 _PR_SET_PDEATHSIG = 1
 
 
@@ -81,12 +83,13 @@ def map_in_order(fn, items) -> list:
     try:
         for _ in range(n_workers):
             workers.append(Helper(serve))
-        for index in range(2 * n_workers):
+        ahead = _IN_FLIGHT * n_workers
+        for index in range(ahead):
             ask(index)
         results = []
         for index in range(n_items):
             results.append(workers[index % n_workers]._receive(f"worker for item {index}"))
-            ask(index + 2 * n_workers)
+            ask(index + ahead)
         return results
     finally:
         for worker in workers:
@@ -175,11 +178,13 @@ def _help(serve, requests: int, answers: int):
         request = _receive(requests)
         try:
             value = serve(request)
+            # the common answer, None, is an empty message; a value that
+            # cannot be pickled fails here, as the error of its request
+            answer = b"" if value is None else pickle.dumps((True, value, None))
         except Exception as exc:
             _send(answers, pickle.dumps(_failure(exc)))
             return
-        # the common answer, None, is an empty message
-        _send(answers, b"" if value is None else pickle.dumps((True, value, None)))
+        _send(answers, answer)
 
 
 def _send(fd: int, message: bytes):

@@ -120,6 +120,39 @@ def test_an_error_the_parent_cannot_unpickle_keeps_its_text(use_cores, forks):
     assert_reaped(forks)
 
 
+class RefusesPickling:
+    def __reduce__(self):
+        raise pickle.PicklingError("this result refuses to be pickled")
+
+
+def test_a_result_that_cannot_be_pickled_is_its_items_error(use_cores, forks):
+    use_cores(2)
+    with pytest.raises(pickle.PicklingError, match="refuses to be pickled") as info:
+        parallel.map_in_order(lambda x: RefusesPickling() if x == 2 else x, range(4))
+    assert isinstance(info.value.__cause__, parallel.WorkerTraceback)
+    assert "refuses to be pickled" in str(info.value.__cause__)
+    assert_reaped(forks)
+
+
+def test_a_worker_runs_its_items_while_a_sibling_is_slow(tmp_path, use_cores, forks):
+    # item 0 waits for item 5, worker 1's third: the parent, waiting in turn
+    # on item 0's answer, must have sent item 5 already
+    ran = tmp_path / "item 5 ran"
+
+    def fn(x):
+        if x == 5:
+            ran.touch()
+        deadline = time.monotonic() + 10
+        while x == 0 and not ran.exists():
+            assert time.monotonic() < deadline, "item 5 waited on item 0"
+            time.sleep(0.01)
+        return x
+
+    use_cores(2)
+    assert parallel.map_in_order(fn, range(6)) == list(range(6))
+    assert_reaped(forks)
+
+
 def test_a_worker_that_dies_is_an_error(use_cores, forks):
     def fn(x):
         if x == 1:
