@@ -28,13 +28,15 @@ preconditions, then hand a job binder and a job count to
 that need them, ``--out``, the jobs through
 :func:`parallel.map_in_order`, one scoring pass over the bundles the jobs
 wrote, each job's metrics.json, the top-level metrics.json by one rule,
-and ``resolved_config.json`` last.  Parameter files are read through
-:class:`_RowFile`, which checks a file's size and refuses a non-finite
-value, naming the row, under sidecars checked by :func:`_read_sidecar`.
-Snapshots are written by :func:`_write_rows`; ensemble members never sit
-in memory as a whole: the integrator appends each kept state to
-``ensemble_members.bin`` through a :class:`_RowWriter` as it captures it,
-and every walk over a bundle reads its members a chunk of rows at a time.
+and ``resolved_config.json`` last.  Parameter files have one writer,
+:class:`_RowWriter`, and one reader, :class:`_RowFile`, under sidecars
+checked by :func:`_read_sidecar`.  The reader checks a file's size when
+it is made and refuses a non-finite value in the rows it reads, naming
+the row, so a walk checks exactly the rows it reads.  Ensemble members
+never sit in memory as a whole: the integrator appends each kept state
+to ``ensemble_members.bin`` through a :class:`_RowWriter` as it captures
+it, and every walk over a bundle reads its members a chunk of rows at a
+time.
 
 Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
 replicates' member matrices, and an Adam endpoint is the one-member
@@ -53,7 +55,6 @@ import functools
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,6 @@ BASELINE_DIR = "baseline_adam"
 MEMBERS_FILE = "ensemble_members.bin"
 SNAPSHOTS = ("final", "penultimate")  # a retrofit starts from both
 CSV_BLOCK_ROWS = 1 << 10
-CHECK_BLOCK_VALUES = 1 << 16
 
 
 def _write_json(path: str, obj):
@@ -148,11 +148,13 @@ class _RowFile:
     """The ``(rows, param_count)`` little-endian float64 matrix stored in a
     file, read from it when sliced.
 
-    Made only for a file of exactly that size.  Indexed as an array is, an
-    integer gives one row and a slice a matrix of consecutive rows, each a
-    fresh array the bytes are read straight into, so a walk that slices a
-    chunk at a time holds one chunk.  :meth:`check` reads rows to refuse a
-    non-finite value, and keeps none of them.
+    The one reader of parameter files.  Made only for a file of exactly
+    that size; it holds the path and the shape, never rows.  Indexed as an
+    array is, an integer gives one row and a slice a matrix of consecutive
+    rows, each a fresh array the bytes are read straight into, so a walk
+    that slices a chunk at a time holds one chunk.  Every read refuses a
+    NaN or an infinity in the rows it read, naming the first such row, so
+    a walk checks exactly the rows it reads.
     """
 
     def __init__(self, path: str, rows: int, param_count: int):
@@ -185,45 +187,25 @@ class _RowFile:
             got = fh.readinto(memoryview(out).cast("B"))
         if got != out.nbytes:
             raise ValueError(f"{self.path} ended after {got} of {out.nbytes} bytes")
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            bad = first + int(np.argmin(finite))
+            raise ValueError(f"{self.path}: row {bad} holds a non-finite value")
         return out
 
-    def check(self, first: int = 0, count: int | None = None):
-        """Refuse a NaN or an infinity in rows ``first .. first + count``
-        (by default, every row), naming the first row that holds one.
-
-        The rows are read ``CHECK_BLOCK_VALUES`` values at a time, each
-        block checked and dropped before the next is read.
-        """
-        count = len(self) - first if count is None else count
-        step = max(1, CHECK_BLOCK_VALUES // self.shape[1])
-        for lo in range(first, first + count, step):
-            finite = np.isfinite(self[lo : min(lo + step, first + count)])
-            if not finite.all():
-                bad = lo + int(np.argmin(finite.all(axis=1)))
-                raise ValueError(f"{self.path}: row {bad} holds a non-finite value")
-
-
-def _read_rows(path: str, rows: int, param_count: int, only: int | None = None) -> np.ndarray:
-    """The ``(rows, param_count)`` matrix stored in ``path`` (see
-    :class:`_RowFile`), or with ``only``, just its row ``only``, as a
-    one-row matrix; what it returns is checked to be finite."""
-    matrix = _RowFile(path, rows, param_count)
-    first, count = (0, rows) if only is None else (only, 1)
-    matrix.check(first, count)
-    return matrix[first : first + count]
-
-
-def _write_rows(path: str, rows):
-    """Write ``rows`` as little-endian float64 values, row-major."""
-    rows = np.ascontiguousarray(rows, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(memoryview(rows))  # the array's own buffer, not a copy
+    def check(self):
+        """Read, and so check, every row, ``net.CHUNK_VALUES`` values at a
+        time, keeping none: for a bundle no walk reads."""
+        step = max(1, net.CHUNK_VALUES // self.shape[1])
+        for lo in range(0, len(self), step):
+            self[lo : lo + step]
 
 
 class _RowWriter:
     """``rows`` vectors of ``param_count`` float64 values, appended to the
     open binary file ``fh`` one row at a time as each is set, in order:
-    the destination :func:`run_trajectory` writes a run's kept states to.
+    the one writer of parameter files, and the destination
+    :func:`run_trajectory` writes a run's kept states to.
 
     Each row goes through ``fh``'s buffer, whose unwritten bytes a process
     forked meanwhile (the loss helper) inherits; such a process must end
@@ -450,19 +432,25 @@ def _read_sidecar(rep_dir: str, name: str, what: str, topology: net.Topology, ke
 def write_snapshots(rep_dir: str, topology: net.Topology, named: dict):
     files = {name: f"snapshot_{name}.bin" for name in named}
     for name, vector in named.items():
-        _write_rows(os.path.join(rep_dir, files[name]), vector)
+        with open(os.path.join(rep_dir, files[name]), "wb") as fh:
+            _RowWriter(fh, 1, topology.param_count)[0] = vector
     _write_sidecar(os.path.join(rep_dir, "snapshots.json"), topology, files=files)
 
 
 def read_snapshot(rep_dir: str, name: str, topology: net.Topology) -> np.ndarray:
+    """Snapshot ``name`` of the replicate in ``rep_dir``, whose
+    ``snapshots.json`` names it by a bare file name in ``rep_dir``."""
     path, sidecar = _read_sidecar(
         rep_dir, "snapshots.json", "parameter snapshots", topology, {"files": dict}
     )
     if name not in sidecar["files"]:
         raise FileNotFoundError(f"snapshot {name!r} not present in {rep_dir}")
-    if not isinstance(sidecar["files"][name], str):
+    entry = sidecar["files"][name]
+    if not isinstance(entry, str):
         raise ValueError(f"{path}: 'files' entry {name!r} is not a string")
-    return _read_rows(os.path.join(rep_dir, sidecar["files"][name]), 1, topology.param_count)[0]
+    if os.path.basename(entry) != entry or entry in ("", ".", ".."):
+        raise ValueError(f"{path}: 'files' entry {name!r} is not a file name, got {entry!r}")
+    return _RowFile(os.path.join(rep_dir, entry), 1, topology.param_count)[0]
 
 
 def write_bundle(rep_dir: str, bundle: ensemble.EnsembleBundle, topology: net.Topology):
@@ -496,9 +484,14 @@ def _per_member(path: str, sidecar: dict, key: str, dtype) -> np.ndarray:
     raise ValueError(f"{path}: {key!r} holds an entry that is not {dtype.__name__}")
 
 
-def _bundle_sidecar(rep_dir: str, topology: net.Topology):
-    """(members path, n_members, iterations, temperatures) of the bundle in
-    ``rep_dir``, from its checked ``ensemble.json``."""
+def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
+    """The bundle in ``rep_dir``, its members a :class:`_RowFile`.
+
+    Only ``ensemble.json`` is read here, and the members file's size
+    checked: it must hold ``n_members`` vectors of ``topology.param_count``
+    values.  Its rows are read, and so checked, by the walks that slice it,
+    a chunk at a time.
+    """
     path, sidecar = _read_sidecar(
         rep_dir,
         "ensemble.json",
@@ -512,48 +505,9 @@ def _bundle_sidecar(rep_dir: str, topology: net.Topology):
     temperatures = _per_member(path, sidecar, "temperatures", np.float64)
     if not (temperatures >= 0).all():
         raise ValueError(f"{path}: 'temperatures' holds a NaN or negative entry")
-    members = os.path.join(rep_dir, MEMBERS_FILE)
-    return members, sidecar["n_members"], iterations, temperatures
-
-
-def read_bundle(rep_dir: str, topology: net.Topology) -> ensemble.EnsembleBundle:
-    """The bundle in ``rep_dir``, its members a checked :class:`_RowFile`.
-
-    The members file must hold ``n_members`` vectors of
-    ``topology.param_count`` values, every one finite: its size is checked
-    first, then every row a block at a time, and none is kept.  Walks read
-    the members a chunk at a time when they slice them.
-    """
-    path, n, iterations, temperatures = _bundle_sidecar(rep_dir, topology)
-    members = _RowFile(path, n, topology.param_count)
-    members.check()
+    n = sidecar["n_members"]
+    members = _RowFile(os.path.join(rep_dir, MEMBERS_FILE), n, topology.param_count)
     return ensemble.EnsembleBundle(members, iterations, temperatures)
-
-
-class _ReplicateBundles(Sequence):
-    """The member matrices of replicates 0..n-1, each read when looked up.
-
-    A lookup checks the replicate's bundle and gives its
-    :class:`_RowFile`, which a walk reads a chunk at a time; a job of
-    :func:`ensemble.evaluate` looks its matrix up in the worker that runs
-    it, so bundles never travel between processes.
-    """
-
-    def __init__(self, run_dir: str, n: int, topology: net.Topology):
-        self.run_dir, self.n, self.topology = run_dir, n, topology
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, replicate: int) -> _RowFile:
-        if not 0 <= replicate < self.n:
-            raise IndexError(replicate)
-        return read_bundle(_replicate_dir(self.run_dir, replicate), self.topology).members
-
-    def __iter__(self):
-        # unlike Sequence.__iter__, hold no reference to the matrix handed out
-        for replicate in range(self.n):
-            yield self[replicate]
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +530,10 @@ def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: 
     job's name, and each sends back only its endpoint's metrics.
 
     The stage then scores what its jobs sampled in one pass: the bundles
-    just written, read back a chunk of members at a time as ``evaluate``
-    reads them, pooled on the test set, whose parts are each replicate's
-    own metric.
+    just written, their sidecars read in the parent, in replicate order,
+    and their members read back a chunk at a time as ``evaluate`` reads
+    them, pooled on the test set, whose parts are each replicate's own
+    metric.
     Each job's metrics.json follows; the top-level one takes the mean of
     the Adam metrics over the jobs that report an endpoint, and the pooled
     metric.  ``resolved_config.json`` comes last.
@@ -607,7 +562,8 @@ def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: 
     ens, pooled_ens = [None] * n_jobs, None
     sampled = [j for j, (_, did) in enumerate(results) if did]  # the replicates, if any
     if sampled:
-        matrices = _ReplicateBundles(out_dir, cfg.replicates, topology)
+        # each a _RowFile, a path and a shape, which forked workers inherit
+        matrices = [read_bundle(job_dir(j)[1], topology).members for j in sampled]
         pooled = _pooled(topology, prep, matrices, [prep.raw_test_inputs])
         for j, part in zip(sampled, pooled.parts, strict=True):
             ens[j] = _pooled_metric(prep, part)
@@ -822,9 +778,10 @@ def run_evaluate(
     """Turn a finished simmer/retrofit run into plottable CSV artifacts.
 
     The test metric is the one the sampling stage recorded; the walk
-    covers only the grid or curve and the ``--at`` points, and reads every
-    bundle once even when there is nothing to walk.  Never touches the
-    input run directory.  Writes:
+    covers only the grid or curve and the ``--at`` points, and reads each
+    member row once per set it walks, or once through
+    :meth:`_RowFile.check` when there is nothing to walk.  Never touches
+    the input run directory.  Writes:
       evaluation.json           pooled metric summary
       decision_grid.csv         2-feature classification only
       prediction_curve.csv      1-feature regression only
@@ -844,7 +801,9 @@ def run_evaluate(
             )
         if not np.isfinite(point).all():
             raise ValueError(f"distribution point {p_idx} has a non-finite coordinate")
-    matrices = _ReplicateBundles(run_dir, cfg.replicates, topology)
+    # every sidecar is checked, in replicate order, before any member row is read
+    reps = range(cfg.replicates)
+    matrices = [read_bundle(_replicate_dir(run_dir, r), topology).members for r in reps]
     more = []
     if prep.task == "classification" and n_features == 2:
         lo = prep.dataset.features.min(axis=0)
@@ -857,12 +816,14 @@ def run_evaluate(
         hi = float(prep.dataset.features.max())
         grid = np.linspace(lo, hi, 101).reshape(-1, 1)
         more.append(grid)
-    # one pass: each bundle is checked once, and a process holds one chunk of it at a time
+    # one pass, which checks the rows it reads; a process holds one chunk at a time
     if more or points:
         pooled = _pooled(topology, prep, matrices, more, [point.reshape(1, -1) for point in points])
         n_members = pooled.n_members
-    else:  # nothing to walk, but every bundle is still read, and so checked
-        n_members = sum(map(len, matrices))  # map holds no matrix while the next is read
+    else:  # nothing to walk, but every row is still read, and so checked
+        for matrix in matrices:
+            matrix.check()
+        n_members = sum(map(len, matrices))
     test_metric = _recorded_test_metric(run_dir, prep)
     _prepare_out_dir(out_dir)
 
@@ -927,8 +888,7 @@ def run_spectrum(run_dir: str, out_dir: str) -> str:
         params = read_snapshot(rep0, "final", topology)
         source = "adam_final"
     elif os.path.exists(os.path.join(rep0, "ensemble.json")):
-        path, n, _, _ = _bundle_sidecar(rep0, topology)
-        params = _read_rows(path, n, topology.param_count, only=n - 1)[0]
+        params = read_bundle(rep0, topology).members[-1]
         source = "ensemble_last_member"
     else:
         raise FileNotFoundError(f"no parameter snapshot found in {rep0}")

@@ -284,10 +284,9 @@ def test_nonfinite_value_is_refused_on_read(tmp_path, capfd, monkeypatch):
     assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
     width = read_json(os.path.join(a, "replicate_00", "snapshots.json"))["param_count"]
     n = read_json(os.path.join(r, "replicate_00", "ensemble.json"))["n_members"]
-    # bundles of many chunks and many check blocks: walks read 4 members
-    # a chunk at the --at point (one per chunk on the curve), checks 3 a block
+    # bundles of many chunks: walks read 4 members a chunk at the --at
+    # point (one per chunk on the curve)
     monkeypatch.setattr(net, "CHUNK_VALUES", 4 * width)
-    monkeypatch.setattr(runner, "CHECK_BLOCK_VALUES", 3 * width)
     assert net.chunk_size(net.Topology((1, 6, 1), ("tanh", "linear")), 1) == 4
     assert n > 3 * 4
     members = os.path.join(r, "replicate_01", "ensemble_members.bin")
@@ -313,31 +312,165 @@ def test_nonfinite_value_is_refused_on_read(tmp_path, capfd, monkeypatch):
 
 
 def test_reader_checks_a_block_at_a_time_and_names_the_first_bad_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "CHECK_BLOCK_VALUES", 3 * 5)  # three 5-wide rows a block
+    monkeypatch.setattr(net, "CHUNK_VALUES", 3 * 5)  # check() reads three 5-wide rows a block
     path = str(tmp_path / "rows.bin")
     rows = np.arange(8 * 5, dtype=np.float64).reshape(8, 5)
-    runner._write_rows(path, rows)
-    assert np.array_equal(runner._read_rows(path, 8, 5), rows)
-    assert np.array_equal(runner._read_rows(path, 8, 5, only=7), rows[7:])
-    # block boundaries (rows 2|3 and 5|6) and the last row, 7
+    rows.astype("<f8").tofile(path)  # written without the program's writer
+    matrix = runner._RowFile(path, 8, 5)
+    assert np.array_equal(matrix[:], rows)
+    assert np.array_equal(matrix[7], rows[7]) and np.array_equal(matrix[-1], rows[7])
+    matrix.check()
+    # chunk boundaries (rows 2|3 and 5|6) and the last row, 7
     for bad in ([4], [7], [4, 6], [6, 2], [2], [3], [5], [6], [5, 3], [7, 6]):
         damaged = rows.copy()
         for row, value in zip(bad, (np.inf, -np.inf, np.nan)):
             damaged[row, row % 5] = value
-        runner._write_rows(path, damaged)
-        with pytest.raises(ValueError, match=f"row {min(bad)} holds a non-finite value"):
-            runner._read_rows(path, 8, 5)
-        # the check of a walk over a bundle, which keeps no row
-        with pytest.raises(ValueError, match=f"{re.escape(path)}: row {min(bad)} holds"):
-            runner._RowFile(path, 8, 5).check()
-        # one row alone is checked alone
+        damaged.astype("<f8").tofile(path)
+        matrix = runner._RowFile(path, 8, 5)
+        named = f"{re.escape(path)}: row {min(bad)} holds a non-finite value"
+        # a walk's slices, a chunk of three rows at a time
+        with pytest.raises(ValueError, match=named):
+            for lo in range(0, len(matrix), net.CHUNK_VALUES // 5):
+                matrix[lo : lo + net.CHUNK_VALUES // 5]
+        # the check of a bundle with nothing to walk, which keeps no row
+        with pytest.raises(ValueError, match=named):
+            matrix.check()
+        # the rows before the first bad one read clean; one row alone is checked alone
+        assert np.array_equal(matrix[: min(bad)], rows[: min(bad)])
         with pytest.raises(ValueError, match=f"row {bad[0]} holds"):
-            runner._read_rows(path, 8, 5, only=bad[0])
-        assert np.array_equal(runner._read_rows(path, 8, 5, only=0), rows[:1])
+            matrix[bad[0]]
+        assert np.array_equal(matrix[0], rows[0])
     # a file of another size is refused before any row is read
     for rows_wanted in (7, 9):
         with pytest.raises(ValueError, match=f"holds 320 bytes, but {rows_wanted} parameter"):
             runner._RowFile(path, rows_wanted, 5)
+    # and a file cut short after its size was checked, by the read that meets the end
+    matrix = runner._RowFile(path, 8, 5)
+    os.truncate(path, 6 * 5 * 8)
+    assert np.array_equal(matrix[:6], damaged[:6])
+    with pytest.raises(ValueError, match=f"{re.escape(path)} ended after 40 of 80 bytes"):
+        matrix[5:7]
+
+
+def test_each_member_row_is_read_once_per_walked_set(tmp_path, monkeypatch, use_cores):
+    use_cores(1)  # every read in this process, where it is counted
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    width = read_json(os.path.join(a, "replicate_00", "snapshots.json"))["param_count"]
+    reads = {}
+    real_read = runner._RowFile._read
+
+    def read(self, first, count):
+        name = os.path.relpath(self.path, tmp_path)
+        for row in range(first, first + count):
+            reads[name, row] = reads.get((name, row), 0) + 1
+        return real_read(self, first, count)
+
+    monkeypatch.setattr(runner._RowFile, "_read", read)
+
+    def rows(run, name):
+        """(file, row) of every row of file ``name`` in each replicate of ``run``."""
+        files = [os.path.join(run, f"replicate_{k:02d}", name) for k in range(2)]
+        return {(f, row) for f in files for row in range(os.path.getsize(tmp_path / f) // (8 * width))}
+
+    # the scoring pass walks each member once; each snapshot is read once
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    snapshots = rows("a", "snapshot_final.bin") | rows("a", "snapshot_penultimate.bin")
+    members = rows("r", runner.MEMBERS_FILE)
+    assert reads == dict.fromkeys(snapshots | members, 1)
+    # a 1-feature regression walks the curve and the --at point: twice each
+    reads.clear()
+    assert main(["evaluate", "--from-run", r, "--out", str(tmp_path / "e"), "--at", "0.25"]) == 0
+    assert reads == dict.fromkeys(members, 2)
+
+
+def test_evaluate_with_nothing_to_walk_reads_and_checks_every_row(tmp_path, capfd, monkeypatch):
+    raw = tiny_config_dict(
+        data={"kind": "csv", "path": "builtin:auto_mpg_m", "n_train": 300},
+        model={"hidden": [4], "activations": ["tanh", "linear"], "loss": "mse",
+               "init": "glorot_normal"},
+        simmer={"dt": 0.002, "iterations": 60,
+                "schedule": {"t_initial": 0.05, "t_target": 0.05}},
+        sampling={"burn_in": 20, "stride": 1, "fraction": 1.0},
+    )
+    cfg_path = tmp_path / "mpg.json"
+    cfg_path.write_text(json.dumps(raw))
+    run = str(tmp_path / "run")
+    assert main(["simmer", "--config", str(cfg_path), "--out", run]) == 0
+    sidecar = read_json(os.path.join(run, "replicate_01", "ensemble.json"))
+    width = sidecar["param_count"]
+    assert sidecar["n_members"] == 40
+    monkeypatch.setattr(net, "CHUNK_VALUES", 8 * width)  # check() reads 8 rows a block
+    path = os.path.join(run, "replicate_01", runner.MEMBERS_FILE)
+    poison_row(path, 29, width)
+    out = tmp_path / "o"
+    capfd.readouterr()
+    assert main(["evaluate", "--from-run", run, "--out", str(out)]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValueError", "message": f"{path}: row 29 holds a non-finite value"}
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["absolute", "relative"])
+def test_snapshot_file_entries_must_name_a_file_in_the_replicate(tmp_path, capfd, form):
+    cfg_path = write_config(tmp_path)
+    a = str(tmp_path / "a")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    sidecar = os.path.join(a, "replicate_00", "snapshots.json")
+    obj = read_json(sidecar)
+    key = "final" if form == "absolute" else "penultimate"
+    other = os.path.join(a, "replicate_01", f"snapshot_{key}.bin")
+    entry = other if form == "absolute" else os.path.relpath(other, os.path.dirname(sidecar))
+    obj["files"][key] = entry
+    with open(sidecar, "w") as fh:
+        json.dump(obj, fh)
+    out = tmp_path / "r"
+    capfd.readouterr()
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", str(out)]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "error": "ValueError",
+        "message": f"{sidecar}: 'files' entry {key!r} is not a file name, got {entry!r}",
+    }]
+    assert not out.exists()
+
+
+def test_readme_run_directory_tree_names_every_file_a_stage_writes(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Run directories", 1)[1].split("```\n", 2)[1]
+    documented, parent = set(), ""
+    for line in block.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if indent > 10:  # the description of the entry above, continued
+            continue
+        name = line.split()[0]
+        parent = parent if indent else ""
+        if name.endswith("/"):
+            parent = name
+        else:
+            documented.add(parent + name)
+    cfg_path = write_config(tmp_path)
+    simmer = tmp_path / "simmer.json"
+    simmer.write_text(json.dumps(classification_config_dict()))  # it has an adam section
+    a = str(tmp_path / "a")
+    for argv in (
+        ["train-adam", "--config", cfg_path, "--out", a],
+        ["retrofit", "--config", cfg_path, "--from-run", a, "--out", str(tmp_path / "r")],
+        ["simmer", "--config", str(simmer), "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv) == 0
+    written = {
+        re.sub(r"^replicate_\d\d/", "replicate_NN/", name.split(os.sep, 1)[1].replace(os.sep, "/"))
+        for name in tree_bytes(tmp_path)
+        if os.sep in name
+    }
+    assert "baseline_adam/losses.csv" in written
+    assert documented == written
 
 
 def test_json_writer_names_the_nested_key_and_writes_nothing(tmp_path):

@@ -697,3 +697,56 @@ def test_velocity_init_moments_and_determinism():
     assert abs(v1.mean()) < 4 * math.sqrt(0.25 / 20_000)
     assert abs(v1.var() - 0.25) < 0.25 * 5 * math.sqrt(2.0 / 20_000)
     assert np.all(dyn.initial_velocities(10, 0.0, 0) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact properties of the sampler as built, on 5-D quadratics
+#
+# These tests document the paper's method as implemented: one scalar chain
+# friction acts on every particle (dv/dt = -grad L / m - xi v), so it can
+# rescale the velocity but never turn it.  They are not acceptance claims,
+# and they hold to rounding, so short runs suffice.
+
+TOY_T, TOY_DT, TOY_STEPS = 0.1, 0.002, 20_000
+
+
+def toy_positions(curvatures, seed):
+    """(x0, v0, kept positions) of a run on L = 0.5 * sum(curvatures * x**2):
+    every 10th of 20 000 steps, T = Q = 0.1, chain length 2."""
+    lam = np.asarray(curvatures, dtype=float)
+    x0 = np.random.default_rng(seed + 100).standard_normal(lam.size)
+    v0 = dyn.initial_velocities(lam.size, TOY_T, seed)
+    state = make_state(x0, v0, n_chain=2, chain_mass=TOY_T)
+    _, traj = dyn.run_trajectory(
+        state, lambda x: lam * x, TOY_DT, dyn.TemperatureSchedule(TOY_T, TOY_T), TOY_STEPS,
+        lambda xs: 0.5 * (xs * xs) @ lam, snapshot_steps=range(0, TOY_STEPS, 10), block=BLOCK,
+    )
+    return x0, v0, traj.snapshots
+
+
+def test_isotropic_quadratic_motion_stays_in_the_plane_of_x0_and_v0():
+    """Documents the paper's method as built, not an acceptance claim: on
+    L = 0.5 |x|^2 the force is -x and the friction only scales v, so the
+    kept positions never leave span(x0, v0).  Any sampler variant of
+    ROADMAP item 3 (turning or confinement) must break this."""
+    x0, v0, kept = toy_positions([1.0] * 5, seed=0)
+    singular = np.linalg.svd(kept, compute_uv=False)
+    assert np.all(singular[2:] < 1e-12 * singular[0])
+    plane, _ = np.linalg.qr(np.column_stack([x0, v0]))
+    residual = kept - (kept @ plane) @ plane.T
+    assert np.abs(residual).max() < 1e-12 * np.abs(kept).max()
+
+
+def test_flat_modes_travel_in_a_straight_line():
+    """Documents the paper's method as built, not an acceptance claim: with
+    two stiff modes (curvature 1) and three flat ones (curvature 0), no
+    force acts on the flat block and the friction only scales its
+    velocity, so its chords over the first and second thirds of the kept
+    window point the same way (cosine 1).  Any sampler variant of ROADMAP
+    item 3 (turning or confinement) must break this."""
+    _, _, kept = toy_positions([1.0, 1.0, 0.0, 0.0, 0.0], seed=1)
+    flat = kept[:, 2:]
+    third = len(flat) // 3
+    first, second = flat[third] - flat[0], flat[2 * third] - flat[third]
+    cosine = first @ second / (np.linalg.norm(first) * np.linalg.norm(second))
+    assert abs(cosine - 1.0) < 1e-12
