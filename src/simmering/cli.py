@@ -10,6 +10,8 @@ Subcommands:
 Exit code 0 on success.  On failure, one machine-parsable JSON line goes
 to stderr: {"error": "<exception type>", "message": "<detail>"} and the
 exit code is 1 (argparse usage errors keep their conventional code 2).
+An allocation the machine cannot give, such as the grid of a huge
+``--grid-resolution``, is such a failure too.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
             )
         else:
             out = runner.run_spectrum(args.from_run, args.out)
-    except (ConfigError, NonFiniteError, ValueError, OSError) as exc:
+    except (ConfigError, NonFiniteError, ValueError, OSError, MemoryError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

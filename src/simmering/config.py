@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -69,7 +70,14 @@ def _as_int(value, path: str, minimum=None) -> int:
 def _as_float(value, path: str, minimum=None, exclusive=False, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    # JSON text may say NaN, Infinity or 1e999, which json reads, and NaN
+    # passes every range comparison
+    if not math.isfinite(value):
+        _fail(path, f"must be a finite number, got {value}")
     if minimum is not None:
         if exclusive and not value > minimum:
             _fail(path, f"must be > {minimum}, got {value}")

@@ -9,29 +9,26 @@ A bundle stores raw parameter snapshots, never predictions, and nothing
 else: a run has one topology and one scaler, which every prediction takes
 once.  Every prediction takes a sequence of ``(M, N)`` member matrices
 (one per replicate, in replicate order; a single parameter vector is the
-one-member matrix ``params[None]``) and reduces over one walk of their
-members in storage order.  The walk evaluates consecutive members a chunk
-at a time, one stacked :func:`net.forward` per chunk, whose size
-:func:`net.chunk_size` fixes from the input row count and the topology
-alone.  A stacked forward gives each member the bits its own forward
-would, and regression sums still add one member at a time into a single
-running total, so results are bit-stable and depend neither on the
-chunking nor on whether the members sit in one matrix or several.
+one-member matrix ``params[None]``) and is the :func:`pool` of one walk
+per matrix, each in its own :func:`parallel.map_in_order` job.  A walk
+evaluates a matrix's consecutive members a chunk at a time, one stacked
+:func:`net.forward` per chunk, whose size :func:`net.chunk_size` fixes
+from the input row count and the topology alone.  A stacked forward
+gives each member the bits its own forward would, and a walk's sums add
+one member at a time into a single running total, so a matrix's results
+are bit-stable and do not depend on the chunking.  A pool adds its
+matrices' totals in replicate order, so its mean depends on how the
+members are split into matrices (one per replicate), but neither on the
+chunking nor on the core count.
 
 Memory: a member matrix is anything that gives its length and a chunk of
 consecutive rows as an array when sliced: an array, or a run's member
-file, which the runner reads a chunk of rows at a time.  So a walk over a
-run's bundles holds one chunk of members, never a whole bundle, and
-:func:`net.chunk_size` bounds a chunk's member rows as it bounds its
-layer outputs.  The walk computes every chunk's hidden layers in buffers
-it allocates once, and it takes the matrices one at a time.
-:func:`evaluate` computes all of a run's predictions in one pass over its
-matrices.
-
-Vote tallies and member rows are exact in any split of the members, so
-:func:`evaluate` gives each matrix of a sequence its own
-:func:`parallel.map_in_order` job when it takes no means; means stay in
-one process, in walk order.
+file, which the runner reads a chunk of rows at a time.  So a walk holds
+one chunk of members, never a whole bundle, and :func:`net.chunk_size`
+bounds a chunk's member rows as it bounds its layer outputs.  A walk
+computes every chunk's hidden layers in buffers it allocates once per
+input set.  :func:`evaluate` computes all of a run's predictions in one
+walk per matrix.
 
 Vote proportions are quantized onto a 2**52 grid with largest-remainder
 rounding.  Each fraction is then an exact multiple of 2**-52 and every
@@ -42,8 +39,7 @@ sum to exactly 1.0 in any summation order.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,45 +128,31 @@ def collect(trajectory: Trajectory) -> EnsembleBundle:
     )
 
 
-def _member_outputs(topology: Topology, scaler: ScalerParams, matrices, input_sets):
-    """Yield ``(i, k, outputs)`` per chunk of members, matrix by matrix.
+def _member_outputs(topology: Topology, scaler: ScalerParams, matrix, input_sets):
+    """Yield ``(k, outputs)`` per chunk of ``matrix``'s members.
 
-    The one walk behind every ensemble prediction.  ``matrices`` holds
-    ``(M, N)`` member matrices of ``topology``, each with at least one
-    member; it is taken in order and consumed once, and the walk drops
-    each matrix before it takes the next, so replicate matrices read
-    lazily are held one at a time.  A matrix is sliced one chunk of rows
-    at a time, so one that reads its rows from a file when sliced is held
-    a chunk at a time.  Every input set is scaled once, by
-    ``scaler``.  Matrix ``i``'s members are walked over input set
+    The one walk behind every ensemble prediction.  ``matrix`` is an
+    ``(M, N)`` member matrix of ``topology`` with at least one member,
+    sliced one chunk of rows at a time, so one that reads its rows from a
+    file when sliced is held a chunk at a time.  Every input set is scaled
+    once, by ``scaler``.  The members are walked over input set
     ``k = 0, 1, ...`` in turn, in storage order, and ``outputs`` is the
     ``(chunk, samples, outputs)`` array of one stacked
     :func:`net.forward` over consecutive members on set ``k``.
 
-    Each set's hidden layers are computed in buffers allocated once per
-    walk for ``min(chunk, members)`` members (and again, larger, only if a
-    later matrix has more), so no chunk allocates hidden-layer arrays of
-    its own.  The output layer is a fresh array, so no two yielded
+    Each set's hidden layers are computed in buffers allocated once for
+    ``min(chunk, M)`` members, so no chunk allocates hidden-layer arrays
+    of its own.  The output layer is a fresh array, so no two yielded
     ``outputs`` share memory.
     """
     scaled = [_scaled_inputs(scaler, inputs) for inputs in input_sets]
-    steps = [net.chunk_size(topology, x.shape[0]) for x in scaled]
-    hidden = [(0, []) for _ in scaled]
-    i = -1  # counted by hand: enumerate() would hold the last matrix while the next is read
-    for matrix in matrices:
-        i += 1
-        if len(matrix) == 0:
-            raise ValueError(f"member matrix {i} holds no members")
-        for k, x in enumerate(scaled):
-            for lo in range(0, len(matrix), steps[k]):
-                members = matrix[lo : lo + steps[k]]
-                c = members.shape[0]
-                if hidden[k][0] < c:
-                    widths = topology.layer_sizes[1:-1]
-                    hidden[k] = c, [np.empty((c, x.shape[0], w)) for w in widths]
-                buffers = [h[:c] for h in hidden[k][1]]
-                yield i, k, net.forward(topology, members, x, buffers)
-        matrix = members = None  # hold no matrix while the next one is read
+    for k, x in enumerate(scaled):
+        step = net.chunk_size(topology, x.shape[0])
+        c = min(step, len(matrix))
+        hidden = [np.empty((c, x.shape[0], w)) for w in topology.layer_sizes[1:-1]]
+        for lo in range(0, len(matrix), step):
+            members = matrix[lo : lo + step]
+            yield k, net.forward(topology, members, x, [h[: members.shape[0]] for h in hidden])
 
 
 def _scaled_inputs(scaler: ScalerParams, inputs) -> np.ndarray:
@@ -191,101 +173,86 @@ class Evaluation:
     """An ensemble's predictions on input sets, one entry per requested set."""
 
     n_members: int
-    means: list    # (samples, outputs) pointwise member mean, original target units
+    sums: list     # (samples, outputs) running total of the members' predictions, original units
     members: list  # (members, samples, outputs) every member's rows, original target units
     votes: list    # (samples, classes) integer tally of member argmax votes
-    # per matrix, in order: its own n_members, means and votes (member rows stay pooled only)
+    # per matrix, in order: its own n_members, sums and votes (member rows stay pooled only)
     parts: list = field(default_factory=list)
+
+    @property
+    def means(self) -> list:
+        """(samples, outputs) pointwise member mean of each set, original target units."""
+        return [total / self.n_members for total in self.sums]
 
 
 def evaluate(
     topology: Topology, scaler: ScalerParams, matrices, means=(), members=(), votes=()
 ) -> Evaluation:
-    """Pool ``matrices`` (one per replicate, in replicate order) on input sets.
+    """The :func:`pool` of ``matrices`` (one per replicate, in replicate order) on input sets.
 
-    ``matrices`` holds ``(M, N)`` member matrices of ``topology``, whose
-    inputs and targets ``scaler`` scales.  ``means``, ``members`` and
-    ``votes`` are lists of 2-D input arrays.  For each set the result
-    holds the pointwise mean of the members' predictions, every member's
-    predictions, or the integer tally of their votes.  A classifier's
-    targets are not scaled, so its member rows are the raw outputs that
-    :func:`net.class_labels_from_outputs` turns into labels.  The result's
-    ``parts`` hold each matrix's own mean and tally, as if it had been
-    evaluated alone, so one pass scores every replicate and their pool.
+    ``matrices`` is a sequence of ``(M, N)`` member matrices of
+    ``topology``, whose inputs and targets ``scaler`` scales.  ``means``,
+    ``members`` and ``votes`` are lists of 2-D input arrays.  For each set
+    the result holds the pointwise mean of the members' predictions, every
+    member's predictions, or the integer tally of their votes.  A
+    classifier's targets are not scaled, so its member rows are the raw
+    outputs that :func:`net.class_labels_from_outputs` turns into labels.
 
-    Member rows and vote tallies are exact in any split of the members, so
-    without means a sequence of matrices is split: each matrix is one
-    :func:`parallel.map_in_order` job, looked up by the worker that
-    evaluates it (a sequence that reads matrices on demand reads each one
-    there), and the parent concatenates the rows and sums the tallies.
-    Means add one member at a time into one running total, whose rounding
-    thus depends neither on the chunking nor on how the members are split
-    into matrices, and each matrix's own mean into a running total of its
-    own beside it; with means, and for any other iterable, the matrices
-    are one serial walk in storage order.  Either way each matrix is
-    walked once per input set.
+    Each matrix is walked alone, once per input set, in its own
+    :func:`parallel.map_in_order` job, looked up by the worker that walks
+    it, and :func:`pool` adds the matrices' results in order.  So the
+    result's ``parts`` hold each matrix's own results, as if it had been
+    evaluated alone, and one pass scores every replicate and their pool.
     """
     sets = (list(means), list(members), list(votes))
     if not any(sets):
         raise ValueError("nothing to evaluate")
-    if means or not isinstance(matrices, Sequence):
-        pooled = _walk(topology, scaler, matrices, *sets)
-    else:
-        if not matrices:
-            raise ValueError("nothing to pool")
-        walk = functools.partial(_evaluate_one, topology, scaler, sets)
-        parts = parallel.map_in_order(walk, matrices)
-        pooled = _pool(parts, [np.concatenate(rows) for rows in zip(*(p.members for p in parts))])
-    pooled.members = [data.unscale_targets(scaler, rows) for rows in pooled.members]
-    return pooled
+    for i, matrix in enumerate(matrices):
+        if len(matrix) == 0:
+            raise ValueError(f"member matrix {i} holds no members")
+    return pool(parallel.map_in_order(functools.partial(_walk, topology, scaler, *sets), matrices))
 
 
-def _evaluate_one(topology, scaler, sets, matrix) -> Evaluation:
-    return replace(_walk(topology, scaler, [matrix], *sets), parts=[])
+def _walk(topology, scaler, means, members, votes, matrix) -> Evaluation:
+    """The :class:`Evaluation` of one member matrix, in one walk.
 
-
-def _walk(topology, scaler, matrices, means, members, votes) -> Evaluation:
-    """:func:`evaluate` in one serial walk, with member rows still in model units."""
+    Its sums add one member at a time, in storage order, into one running
+    total per set, so their rounding does not depend on the chunking.
+    """
     n_means, n_rows = len(means), len(means) + len(members)
     one_hot = np.eye(n_vote_classes(topology), dtype=np.int64)
-    rows = [[] for _ in members]
-    parts = []
-    for i, k, outputs in _member_outputs(topology, scaler, matrices, [*means, *members, *votes]):
-        if i == len(parts):
-            if i == 1:
-                # the pool's running totals so far are matrix 0's own
-                totals = list(parts[0].means)
-            parts.append(Evaluation(0, [0.0] * len(means), [], [0] * len(votes)))
-        part = parts[i]
-        if k == 0:
-            part.n_members += outputs.shape[0]
+    part = Evaluation(len(matrix), [0.0] * len(means), [[] for _ in members], [0] * len(votes))
+    for k, outputs in _member_outputs(topology, scaler, matrix, [*means, *members, *votes]):
         if k < n_means:
             for row in data.unscale_targets(scaler, outputs):
-                part.means[k] = part.means[k] + row
-                if i:
-                    totals[k] = totals[k] + row
+                part.sums[k] = part.sums[k] + row
         elif k < n_rows:
-            rows[k - n_means].append(outputs)
+            part.members[k - n_means].append(data.unscale_targets(scaler, outputs))
         else:
             labels = net.class_labels_from_outputs(outputs)
             part.votes[k - n_rows] = part.votes[k - n_rows] + one_hot[labels].sum(axis=0)
-    if len(parts) == 1:
-        totals = list(parts[0].means)
-    pooled = _pool(parts, [np.concatenate(chunks) for chunks in rows])
-    pooled.means = [total / pooled.n_members for total in totals]
-    for part in pooled.parts:
-        part.means = [total / part.n_members for total in part.means]
-    return pooled
+    part.members = [np.concatenate(chunks) for chunks in part.members]
+    return part
 
 
-def _pool(parts, members) -> Evaluation:
-    """The pool of per-matrix ``parts``, given its member rows: their
-    tallies summed (exact in any order), and each part without rows."""
+def pool(parts) -> Evaluation:
+    """The ensemble of the members of ``parts``, one :class:`Evaluation` per
+    member matrix, in replicate order, with each part, without its member
+    rows, as its ``parts``.
+
+    The parts' running totals add in order, and a mean divides the pooled
+    total once by the pooled member count.  A walk's total starts as
+    ``0.0 + row``, so it is never -0.0 and ``sum()`` from 0 keeps its
+    bits: a pool of one part has that part's mean.  Vote tallies add
+    exactly in any order, and member rows are concatenated in order.
+    """
     if not parts:
         raise ValueError("nothing to pool")
-    parts = [Evaluation(p.n_members, p.means, [], p.votes) for p in parts]
+    sums = [sum(totals) for totals in zip(*(p.sums for p in parts))]
+    members = [np.concatenate(rows) for rows in zip(*(p.members for p in parts))]
     votes = [sum(tallies) for tallies in zip(*(p.votes for p in parts))]
-    return Evaluation(sum(p.n_members for p in parts), [], members, votes, parts)
+    alone = [Evaluation(p.n_members, p.sums, [], p.votes) for p in parts]
+    return Evaluation(sum(p.n_members for p in parts), sums, members, votes, alone)
 
 
 def _exact_fraction_row(counts_row, total: int) -> list[float]:

@@ -23,14 +23,13 @@ through ``fork``; neither is pickled, so a large in-memory ensemble
 costs nothing to hand over (``spawn`` would pickle it or read it again).
 The callers are single-threaded CLI stages, which ``fork`` needs.
 Worker ``k`` of ``n`` is sent the indices ``k, k + n, k + 2n, ...`` and
-looks each item up itself, so a sequence that loads its items on demand
-loads each one in the worker that uses it.  Only results come back,
-pickled.  A worker holds at most ``_IN_FLIGHT`` indices, sent before it
-asks, so it runs its stride without waiting on a slower sibling (a
-stage's jobs are far fewer).  No more: a worker blocked on an answer the
-parent has not read reads no requests, and its unread requests (16
-bytes each) must fit the smallest pipe (4 KiB) so that the parent's
-``send`` never blocks.
+looks each item up itself in the sequence it inherited.  Only results
+come back, pickled.  A worker holds at most ``_IN_FLIGHT`` indices, sent
+before it asks, so it runs its stride without waiting on a slower
+sibling (a stage's jobs are far fewer).  No more: a worker blocked on
+an answer the parent has not read reads no requests, and its unread
+requests (16 bytes each) must fit the smallest pipe (4 KiB) so that the
+parent's ``send`` never blocks.
 
 Errors surface as a serial loop raises them: the parent reads results in
 item order, so the exception it re-raises is the first failing item's,
@@ -68,8 +67,7 @@ def map_in_order(fn, items) -> list:
     n_items = len(items)
     n_workers = min(n_items, usable_cores())
     if n_workers < 2 or _in_worker:
-        # looked up by index, as a worker does: no loop variable keeps the
-        # last item (say, a bundle read on demand) alive while the next loads
+        # looked up by index, as a worker looks its items up
         return [fn(items[index]) for index in range(n_items)]
 
     def serve(request):

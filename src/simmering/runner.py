@@ -26,27 +26,27 @@ exactly one writer.
 preconditions, then hand a job binder and a job count to
 :func:`_run_stage`, the one stage skeleton: data and topology, the checks
 that need them, ``--out``, the jobs through
-:func:`parallel.map_in_order`, one scoring pass over the bundles the jobs
-wrote, each job's metrics.json, the top-level metrics.json by one rule,
-and ``resolved_config.json`` last.  Parameter files have one writer,
-:class:`_RowWriter`, and one reader, :class:`_RowFile`, under sidecars
-checked by :func:`_read_sidecar`.  The reader checks a file's size when
-it is made and refuses a non-finite value in the rows it reads, naming
-the row, so a walk checks exactly the rows it reads.  Ensemble members
-never sit in memory as a whole: the integrator appends each kept state
-to ``ensemble_members.bin`` through a :class:`_RowWriter` as it captures
-it, and every walk over a bundle reads its members a chunk of rows at a
-time.
+:func:`parallel.map_in_order`, each of which scores the bundle it wrote,
+each job's metrics.json, the top-level metrics.json by one rule over the
+pool of the jobs' scores, and ``resolved_config.json`` last.  Parameter
+files have one writer, :class:`_RowWriter`, and one reader,
+:class:`_RowFile`, under sidecars checked by :func:`_read_sidecar`.  The
+reader checks a file's size when it is made and refuses a non-finite
+value in the rows it reads, naming the row, so a walk checks exactly the
+rows it reads.  Ensemble members never sit in memory as a whole: the
+integrator appends each kept state to ``ensemble_members.bin`` through a
+:class:`_RowWriter` as it captures it, and every walk over a bundle reads
+its members a chunk of rows at a time.
 
 Every metric has one scorer, :func:`_pooled`: a run's ensemble is its
 replicates' member matrices, and an Adam endpoint is the one-member
 matrix ``final[None]``, both pooled by :func:`ensemble.evaluate` under
 the run's one topology and scaler.  Each member is walked over the test
-set once per run: the sampling stage's one pass gives every replicate's
-metric and the pooled one, and ``evaluate`` takes the pooled metric from
-the run's top-level metrics.json.  A bundle on disk carries no topology
-of its own; :func:`read_bundle` reads it as the configured model's, and
-a file of another width is refused by its size.
+set once per run: each sampling job scores its own replicate, the stage
+pools those scores with :func:`ensemble.pool`, and ``evaluate`` takes
+the pooled metric from the run's top-level metrics.json.  A bundle on
+disk carries no topology of its own; :func:`read_bundle` reads it as the
+configured model's, and a file of another width is refused by its size.
 """
 
 from __future__ import annotations
@@ -361,10 +361,11 @@ def _endpoint_metrics(topology, prep: PreparedData, params) -> tuple[float, floa
     return _pooled_metric(prep, pooled, 1, prep.raw_train_targets), _pooled_metric(prep, pooled)
 
 
-def _write_metrics(out_dir: str, prep: PreparedData, adam, ens):
+def _write_metrics(out_dir: str, prep: PreparedData, adam, pooled):
     """Write ``out_dir``'s metrics.json: ``adam`` is an Adam endpoint's
-    (train, test) metrics and ``ens`` an ensemble's test metric, each None
-    when there is none."""
+    (train, test) metrics and ``pooled`` a :func:`_pooled` ensemble on the
+    test set, each None when there is none."""
+    ens = None if pooled is None else _pooled_metric(prep, pooled)
     improved = None
     if adam[1] is not None and ens is not None:
         # regression: strictly lower error counts; classification: no worse
@@ -390,12 +391,16 @@ def _write_resolved_config(out_dir: str, cfg: ExperimentConfig, command: str):
 
 
 def load_run_config(run_dir: str) -> tuple[ExperimentConfig, str]:
-    """Read back (config, command) from a run directory."""
+    """Read back (config, command) from a run directory; a config the
+    parser refuses is a ValueError naming the run's file."""
     path = os.path.join(run_dir, RESOLVED_CONFIG)
     if not os.path.exists(path):
         raise FileNotFoundError(f"not a run directory (no {RESOLVED_CONFIG}): {run_dir}")
     payload = _read_object(path, {"config": dict})
-    return from_dict(payload["config"]), payload.get("command", "")
+    try:
+        return from_dict(payload["config"]), payload.get("command", "")
+    except ConfigError as exc:  # the run's file is at fault, not the user's config
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_sidecar(path: str, topology: net.Topology, **entries):
@@ -526,14 +531,14 @@ def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: 
     files into its directory and returns ``(endpoint, sampled)``: the Adam
     endpoint it trained or started from (None if it has none) and whether
     it wrote a bundle.  The jobs run through
-    :func:`parallel.map_in_order`, a non-finite error is prefixed with the
-    job's name, and each sends back only its endpoint's metrics.
-
-    The stage then scores what its jobs sampled in one pass: the bundles
-    just written, their sidecars read in the parent, in replicate order,
-    and their members read back a chunk at a time as ``evaluate`` reads
-    them, pooled on the test set, whose parts are each replicate's own
-    metric.
+    :func:`parallel.map_in_order`, and a non-finite error is prefixed with
+    the job's name.  A job that wrote a bundle reads it back, its members
+    a chunk at a time as ``evaluate`` reads them, and scores it on the
+    test set, so the parent reads no bundle.  Each job sends back only its
+    endpoint's metrics and, if it sampled, its bundle's
+    :class:`ensemble.Evaluation`, which scores that replicate alone; the
+    parent adds these with :func:`ensemble.pool`, in replicate order, to
+    score the pool.
     Each job's metrics.json follows; the top-level one takes the mean of
     the Adam metrics over the jobs that report an endpoint, and the pooled
     metric.  ``resolved_config.json`` comes last.
@@ -556,23 +561,18 @@ def _run_stage(cfg: ExperimentConfig, out_dir: str, command: str, bind, n_jobs: 
         except net.NonFiniteError as exc:
             raise net.NonFiniteError(f"{name}: {exc}") from exc
         adam = (None, None) if endpoint is None else _endpoint_metrics(topology, prep, endpoint)
-        return adam, sampled
+        if not sampled:
+            return adam, None
+        members = read_bundle(path, topology).members
+        return adam, _pooled(topology, prep, [members], [prep.raw_test_inputs])
 
     results = parallel.map_in_order(run, range(n_jobs))
-    ens, pooled_ens = [None] * n_jobs, None
-    sampled = [j for j, (_, did) in enumerate(results) if did]  # the replicates, if any
-    if sampled:
-        # each a _RowFile, a path and a shape, which forked workers inherit
-        matrices = [read_bundle(job_dir(j)[1], topology).members for j in sampled]
-        pooled = _pooled(topology, prep, matrices, [prep.raw_test_inputs])
-        for j, part in zip(sampled, pooled.parts, strict=True):
-            ens[j] = _pooled_metric(prep, part)
-        pooled_ens = _pooled_metric(prep, pooled)
-    for j, (adam, _) in enumerate(results):
-        _write_metrics(job_dir(j)[1], prep, adam, ens[j])
+    for j, (adam, part) in enumerate(results):
+        _write_metrics(job_dir(j)[1], prep, adam, part)
+    parts = [part for _, part in results if part is not None]  # the replicates', if any
     adam = [adam for adam, _ in results if adam[1] is not None]  # the jobs with an Adam endpoint
     mean = tuple(sum(values) / len(adam) for values in zip(*adam)) if adam else (None, None)
-    _write_metrics(out_dir, prep, mean, pooled_ens)
+    _write_metrics(out_dir, prep, mean, ensemble.pool(parts) if parts else None)
     _write_resolved_config(out_dir, cfg, command)
     return out_dir
 

@@ -699,15 +699,15 @@ def test_evaluation_metric_matches_a_fresh_pooled_walk(tmp_path, task, replicate
 
 
 # forks of sampled_run at 3 usable cores: a worker per job of a stage with
-# more than one job (simmer's Adam baseline is a job) and per bundle of the
-# iris vote pass; a one-job stage runs inline and forks a loss-recording
+# more than one job (simmer's Adam baseline is a job), each job scoring the
+# bundle it wrote; a one-job stage runs inline and forks a loss-recording
 # helper only for a run longer than a block, which these tiny runs are not
 # (the sine net's block is 840 steps, and the iris runs are in workers)
 SAMPLED_RUN_FORKS = {
     ("regression", 1): 0,
-    ("regression", 3): 3 + 3,  # train-adam, retrofit; the sine walk is serial
-    ("classification", 1): 2,  # simmer's replicate and baseline; one bundle
-    ("classification", 3): 3 + 3,  # simmer's four jobs on three cores, the votes
+    ("regression", 3): 3 + 3,  # train-adam, retrofit
+    ("classification", 1): 2,  # simmer's replicate and baseline
+    ("classification", 3): 3,  # simmer's four jobs on three cores
 }
 
 
@@ -872,8 +872,11 @@ def test_config_field_error_is_machine_parsable(tmp_path, capsys):
         (lambda r: r["simmer"]["schedule"].update(t_initial=0.5, t_target=0.1),
          "simmer.schedule.t_target"),
         (lambda r: r["sampling"].update(fraction=1e-6), "sampling.fraction"),
+        # json.dumps writes Infinity, which json reads back
+        (lambda r: r["simmer"]["schedule"].update(t_target=float("inf")),
+         "simmer.schedule.t_target"),
     ],
-    ids=["decreasing-schedule", "fraction-keeps-none"],
+    ids=["decreasing-schedule", "fraction-keeps-none", "infinite-target"],
 )
 def test_retrofit_refuses_a_bad_sampler_config_before_writing(tmp_path, capsys, mutate, path):
     adam = tmp_path / "a"
@@ -1027,6 +1030,47 @@ def test_evaluate_refuses_a_damaged_run_metrics_file(tmp_path, capfd, damage):
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1
     assert path in json.loads(lines[0])["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "spectrum", "retrofit"])
+def test_a_run_config_out_of_range_is_refused_naming_the_run_file(tmp_path, capfd, command):
+    cfg_path = write_config(tmp_path)
+    a, r = str(tmp_path / "a"), str(tmp_path / "r")
+    assert main(["train-adam", "--config", cfg_path, "--out", a]) == 0
+    assert main(["retrofit", "--config", cfg_path, "--from-run", a, "--out", r]) == 0
+    run = r if command == "evaluate" else a
+    path = os.path.join(run, "resolved_config.json")
+    payload = read_json(path)
+    payload["config"]["seed"] = -1
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    out = tmp_path / "o"
+    flags = ["--config", cfg_path] if command == "retrofit" else []
+    capfd.readouterr()
+    assert main([command, *flags, "--from-run", run, "--out", str(out)]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValueError", "message": f"{path}: seed: must be >= 0, got -1"}
+    ]
+    assert not out.exists()
+
+
+def test_evaluate_reports_a_grid_too_large_for_memory(tmp_path, capfd, monkeypatch):
+    run = sampled_run(tmp_path, "classification", 1)
+
+    def grid_nodes(bounds, resolution):  # stands in for numpy's failed allocation
+        raise MemoryError(f"Unable to allocate the grid of resolution {resolution}")
+
+    monkeypatch.setattr(runner.ensemble, "grid_nodes", grid_nodes)
+    out = tmp_path / "o"
+    capfd.readouterr()
+    argv = ["evaluate", "--from-run", run, "--out", str(out), "--grid-resolution", "1000000"]
+    assert main(argv) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "MemoryError", "message": "Unable to allocate the grid of resolution 1000000"}
+    ]
     assert not out.exists()
 
 
@@ -1448,9 +1492,9 @@ def test_malformed_run_file_is_one_error_line_naming_it(tmp_path, capfd, command
 
 
 # forks of the chain below at 3 usable cores.  Three replicates: three
-# workers for train-adam, retrofit, the simmer (its four jobs) and each of
-# the iris vote passes (simmer's scoring, evaluate), none for the serial
-# sine walk.  One replicate, one job per stage: one loss-recording helper
+# workers for train-adam, retrofit, the simmer (its four jobs, each
+# scoring its own bundle) and each evaluate (one walk per bundle).  One
+# replicate, one job per stage: one loss-recording helper
 # each for train-adam, retrofit and simmer, whose runs are longer than a
 # block (840 steps for the tiny sine net, 73 for the iris one)
 CHAIN_FORKS = {3: 15, 1: 3}
@@ -1565,7 +1609,7 @@ def test_evaluate_reads_each_bundle_once(tmp_path, monkeypatch, use_cores, forks
         assert main(["evaluate", "--from-run", run, "--out", str(out)] + extra) == 0
         reads = sorted(log.read_text().split())
         assert reads == ["replicate_00", "replicate_01", "replicate_02"]
-        # regression means stay one serial walk; vote tallies fan out
-        assert bool(forks) == (cores > 1 and task == "classification")
+        # each bundle is walked in a job of its own
+        assert bool(forks) == (cores > 1)
         trees.append(tree_bytes(out))
     assert trees[0] == trees[1]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -283,6 +284,32 @@ def test_parse_memory_does_not_grow_with_iterations():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def float_fields(obj, path=""):
+    """Dotted paths of the float values in a config dict."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from float_fields(value, f"{path}{key}.")
+        elif isinstance(value, float):
+            yield path + key
+
+
+@pytest.mark.parametrize(
+    "text", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="past-float")]
+)
+@pytest.mark.parametrize("field", sorted(float_fields(sine_dict())))
+def test_a_non_finite_number_is_refused_naming_its_field(tmp_path, field, text):
+    raw = sine_dict()
+    *sections, key = field.split(".")
+    section = raw
+    for name in sections:
+        section = section[name]
+    section[key] = "<value>"
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw).replace('"<value>"', text))  # json reads each of these
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be a finite number"):
+        load_config(str(p))
 
 
 def test_bool_is_not_an_int():

@@ -6,7 +6,6 @@ a tolerance, because that is the contract.
 """
 
 import itertools
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -256,7 +255,7 @@ def test_votes_over_bundles_are_order_invariant():
     assert np.array_equal(proportions(ab), proportions(ba))
 
 
-def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
+def test_regression_rows_over_bundles_equal_one_bundle_holding_both():
     topology = Topology((1, 4, 1), ("tanh", "linear"))
     rng = seeding.generator(5)
     scaler = ScalerParams(np.array([-2.0]), np.array([2.0]), np.array([10.0]), np.array([30.0]))
@@ -268,13 +267,37 @@ def test_regression_mean_over_bundles_equals_one_bundle_holding_both():
     second = rng.normal(size=(5, topology.param_count))
     both = np.concatenate([first, second])
     x = rng.normal(size=(9, 1))
-    mean = pool([both], means=[x]).means[0]
-    assert np.array_equal(pool([first, second], means=[x]).means[0], mean)
-    # lazily produced matrices (as replicates read from disk) give the same bits
-    lazy = (m for m in (first, second))
-    assert np.array_equal(pool(lazy, means=[x]).means[0], mean)
-    assert np.array_equal(pool([first, second], members=[x]).members[0],
-                          pool([both], members=[x]).members[0])
+    assert np.array_equal(bits(pool([first, second], members=[x]).members[0]),
+                          bits(pool([both], members=[x]).members[0]))
+
+
+def replicate_order_mean(topology, scaler, matrices, inputs):
+    """Reference pooled mean: a running total per matrix, one member at a
+    time in storage order, the totals added in replicate order, then one
+    division by the member count."""
+    outputs = iter(per_member_outputs(topology, scaler, matrices, inputs))
+    pooled = 0
+    for m in matrices:
+        total = 0.0
+        for _ in range(len(m)):
+            total = total + data.unscale_targets(scaler, next(outputs))
+        pooled = pooled + total
+    return pooled / sum(map(len, matrices))
+
+
+def test_pooled_mean_adds_each_matrix_total_in_replicate_order(use_cores):
+    pool = chunk_pool((1, 8, 1), "tanh", seed=21)
+    topology, scaler, matrices = pool
+    x = seeding.generator(4).uniform(-2.0, 2.0, size=(64, 1))
+    ref = replicate_order_mean(*pool, x)
+    for cores in (1, 3):
+        use_cores(cores)
+        assert np.array_equal(bits(evaluate(*pool, means=[x]).means[0]), bits(ref)), cores
+        # a pool of one matrix is that matrix's own mean
+        for m in matrices:
+            alone = replicate_order_mean(topology, scaler, [m], x)
+            assert np.array_equal(bits(evaluate(topology, scaler, [m], means=[x]).means[0]),
+                                  bits(alone))
 
 
 @pytest.mark.parametrize("n_matrices", [1, 3])
@@ -286,23 +309,20 @@ def test_parts_equal_each_matrix_evaluated_alone(n_matrices, use_cores):
     for cores in (1, 3):
         use_cores(cores)
         pooled = [
-            evaluate(topology, scaler, matrices, means=[x, y]),  # serial
-            evaluate(topology, scaler, matrices, members=[y], votes=[x, y]),  # split
-            evaluate(topology, scaler, iter(matrices), members=[y], votes=[x, y]),  # serial
+            evaluate(topology, scaler, matrices, means=[x, y]),
+            evaluate(topology, scaler, matrices, members=[y], votes=[x, y]),
         ]
         for result in pooled:
             assert [part.n_members for part in result.parts] == [len(m) for m in matrices]
             assert all(part.members == [] for part in result.parts)
-        for m, means, split, serial in zip(matrices, *(r.parts for r in pooled), strict=True):
+        for m, means, split in zip(matrices, *(r.parts for r in pooled), strict=True):
             alone = evaluate(topology, scaler, [m], means=[x, y])
             assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(means.means, alone.means))
             alone = evaluate(topology, scaler, [m], votes=[x, y])
-            for part in (split, serial):
-                assert all(np.array_equal(a, b) for a, b in zip(part.votes, alone.votes))
+            assert all(np.array_equal(a, b) for a, b in zip(split.votes, alone.votes))
         # the pool itself is unchanged by keeping its parts
         assert np.array_equal(
-            bits(pooled[0].means[0]),
-            bits(evaluate(topology, scaler, [np.concatenate(matrices)], means=[x]).means[0]),
+            bits(pooled[0].means[0]), bits(replicate_order_mean(topology, scaler, matrices, x))
         )
 
 
@@ -316,12 +336,12 @@ def test_walk_refuses_an_empty_member_matrix():
 
 def test_pool_rejects_mismatches():
     # a run has one topology and one scaler, passed once; only an empty
-    # pool is left to refuse, split or walked serially
+    # pool is left to refuse, of votes or of means
     x = np.zeros((1, 1))
     with pytest.raises(ValueError, match="nothing to pool"):
         class_votes([], x)
     with pytest.raises(ValueError, match="nothing to pool"):
-        scalar_evaluate(iter([]), means=[x])
+        scalar_evaluate([], means=[x])
 
 
 # ------------------------------------------------------------ regression
@@ -575,23 +595,22 @@ def test_chunked_walk_equals_per_member_forwards_bitwise(sizes, activation, monk
         x = rng.uniform(-2.0, 2.0, size=(n_rows, sizes[0]))
         ref_outputs = np.array(per_member_outputs(*pool, x))
         ref_rows = np.array([data.unscale_targets(scaler, out) for out in ref_outputs])
-        ref_mean = 0.0
-        for row in ref_rows:
-            ref_mean = ref_mean + row
-        ref_mean = ref_mean / len(ref_rows)
+        ref_mean = replicate_order_mean(*pool, x)
         ref_counts = reference_votes(*pool, x)
         ref_props = np.array(
             [ensemble._exact_fraction_row(row, len(ref_outputs)) for row in ref_counts]
         )
         for budget in CHUNK_BUDGETS:
             monkeypatch.setattr(net, "CHUNK_VALUES", budget)
-            chunks = list(ensemble._member_outputs(*pool, [x]))
+            chunks = [
+                chunk for m in matrices
+                for chunk in ensemble._member_outputs(topology, scaler, m, [x])
+            ]
             step = net.chunk_size(topology, n_rows)
-            assert [k for _, k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
-            assert [out.shape[0] for _, _, out in chunks] == chunk_sizes(matrices, step)
-            outputs = np.concatenate([out for _, _, out in chunks])
+            assert [k for k, _ in chunks] == [0] * len(chunk_sizes(matrices, step))
+            assert [out.shape[0] for _, out in chunks] == chunk_sizes(matrices, step)
+            outputs = np.concatenate([out for _, out in chunks])
             assert np.array_equal(bits(outputs), bits(ref_outputs))
-            # member rows and votes split one job per matrix; means walk serially
             split = evaluate(*pool, members=[x], votes=[x])
             assert np.array_equal(bits(split.members[0]), bits(ref_rows))
             assert np.array_equal(bits(evaluate(*pool, means=[x]).means[0]), bits(ref_mean))
@@ -629,8 +648,8 @@ def test_chunk_size_depends_only_on_rows_and_topology():
     step = net.chunk_size(mpg, 92)
     for n_members, seed in ((1, 0), (step, 1), (2 * step + 3, 2)):
         members = seeding.generator(seed).normal(size=(n_members, mpg.param_count))
-        chunks = ensemble._member_outputs(mpg, identity_scaler(1), [members], [x])
-        sizes = [out.shape[0] for _, _, out in chunks]
+        chunks = ensemble._member_outputs(mpg, identity_scaler(1), members, [x])
+        sizes = [out.shape[0] for _, out in chunks]
         assert sizes == [min(step, n_members - lo) for lo in range(0, n_members, step)]
 
 
@@ -649,39 +668,37 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     monkeypatch.setattr(net, "CHUNK_VALUES", 3 * 13 * 9)
     assert net.chunk_size(topology, 13) == 3
 
-    buffers = []
+    walks = []  # per matrix, each chunk's hidden-layer buffer addresses
     real_forward = net.forward
 
     def forward(topology, params, inputs, hidden_out=()):
-        buffers.append([h.__array_interface__["data"][0] for h in hidden_out])
+        walks[-1].append([h.__array_interface__["data"][0] for h in hidden_out])
         return real_forward(topology, params, inputs, hidden_out)
 
     monkeypatch.setattr(net, "forward", forward)
     kept = []
-    for _, _, outputs in ensemble._member_outputs(*pool, [x]):
-        # no earlier chunk changes while later ones run
-        assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
-        kept.append((outputs, outputs.copy()))
+    for m in matrices:
+        walks.append([])
+        for _, outputs in ensemble._member_outputs(topology, scaler, m, [x]):
+            # no earlier chunk changes while later ones run
+            assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
+            kept.append((outputs, outputs.copy()))
     assert [out.shape[0] for out, _ in kept] == [3, 3, 2, 3, 3, 2]
     assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
     assert not any(np.shares_memory(a, b) for (a, _), (b, _) in itertools.combinations(kept, 2))
-    # every chunk's hidden layers went into the same two buffers
-    assert len(buffers) == 6 and len(buffers[0]) == 2
-    assert all(b == buffers[0] for b in buffers)
+    # within a matrix's walk, every chunk's hidden layers went into the same two buffers
+    assert [len(walk) for walk in walks] == [3, 3]
+    assert all(len(b) == 2 and b == walk[0] for walk in walks for b in walk)
     monkeypatch.setattr(net, "forward", real_forward)
 
     ref = per_member_outputs(*pool, x)
     assert np.array_equal(bits(np.concatenate([out for out, _ in kept])), bits(np.array(ref)))
     ref_rows = np.array([data.unscale_targets(scaler, out) for out in ref])
-    ref_mean = 0.0
-    for row in ref_rows:
-        ref_mean = ref_mean + row
-    ref_mean = ref_mean / len(ref_rows)
+    ref_mean = replicate_order_mean(*pool, x)
     assert np.array_equal(bits(evaluate(*pool, members=[x]).members[0]), bits(ref_rows))
     assert np.array_equal(bits(evaluate(*pool, means=[x]).means[0]), bits(ref_mean))
 
-    # several input sets in one pass give each set's own bits, serial
-    # (lazily produced matrices) or split into one job per matrix
+    # several input sets in one pass give each set's own bits
     y_rows = np.array([data.unscale_targets(scaler, out) for out in per_member_outputs(*pool, y)])
     both = evaluate(*pool, means=[x, y], members=[y, x])
     assert both.n_members == 16
@@ -689,29 +706,8 @@ def test_buffered_walk_keeps_every_chunk_and_the_bits(activation, monkeypatch):
     assert np.array_equal(bits(both.means[1]), bits(evaluate(*pool, means=[y]).means[0]))
     assert np.array_equal(bits(both.members[0]), bits(y_rows))
     assert np.array_equal(bits(both.members[1]), bits(ref_rows))
-    split = evaluate(*pool, members=[y, x], votes=[x])
-    serial = evaluate(topology, scaler, iter(matrices), members=[y, x], votes=[x])
-    for pooled in (split, serial):
-        assert pooled.n_members == 16
-        assert np.array_equal(bits(pooled.members[0]), bits(y_rows))
-        assert np.array_equal(bits(pooled.members[1]), bits(ref_rows))
-        assert np.array_equal(pooled.votes[0], reference_votes(*pool, x))
-
-
-def test_walk_holds_one_lazily_read_bundle_at_a_time():
-    topology = Topology((1, 4, 1), ("tanh", "linear"))
-    scaler = identity_scaler(1)
-    alive = []
-
-    def lazily():
-        for seed in range(4):
-            members = seeding.generator(seed).normal(size=(5, topology.param_count))
-            alive.append(weakref.ref(members))
-            yield members
-
-    x = np.zeros((3, 1))
-    for _ in ensemble._member_outputs(topology, scaler, lazily(), [x, x]):
-        assert sum(ref() is not None for ref in alive) == 1
-    assert len(alive) == 4
-    evaluate(topology, scaler, lazily(), means=[x], members=[x])
-    assert all(ref() is None for ref in alive)
+    pooled = evaluate(*pool, members=[y, x], votes=[x])
+    assert pooled.n_members == 16
+    assert np.array_equal(bits(pooled.members[0]), bits(y_rows))
+    assert np.array_equal(bits(pooled.members[1]), bits(ref_rows))
+    assert np.array_equal(pooled.votes[0], reference_votes(*pool, x))
